@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -26,27 +28,45 @@ func TestLoggedChaosRunMatchesUnlogged(t *testing.T) {
 }
 
 // Replaying an envelope with zero perturbations must reproduce the logged
-// run byte-identically — the tool-level acceptance criterion, exercised here
-// at the library level on one substrate (the property sweep covers all five).
+// run byte-identically — the tool-level acceptance criterion — and the
+// logged bytes themselves are pinned: the chaos fingerprint hashes only the
+// metric and knob traces, so a change to what the controllers decide (or to
+// when a crash rebuilds them) would otherwise pass unnoticed. The
+// crash-restart cell exercises Rebuild and the epoch bump; HB3813's ring
+// wraps (4,096 of 10,288 decisions kept).
 func TestReplayEnvelopeZeroPerturbationIsByteIdentical(t *testing.T) {
-	_, env := RunChaosPropertyLogged("HB3813", 2)
-	rep2, env2, err := ReplayEnvelope(env, declog.Perturb{})
-	if err != nil {
-		t.Fatal(err)
+	golden := map[string]string{
+		"HB2149": "d150dedff265889fdf9a7632152d55ad901a77a75e8ea4ef50db4e74a9c1def8",
+		"HB3813": "4ecf0d33e88b406b5e3b9506c495b214f4e57321e5581465d694521927f71bde",
+		"HD4995": "a434ec420e5d836656ad32f5e96536e65c25d1d10459f29cce359db894d8f3f2",
+		"LLMKV":  "753dad3d41a90cc062d985b6d79c59743a9e8acb726d443f50f5792db40dd127",
+		"MR2820": "426bb193ad7e0c8511027c65bfcfcebe221c4130b5533cd0eae2d83104f2d269",
 	}
-	b1, err := declog.Encode(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := declog.Encode(env2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("zero-perturbation replay differs:\n%s\n%s", b1, b2)
-	}
-	if rep2.Fingerprint != env.Fingerprint {
-		t.Errorf("replay fingerprint %q != logged %q", rep2.Fingerprint, env.Fingerprint)
+	for _, sub := range ChaosSubstrates() {
+		t.Run(sub, func(t *testing.T) {
+			_, env := RunChaosLogged(sub, "crash-restart", ChaosSeed, declog.Perturb{})
+			rep2, env2, err := ReplayEnvelope(env, declog.Perturb{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b1, err := declog.Encode(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b2, err := declog.Encode(env2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b1, b2) {
+				t.Fatalf("zero-perturbation replay differs:\n%s\n%s", b1, b2)
+			}
+			if rep2.Fingerprint != env.Fingerprint {
+				t.Errorf("replay fingerprint %q != logged %q", rep2.Fingerprint, env.Fingerprint)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b1)); got != golden[sub] {
+				t.Errorf("envelope sha256 %s, recorded %s", got, golden[sub])
+			}
+		})
 	}
 }
 
