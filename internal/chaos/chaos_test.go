@@ -284,6 +284,14 @@ func TestPlantShiftAndSurge(t *testing.T) {
 	}
 }
 
+// A driver shared between chaos cells and plain runs queries the surge of
+// a nil Env on the plain runs: it must read as "no surge".
+func TestNilEnvSurgeFactorIsOne(t *testing.T) {
+	if got := (*Env)(nil).SurgeFactor(); got != 1 {
+		t.Fatalf("nil Env SurgeFactor() = %v, want 1", got)
+	}
+}
+
 func TestPlanWindowsAndString(t *testing.T) {
 	p := &Plan{Name: "mix", Seed: 7, Faults: []Fault{
 		SensorNoise{Start: 10 * time.Second, Duration: 20 * time.Second, Sigma: 0.1},

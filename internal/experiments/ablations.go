@@ -31,10 +31,7 @@ type PoleAblationRow struct {
 // the stable-and-responsive region without user tuning.
 func AblationPoles() []PoleAblationRow {
 	profile := ProfileHB3813()
-	model, err := profile.Fit()
-	if err != nil {
-		panic(err)
-	}
+	model := mustSynth(profile.Fit())
 	lambda := profile.Lambda()
 	auto := core.PoleFromDelta(profile.Delta())
 	poles := []float64{0, 0.25, 0.5, auto, 0.75, 0.9, 0.99}
@@ -65,13 +62,16 @@ func AblationPoles() []PoleAblationRow {
 func runAblationCore(model core.Model, pole, lambda float64) Result {
 	return memoResult("HB3813", fmt.Sprintf("pole=%g lambda=%g", pole, lambda),
 		"ablation-core", 0, func() Result {
-			ctrl, err := core.NewController(model, pole, lambda,
+			ctrl := mustSynth(core.NewController(model, pole, lambda,
 				core.Goal{Metric: "memory", Target: float64(rpcMemoryGoal), Hard: true},
-				core.Options{Min: 0, Max: 1e9})
-			if err != nil {
-				panic(err)
-			}
-			return runHB3813Core(ctrl)
+				core.Options{Min: 0, Max: 1e9}))
+			// Full SmartConf semantics: the §5.3 update from the deputy.
+			return hb3813Figure().evaluate(SmartConf(), func(pl *hb3813Plant) {
+				pl.sv.BeforeAdmit = func() {
+					ctrl.SetConf(float64(pl.sv.QueueLen()))
+					pl.sv.SetMaxQueue(int(ctrl.Update(float64(pl.heap.Used()))))
+				}
+			})
 		})
 }
 
@@ -109,22 +109,16 @@ type MarginAblationRow struct {
 // constraint; excess margin buys nothing and costs throughput.
 func AblationVirtualGoalMargin() []MarginAblationRow {
 	profile := ProfileHB3813()
-	model, err := profile.Fit()
-	if err != nil {
-		panic(err)
-	}
+	model := mustSynth(profile.Fit())
 	autoLambda := profile.Lambda()
 	pole := core.PoleFromDelta(profile.Delta())
 	lambdas := []float64{0, 0.02, autoLambda, 0.15, 0.3}
 	return engine.MapSlice(lambdas, func(lambda float64) MarginAblationRow {
 		// The virtual target is fixed at construction ((1-λ)·goal), so a
 		// fresh controller reports it even when the run itself is a cache hit.
-		ctrl, err := core.NewController(model, pole, lambda,
+		ctrl := mustSynth(core.NewController(model, pole, lambda,
 			core.Goal{Metric: "memory", Target: float64(rpcMemoryGoal), Hard: true},
-			core.Options{Min: 0, Max: 1e9})
-		if err != nil {
-			panic(err)
-		}
+			core.Options{Min: 0, Max: 1e9}))
 		r := runAblationCore(model, pole, lambda)
 		return MarginAblationRow{
 			Lambda:        lambda,
@@ -243,21 +237,10 @@ func AblationAdaptiveModel() AdaptiveAblation {
 			label = "adaptive"
 		}
 		return memoKeyed("HB3813", label, "ablation-adaptive", 0, func() adaptiveRun {
-			ic, err := smartconf.NewIndirect(smartconf.Spec{
-				Name:   "ipc.server.max.queue.size",
-				Metric: "memory_consumption",
-				Goal:   float64(rpcMemoryGoal),
-				Hard:   true,
-				Min:    0, Max: 5000,
-				Adaptive: adaptive,
-			}, publicProfile(profile), nil)
-			if err != nil {
-				panic(err)
-			}
-			r := runHB3813Custom(func(heapUsed float64, queueLen int) int {
-				ic.SetPerf(heapUsed, float64(queueLen))
-				return ic.Conf()
-			})
+			spec := hb3813Spec()
+			spec.Adaptive = adaptive
+			ic := mustSynth(smartconf.NewIndirect(spec, publicProfile(profile), nil))
+			r := hb3813Figure().evaluate(SmartConf(), func(pl *hb3813Plant) { pl.integrate(ic) })
 			return adaptiveRun{Result: r, Alpha: ic.ModelAlpha()}
 		})
 	})
@@ -312,21 +295,12 @@ func AblationProfilingDepth() []ProfilingDepthRow {
 			"ablation-depth", 0, func() ProfilingDepthRow {
 				sub := subsampleProfile(full, plan.settings, plan.samples)
 				row := ProfilingDepthRow{Settings: plan.settings, Samples: plan.samples}
-				ic, err := smartconf.NewIndirect(smartconf.Spec{
-					Name:   "ipc.server.max.queue.size",
-					Metric: "memory_consumption",
-					Goal:   float64(rpcMemoryGoal),
-					Hard:   true,
-					Min:    0, Max: 5000,
-				}, publicProfile(sub), nil)
+				ic, err := smartconf.NewIndirect(hb3813Spec(), publicProfile(sub), nil)
 				if err != nil {
 					row.SynthesisErr = err.Error()
 					return row
 				}
-				r := runHB3813Custom(func(heapUsed float64, queueLen int) int {
-					ic.SetPerf(heapUsed, float64(queueLen))
-					return ic.Conf()
-				})
+				r := hb3813Figure().evaluate(SmartConf(), func(pl *hb3813Plant) { pl.integrate(ic) })
 				row.ConstraintMet = r.ConstraintMet
 				row.Throughput = r.Tradeoff
 				return row

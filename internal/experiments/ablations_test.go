@@ -211,8 +211,9 @@ func TestSeedSensitivity(t *testing.T) {
 		t.Skip("seed sweep")
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		r := runHB3813(SmartConf(), hb3813Phases(), hb3813RunTime, seed*101,
-			hb3813BurstSize, hb3813BurstEvery, hb3813Spacing)
+		run := hb3813Figure()
+		run.seed, run.genSeed = seed*101, seed*101+1
+		r := run.run(SmartConf())
 		if !r.ConstraintMet {
 			t.Errorf("seed %d: %s at %v", seed, r.Violation, r.ViolatedAt)
 		}

@@ -73,8 +73,8 @@ func AblationBackendAIMD() BackendComparison {
 					Goal:     float64(rpcMemoryGoal),
 					Min:      0, Max: 5000,
 				}
-				return runHB3813Custom(func(heapUsed float64, _ int) int {
-					return int(ctl.Update(heapUsed))
+				return hb3813Figure().evaluate(SmartConf(), func(pl *hb3813Plant) {
+					pl.sv.BeforeAdmit = func() { pl.sv.SetMaxQueue(int(ctl.Update(float64(pl.heap.Used())))) }
 				})
 			})
 	})

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -96,26 +95,20 @@ func RunCA6059(p Policy) Result {
 		st.SetThreshold(int64(p.Static))
 	case SmartConfPolicy:
 		profile := ProfileCA6059()
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
+		ic := mustSynth(smartconf.NewIndirect(smartconf.Spec{
 			Name:    "memtable_total_space_in_mb",
 			Metric:  "memory_consumption",
 			Goal:    float64(ca6059Goal),
 			Hard:    true,
 			Initial: 0,
 			Min:     0, Max: float64(ca6059HeapCap),
-		}, publicProfile(profile), nil)
-		if err != nil {
-			panic(fmt.Sprintf("CA6059 synthesis: %v", err))
-		}
+		}, publicProfile(profile), nil))
 		st.BeforeWrite = func() {
 			ic.SetPerf(float64(heap.Used()), float64(st.MemtableBytes())) //sc:CA6059:sensor
 			st.SetThreshold(int64(ic.Value()))                            //sc:CA6059:invoke
 		}
 	case SinglePolePolicy, NoVirtualGoalPolicy:
-		ctrl, err := ablationController(p.Kind, ProfileCA6059(), float64(ca6059Goal), p.FixedPole)
-		if err != nil {
-			panic(fmt.Sprintf("CA6059 ablation synthesis: %v", err))
-		}
+		ctrl := mustSynth(ablationController(p.Kind, ProfileCA6059(), float64(ca6059Goal), p.FixedPole))
 		st.BeforeWrite = func() {
 			ctrl.SetConf(float64(st.MemtableBytes()))
 			st.SetThreshold(int64(ctrl.Update(float64(heap.Used()))))
@@ -158,19 +151,7 @@ func RunCA6059(p Policy) Result {
 		Tradeoff:       float64(st.WriteLatency().OverallMean()) / float64(time.Millisecond),
 		Series:         []Series{memS, knobS},
 	}
-	met, at, worst := evalUpperBound(memS, func(time.Duration) float64 { return float64(ca6059Goal) })
-	switch {
-	case heap.OOM():
-		res.ConstraintMet = false
-		res.ViolatedAt = oomAt
-		res.Violation = "OOM"
-	case !met:
-		res.ConstraintMet = false
-		res.ViolatedAt = at
-		res.Violation = fmt.Sprintf("memory %.0fMB > goal %.0fMB", worst/float64(mb), float64(ca6059Goal)/float64(mb))
-	default:
-		res.ConstraintMet = true
-	}
+	judgeHardMemory(&res, memS, heap.OOM(), oomAt, constGoal(ca6059Goal))
 	return res
 }
 

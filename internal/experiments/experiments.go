@@ -22,6 +22,8 @@ package experiments
 import (
 	"fmt"
 	"time"
+
+	"smartconf/internal/metrics"
 )
 
 // PolicyKind selects how the PerfConf under study is managed during a run.
@@ -105,6 +107,30 @@ func (s Series) Max() float64 {
 		}
 	}
 	return m
+}
+
+// newSamples reports a latency tracker's last sample only when one has
+// completed since the previous call, so a probe records each flush or lock
+// hold once.
+func newSamples(lat *metrics.Latency) func() (float64, bool) {
+	var seen int64
+	return func() (float64, bool) {
+		n := lat.Count()
+		if n <= seen {
+			return 0, false
+		}
+		seen = n
+		return lat.Last().Seconds(), true
+	}
+}
+
+// mustSynth unwraps a controller construction whose inputs are fixed by
+// the scenario: a synthesis error there is a bug, not an outcome.
+func mustSynth[C any](c C, err error) C {
+	if err != nil {
+		panic(fmt.Sprintf("experiments: synthesis: %v", err))
+	}
+	return c
 }
 
 // Result is the outcome of one scenario run under one policy.

@@ -55,17 +55,14 @@ func RunSLAScenario(p Policy) SLAResult {
 		// is set by how deep the queue may get), so this is a DIRECT
 		// configuration — the paper's SmartConf class, not SmartConf_I.
 		profile := profileSLA()
-		sc, err := smartconf.New(smartconf.Spec{
+		sc := mustSynth(smartconf.New(smartconf.Spec{
 			Name:    "ipc.server.max.queue.size",
 			Metric:  "p99_latency",
 			Goal:    slaGoalSec,
 			Hard:    false, // SLA: soft constraint
 			Initial: 1,
 			Min:     1, Max: 5000,
-		}, publicProfile(profile))
-		if err != nil {
-			panic(err)
-		}
+		}, publicProfile(profile)))
 		// The controller runs on the SENSOR's timescale: a p99 estimate needs
 		// a window of completions and lags the knob by about two burst
 		// cycles, so the loop updates once per 15 s — faster sampling would
@@ -189,35 +186,18 @@ func RunDistributedHB3813(nodes int) DistributedResult {
 }
 
 func runDistributedHB3813(nodes int) DistributedResult {
+	r := hb3813Run{seed: 4444, genSeed: 4445,
+		phases: []workload.YCSBPhase{{Name: "steady", WriteRatio: 1, RequestBytes: 1 * mb}},
+		// Aggregate offered load scales with the cluster.
+		burst: hb3813BurstSize * nodes / 2, every: hb3813BurstEvery, spacing: hb3813Spacing, horizon: 400 * time.Second}
 	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(4444))
-	profile := publicProfile(ProfileHB3813())
-
-	servers := make([]*rpcserver.Server, nodes)
-	heaps := make([]*memsim.Heap, nodes)
-	res := DistributedResult{Nodes: nodes, ConstraintMet: true}
-	for i := 0; i < nodes; i++ {
-		i := i
-		heaps[i] = memsim.NewHeap(rpcHeapCapacity)
-		servers[i] = rpcserver.New(s, heaps[i], rpcConfig())
-		servers[i].SetMaxQueue(0)
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:   fmt.Sprintf("node%d/ipc.server.max.queue.size", i),
-			Metric: "memory_consumption",
-			Goal:   float64(rpcMemoryGoal),
-			Hard:   true,
-			Min:    0, Max: 5000,
-		}, profile, nil)
-		if err != nil {
-			panic(err)
-		}
-		sv, heap := servers[i], heaps[i]
-		sv.BeforeAdmit = func() {
-			ic.SetPerf(float64(heap.Used()), float64(sv.QueueLen()))
-			sv.SetMaxQueue(ic.Conf())
-		}
+	rng := rand.New(rand.NewSource(r.seed))
+	plants := make([]*hb3813Plant, nodes)
+	for i := range plants {
 		noiseSeed := int64(100 + i) // per-node scenario seed, offset by node index
-		heapNoise(s, heap, rand.New(rand.NewSource(noiseSeed)), rpcNoiseMax, 400*time.Second)
+		plants[i] = newHB3813Plant(s, rand.New(rand.NewSource(noiseSeed)))
+		plants[i].integrate(newHB3813Conf())
+		r.noise(plants[i])
 	}
 
 	// Skewed dispatch: node 0 receives ~half the traffic, the rest split the
@@ -228,27 +208,20 @@ func runDistributedHB3813(nodes int) DistributedResult {
 		}
 		return 1 + rng.Intn(nodes-1)
 	}
-	w := &rpcWorkload{
-		gen: workload.NewYCSB(4445, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb}),
-		// Aggregate offered load scales with the cluster.
-		burstSize:  hb3813BurstSize * nodes / 2,
-		burstEvery: hb3813BurstEvery,
-		spacing:    hb3813Spacing,
-		phases:     []workload.YCSBPhase{{Name: "steady", WriteRatio: 1, RequestBytes: 1 * mb}},
-	}
-	w.run(s, 400*time.Second, rng, func(op workload.Op) { servers[pick()].Offer(op) })
-	s.RunUntil(400 * time.Second)
+	r.load(s, rng, nil, func(op workload.Op) { plants[pick()].offer(op) })
+	s.RunUntil(r.horizon)
 
+	res := DistributedResult{Nodes: nodes, ConstraintMet: true}
 	var completed int64
-	for i, sv := range servers {
-		completed += sv.Completed()
-		res.PerNodeKnob = append(res.PerNodeKnob, sv.MaxQueue())
-		if heaps[i].OOM() {
+	for i, p := range plants {
+		completed += p.sv.Completed()
+		res.PerNodeKnob = append(res.PerNodeKnob, p.sv.MaxQueue())
+		if p.heap.OOM() {
 			res.ConstraintMet = false
 			res.Violations = append(res.Violations, fmt.Sprintf("node %d OOM", i))
 		}
 	}
-	res.Throughput = float64(completed) / 400
+	res.Throughput = float64(completed) / r.horizon.Seconds()
 	return res
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"smartconf"
 	"smartconf/internal/chaos"
-	"smartconf/internal/llmserve"
 	"smartconf/internal/memsim"
 	"smartconf/internal/rpcserver"
 	"smartconf/internal/sim"
@@ -29,26 +28,13 @@ func runHB3813Chaos(t *testing.T,
 	const runTime = 500 * time.Second
 	s := sim.New()
 	rng := rand.New(rand.NewSource(4242))
-	heap := memsim.NewHeap(rpcHeapCapacity)
-	sv := rpcserver.New(s, heap, rpcConfig())
-	sv.SetMaxQueue(0)
+	p := newHB3813Plant(s, rng)
+	heap, sv := p.heap, p.sv
 
-	ic, err := smartconf.NewIndirect(smartconf.Spec{
-		Name:   "ipc.server.max.queue.size",
-		Metric: "memory_consumption",
-		Goal:   float64(rpcMemoryGoal),
-		Hard:   true,
-		Min:    0, Max: 5000,
-	}, publicProfile(ProfileHB3813()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ic := newHB3813Conf()
 	loop := chaos.NewLoop(s, chaos.LoopConfig{
-		Sense: func() (float64, float64) { return float64(heap.Used()), float64(sv.QueueLen()) },
-		Step: func(perf, deputy float64) float64 {
-			ic.SetPerf(perf, deputy)
-			return ic.Value()
-		},
+		Sense:   p.sense,
+		Step:    indirectStep(ic),
 		Actuate: func(v float64) { sv.SetMaxQueue(int(v)) },
 	})
 	sv.BeforeAdmit = loop.Tick
@@ -177,31 +163,15 @@ func runLLMKVChaos(t *testing.T, phase workload.LLMPhase,
 	const runTime = 300 * time.Second
 	s := sim.New()
 	rng := rand.New(rand.NewSource(9001))
-	heap := memsim.NewHeap(llmHeapCapacity)
-	sv := llmserve.New(s, heap, llmConfig())
-	kvb := float64(llmKVPerToken())
+	p := newLLMKVPlant(s)
+	heap, sv := p.heap, p.sv
 
-	ic, err := smartconf.NewIndirect(smartconf.Spec{
-		Name:   "max.num.batched.tokens",
-		Metric: "gpu_memory_consumption",
-		Goal:   float64(llmMemoryGoal),
-		Hard:   true,
-		Min:    0, Max: float64(llmHeapCapacity),
-	}, publicProfile(ProfileLLMKV()), smartconf.Scale(1/kvb))
-	if err != nil {
-		t.Fatal(err)
-	}
 	loop := chaos.NewLoop(s, chaos.LoopConfig{
-		Sense: func() (float64, float64) {
-			return float64(heap.Used()), float64(sv.PromptTokens()) * kvb
-		},
-		Step: func(perf, deputy float64) float64 {
-			ic.SetPerf(perf, deputy)
-			return ic.Value()
-		},
+		Sense:   p.sense,
+		Step:    indirectStep(newLLMKVConf()),
 		Actuate: func(v float64) { sv.SetMaxBatchedTokens(int(v)) },
 	})
-	s.Every(0, 15*time.Second, func() bool {
+	s.Every(0, llmSenseEvery, func() bool {
 		loop.Tick()
 		return s.Now() < runTime && !sv.Crashed()
 	})
@@ -212,7 +182,7 @@ func runLLMKVChaos(t *testing.T, phase workload.LLMPhase,
 
 	heapNoise(s, heap, rng, llmNoiseMax, runTime)
 	heap.OnOOM(func() { oom, oomAt = true, s.Now() })
-	chaosLLMDrive(s, sv, phases, 9002, runTime, env)
+	llmDrive(s, sv, phases, 9002, runTime, env)
 	s.RunUntil(runTime)
 	return oom, oomAt, sv.Completed()
 }
@@ -277,36 +247,18 @@ func TestSoakTwoHours(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
 	}
-	s := sim.New()
-	rng := rand.New(rand.NewSource(314))
-	heap := memsim.NewHeap(rpcHeapCapacity)
-	sv := rpcserver.New(s, heap, rpcConfig())
-	sv.SetMaxQueue(0)
-	ic, err := smartconf.NewIndirect(smartconf.Spec{
-		Name: "q", Metric: "memory_consumption",
-		Goal: float64(rpcMemoryGoal), Hard: true, Min: 0, Max: 5000,
-	}, publicProfile(ProfileHB3813()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv.BeforeAdmit = func() {
-		ic.SetPerf(float64(heap.Used()), float64(sv.QueueLen()))
-		sv.SetMaxQueue(ic.Conf())
-	}
+	r := hb3813Run{seed: 314, genSeed: 315,
+		phases: []workload.YCSBPhase{{Name: "steady", WriteRatio: 1, RequestBytes: 1 << 20}},
+		burst:  hb3813BurstSize, every: hb3813BurstEvery, spacing: hb3813Spacing, horizon: 2 * time.Hour}
+	p := r.plant()
+	s, heap, sv := p.s, p.heap, p.sv
+	p.integrate(newHB3813Conf())
 
-	const runTime = 2 * time.Hour
-	heapNoise(s, heap, rng, rpcNoiseMax, runTime)
+	r.noise(p)
 	var knobAtHour float64
 	s.At(time.Hour, func() { knobAtHour = float64(sv.MaxQueue()) })
-	w := &rpcWorkload{
-		gen:        workload.NewYCSB(315, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 << 20}),
-		burstSize:  hb3813BurstSize,
-		burstEvery: hb3813BurstEvery,
-		spacing:    hb3813Spacing,
-		phases:     []workload.YCSBPhase{{Name: "steady", WriteRatio: 1, RequestBytes: 1 << 20}},
-	}
-	w.run(s, runTime, rng, func(op workload.Op) { sv.Offer(op) })
-	s.RunUntil(runTime)
+	r.load(s, p.rng, nil, p.offer)
+	s.RunUntil(r.horizon)
 
 	if heap.OOM() {
 		t.Fatal("OOM during the soak")

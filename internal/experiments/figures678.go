@@ -33,21 +33,12 @@ func BuildFigure6() Figure6 {
 	row := BuildFigure5Row(sc)
 	smart := row.Bars[0].Result
 
-	// Recover the virtual goal SmartConf derived, for the figure annotation.
-	profile := ProfileHB3813()
-	ic, err := smartconf.NewIndirect(smartconf.Spec{
-		Name: sc.Conf, Metric: "memory_consumption",
-		Goal: float64(rpcMemoryGoal), Hard: true, Max: 5000,
-	}, publicProfile(profile), nil)
-	if err != nil {
-		panic(err)
-	}
 	return Figure6{
 		SmartConf:   smart,
 		Static:      row.Optimal,
 		StaticVal:   row.Optimal.Policy.Static,
 		Goal:        float64(rpcMemoryGoal),
-		VirtualGoal: ic.VirtualGoal(),
+		VirtualGoal: newHB3813Conf().VirtualGoal(), // the one SmartConf derived, for the annotation
 	}
 }
 
@@ -116,8 +107,8 @@ func BuildFigure7() Figure7 {
 	runs := engine.MapSlice(kinds, func(kind PolicyKind) Result {
 		p := Policy{Kind: kind, FixedPole: 0.9}
 		return memoResult("HB3813", policyKey(p), "figure7", 7813, func() Result {
-			return runHB3813(p, figure7Phases(), figure7RunTime, 7813,
-				1, 12500*time.Microsecond, time.Millisecond)
+			return hb3813Run{seed: 7813, genSeed: 7814, phases: figure7Phases(), burst: 1,
+				every: 12500 * time.Microsecond, spacing: time.Millisecond, horizon: figure7RunTime}.run(p)
 		})
 	})
 	return Figure7{
@@ -220,7 +211,7 @@ func buildFigure8Uncached(n int) Figure8 {
 	if n == 2 {
 		// The production path: the Manager counts both bindings on the
 		// super-hard metric and engages N = 2 automatically.
-		mgr, err := smartconf.NewManager(
+		mgr := mustSynth(smartconf.NewManager(
 			strings.NewReader(figure8Sys),
 			strings.NewReader(figure8Goals),
 			smartconf.WithProfileSource(func(conf string) (*smartconf.Profile, error) {
@@ -229,28 +220,17 @@ func buildFigure8Uncached(n int) Figure8 {
 				}
 				return publicProfile(respProfile), nil
 			}),
-		)
-		if err != nil {
-			panic(fmt.Sprintf("figure 8 manager: %v", err))
-		}
-		if reqConf, err = mgr.IndirectConf("ipc.server.max.queue.size", nil); err != nil {
-			panic(err)
-		}
-		if respConf, err = mgr.IndirectConf("ipc.server.response.queue.maxsize", nil); err != nil {
-			panic(err)
-		}
+		))
+		reqConf = mustSynth(mgr.IndirectConf("ipc.server.max.queue.size", nil))
+		respConf = mustSynth(mgr.IndirectConf("ipc.server.response.queue.maxsize", nil))
 	} else {
 		// Ablation: standalone controllers that each claim the full error.
 		mk := func(name string, max float64, p *smartconf.Profile) *smartconf.IndirectConf {
-			ic, err := smartconf.NewIndirect(smartconf.Spec{
+			return mustSynth(smartconf.NewIndirect(smartconf.Spec{
 				Name: name, Metric: "memory_consumption",
 				Goal: float64(rpcMemoryGoal), SuperHard: true,
 				Min: 0, Max: max, Interaction: n,
-			}, p, nil)
-			if err != nil {
-				panic(err)
-			}
-			return ic
+			}, p, nil))
 		}
 		reqConf = mk("ipc.server.max.queue.size", 5000, publicProfile(reqProfile))
 		respConf = mk("ipc.server.response.queue.maxsize", 1e9, publicProfile(respProfile))

@@ -298,7 +298,6 @@ func runFleetPropertyKV(seed int64) proptest.FleetReport {
 		horizon   = 150 * time.Second
 	)
 	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(seed))
 	fleet := cluster.NewFleet[workload.Op](cluster.KeyAffinity)
 	stores := make([]*kvstore.Memstore, members)
 	targets := make([]chaos.Killable, members)
@@ -332,7 +331,6 @@ func runFleetPropertyKV(seed int64) proptest.FleetReport {
 		})
 	}
 	schedule()
-	_ = rng
 	s.RunUntil(horizon)
 
 	var completed int64

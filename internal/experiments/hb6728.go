@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -121,27 +120,21 @@ func RunHB6728(p Policy) Result {
 		sv.SetMaxRespBytes(int64(p.Static))
 	case SmartConfPolicy:
 		profile := ProfileHB6728()
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
+		ic := mustSynth(smartconf.NewIndirect(smartconf.Spec{
 			Name:    "ipc.server.response.queue.maxsize",
 			Metric:  "memory_consumption",
 			Goal:    float64(rpcMemoryGoal),
 			Hard:    true,
 			Initial: 0,
 			Min:     0, Max: 1e9,
-		}, publicProfile(profile), nil)
-		if err != nil {
-			panic(fmt.Sprintf("HB6728 synthesis: %v", err))
-		}
+		}, publicProfile(profile), nil))
 		sv.BeforeRespond = func() {
 			ic.SetPerf(float64(heap.Used()), float64(sv.RespBytes())) //sc:HB6728:sensor
 			sv.SetMaxRespBytes(int64(ic.Value()))                     //sc:HB6728:invoke
 		}
 		setGoal = ic.SetGoal //sc:HB6728:invoke
 	case SinglePolePolicy, NoVirtualGoalPolicy:
-		ctrl, err := ablationController(p.Kind, ProfileHB6728(), float64(rpcMemoryGoal), p.FixedPole)
-		if err != nil {
-			panic(fmt.Sprintf("HB6728 ablation synthesis: %v", err))
-		}
+		ctrl := mustSynth(ablationController(p.Kind, ProfileHB6728(), float64(rpcMemoryGoal), p.FixedPole))
 		sv.BeforeRespond = func() {
 			ctrl.SetConf(float64(sv.RespBytes()))
 			sv.SetMaxRespBytes(int64(ctrl.Update(float64(heap.Used()))))
@@ -195,19 +188,7 @@ func RunHB6728(p Policy) Result {
 			return float64(hb6728Goal2)
 		}
 	}
-	met, at, worst := evalUpperBound(probe.mem, goalAt)
-	switch {
-	case heap.OOM():
-		res.ConstraintMet = false
-		res.ViolatedAt = oomAt
-		res.Violation = "OOM"
-	case !met:
-		res.ConstraintMet = false
-		res.ViolatedAt = at
-		res.Violation = fmt.Sprintf("memory %.0fMB > goal %.0fMB", worst/float64(mb), goalAt(at)/float64(mb))
-	default:
-		res.ConstraintMet = true
-	}
+	judgeHardMemory(&res, probe.mem, heap.OOM(), oomAt, goalAt)
 	return res
 }
 

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"smartconf"
+	"smartconf/internal/chaos"
 	"smartconf/internal/core"
 	"smartconf/internal/llmserve"
 	"smartconf/internal/memsim"
+	"smartconf/internal/proptest"
 	"smartconf/internal/sim"
 	"smartconf/internal/workload"
 )
@@ -44,7 +46,8 @@ const (
 	llmNoiseMax = 128 * mb
 
 	llmBurstEvery  = 25 * time.Second
-	llmTTFTGoalSec = 20.0 // soft TTFT-p95 goal for admission.queue.limit
+	llmSenseEvery  = 15 * time.Second // the memory controller's cadence (see RunLLMKV)
+	llmTTFTGoalSec = 20.0             // soft TTFT-p95 goal for admission.queue.limit
 
 	llmProfileTime     = 70 * time.Second
 	llmTTFTProfileTime = 100 * time.Second
@@ -79,8 +82,10 @@ func llmPhases() []workload.LLMPhase {
 }
 
 // llmDrive starts Poisson arrivals (with the phase switcher) and the burst
-// loop against the server.
-func llmDrive(s *sim.Simulation, sv *llmserve.Server, phases []workload.LLMPhase, seed int64, until time.Duration) {
+// loop against the server. Phases are read through the slice on every
+// arrival, so a plant shift may rewrite them mid-run; every burst scales by
+// env's surge factor (nil: none).
+func llmDrive(s *sim.Simulation, sv *llmserve.Server, phases []workload.LLMPhase, seed int64, until time.Duration, env *chaos.Env) {
 	gen := workload.NewLLMGen(seed, phases[0])
 	var arrive func()
 	arrive = func() {
@@ -102,12 +107,52 @@ func llmDrive(s *sim.Simulation, sv *llmserve.Server, phases []workload.LLMPhase
 		if ph.Name != gen.Phase().Name {
 			gen.SetPhase(ph)
 		}
-		for i := 0; i < ph.BurstSize; i++ {
+		n := int(float64(ph.BurstSize) * env.SurgeFactor())
+		for i := 0; i < n; i++ {
 			req := gen.NextRequest()
 			s.After(time.Duration(i)*ph.BurstSpacing, func() { sv.Offer(req) })
 		}
 		return s.Now() < until
 	})
+}
+
+// llmkvSpec declares the token-bound controller: the knob in tokens, the
+// deputy and the profile in KV bytes (newLLMKVConf scales between them).
+func llmkvSpec() smartconf.Spec {
+	return smartconf.Spec{
+		Name:    "max.num.batched.tokens",
+		Metric:  "gpu_memory_consumption",
+		Goal:    float64(llmMemoryGoal),
+		Hard:    true,
+		Initial: 0, // start closed; the controller opens the batch to fit
+		Min:     0, Max: float64(llmHeapCapacity),
+	}
+}
+
+func newLLMKVConf(opts ...smartconf.Option) *smartconf.IndirectConf {
+	return mustSynth(smartconf.NewIndirect(llmkvSpec(), publicProfile(ProfileLLMKV()),
+		smartconf.Scale(1/float64(llmKVPerToken())), opts...))
+}
+
+// llmkvPlant is the LLM-KV substrate on one simulation: the GPU heap, the
+// inference server, and the time the heap ran out.
+type llmkvPlant struct {
+	heap  *memsim.Heap
+	sv    *llmserve.Server
+	oomAt time.Duration
+}
+
+func newLLMKVPlant(s *sim.Simulation) *llmkvPlant {
+	p := &llmkvPlant{heap: memsim.NewHeap(llmHeapCapacity)}
+	p.sv = llmserve.New(s, p.heap, llmConfig())
+	p.heap.OnOOM(func() { p.oomAt = s.Now() })
+	return p
+}
+
+// sense reads the GPU heap in use and its deputy, the prompt-resident KV
+// bytes the token bound caps.
+func (p *llmkvPlant) sense() (float64, float64) {
+	return float64(p.heap.Used()), float64(p.sv.PromptTokens()) * float64(llmKVPerToken())
 }
 
 // ProfileLLMKV profiles the GPU heap against max.num.batched.tokens pinned
@@ -141,7 +186,7 @@ func ProfileLLMKV() core.Profile {
 				// Saturating: offered load exceeds service capacity at every
 				// pinned setting, so the admitted prompts actually fill the bound.
 				{Name: "profiling", RequestsPerSec: 80, PromptMean: 150, OutputMean: 300},
-			}, 7002, llmProfileTime)
+			}, 7002, llmProfileTime, nil)
 			s.RunUntil(llmProfileTime)
 		})
 	})
@@ -173,7 +218,7 @@ func ProfileLLMKVTTFT() core.Profile {
 			})
 			llmDrive(s, sv, []workload.LLMPhase{
 				{Name: "profiling", RequestsPerSec: 30, PromptMean: 1500, OutputMean: 200},
-			}, 7004, llmTTFTProfileTime)
+			}, 7004, llmTTFTProfileTime, nil)
 			s.RunUntil(llmTTFTProfileTime)
 		})
 	})
@@ -219,25 +264,14 @@ func startLLMProbe(s *sim.Simulation, heap *memsim.Heap, sv *llmserve.Server, un
 func RunLLMKV(p Policy) Result {
 	s := newScenarioSim()
 	rng := rand.New(rand.NewSource(9001))
-	heap := memsim.NewHeap(llmHeapCapacity)
-	sv := llmserve.New(s, heap, llmConfig())
+	pl := newLLMKVPlant(s)
+	heap, sv := pl.heap, pl.sv
 
 	switch p.Kind {
 	case StaticPolicy:
 		sv.SetMaxBatchedTokens(int(p.Static))
 	case SmartConfPolicy:
-		kvb := float64(llmKVPerToken())
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:    "max.num.batched.tokens",
-			Metric:  "gpu_memory_consumption",
-			Goal:    float64(llmMemoryGoal),
-			Hard:    true,
-			Initial: 0, // start closed; the controller opens the batch to fit
-			Min:     0, Max: float64(llmHeapCapacity),
-		}, publicProfile(ProfileLLMKV()), smartconf.Scale(1/kvb))
-		if err != nil {
-			panic(fmt.Sprintf("LLMKV synthesis: %v", err))
-		}
+		ic := newLLMKVConf()
 		// Integration shim, Table 7-countable: sense the heap, read the
 		// deputy (prompt-resident KV bytes — the quantity the bound caps),
 		// and move the token bound. The §5.3 update starts from the deputy's
@@ -246,23 +280,20 @@ func RunLLMKV(p Policy) Result {
 		// admitted prompt drags its decode KV in over the next several
 		// seconds, and updating faster than that plant delay would integrate
 		// against memory that is already committed but not yet visible.
-		s.Every(0, 15*time.Second, func() bool {
-			ic.SetPerf(float64(heap.Used()), float64(sv.PromptTokens())*kvb) //sc:LLMKV:sensor
-			sv.SetMaxBatchedTokens(ic.Conf())                                //sc:LLMKV:invoke
+		s.Every(0, llmSenseEvery, func() bool {
+			ic.SetPerf(pl.sense())            //sc:LLMKV:sensor
+			sv.SetMaxBatchedTokens(ic.Conf()) //sc:LLMKV:invoke
 			return s.Now() < llmRunTime && !sv.Crashed()
 		})
 
-		qc, err := smartconf.New(smartconf.Spec{
+		qc := mustSynth(smartconf.New(smartconf.Spec{
 			Name:    "admission.queue.limit",
 			Metric:  "ttft_p95",
 			Goal:    llmTTFTGoalSec,
 			Hard:    false, // latency SLO: soft
 			Initial: float64(llmConfig().WaitingLimit),
 			Min:     16, Max: 2048,
-		}, publicProfile(ProfileLLMKVTTFT()))
-		if err != nil {
-			panic(fmt.Sprintf("LLMKV ttft synthesis: %v", err))
-		}
+		}, publicProfile(ProfileLLMKVTTFT())))
 		// A p95 estimate needs a window of first tokens and lags the knob, so
 		// this loop runs on the sensor's timescale (cf. the SLA extension).
 		s.Every(10*time.Second, 10*time.Second, func() bool {
@@ -276,10 +307,7 @@ func RunLLMKV(p Policy) Result {
 
 	heapNoise(s, heap, rng, llmNoiseMax, llmRunTime)
 	probe := startLLMProbe(s, heap, sv, llmRunTime)
-
-	var oomAt time.Duration
-	heap.OnOOM(func() { oomAt = s.Now() })
-	llmDrive(s, sv, llmPhases(), 9002, llmRunTime)
+	llmDrive(s, sv, llmPhases(), 9002, llmRunTime, nil)
 	s.RunUntil(llmRunTime)
 
 	res := Result{
@@ -297,12 +325,68 @@ func RunLLMKV(p Policy) Result {
 	// instead of in an OOM.
 	if heap.OOM() {
 		res.ConstraintMet = false
-		res.ViolatedAt = oomAt
+		res.ViolatedAt = pl.oomAt
 		res.Violation = "OOM"
 	} else {
 		res.ConstraintMet = true
 	}
 	return res
+}
+
+// llmkvChaos wires LLM-KV's hard GPU-memory goal into a chaos cell. Plant
+// shift: the workload swings from long-document summarization (low decode
+// amplification) into bursty chat (every admitted prompt token drags ~3×
+// its size in uncounted decode KV).
+func llmkvChaos(s *sim.Simulation, fault string, seed int64) chaosRig {
+	const horizon = 300 * time.Second
+	rng := rand.New(rand.NewSource(seed + 90010))
+	p := newLLMKVPlant(s)
+
+	// Chat at 40 req/s (the figure scenario's 60 req/s overload runs the
+	// heap at ~99% of capacity — no margin left for injected faults; chaos
+	// stresses the controller, not the margin's exact size).
+	chat := workload.LLMPhase{Name: "chat", RequestsPerSec: 40, PromptMean: 150, OutputMean: 300,
+		BurstSize: 40, BurstSpacing: 50 * time.Millisecond}
+	summarize := workload.LLMPhase{Name: "summarize", RequestsPerSec: 12, PromptMean: 1800, OutputMean: 220}
+	phases := []workload.LLMPhase{chat}
+	if fault == "plant-shift" {
+		// Start in the benign regime; the shift drops chat on a knob that
+		// has opened up for documents.
+		phases[0] = summarize
+	}
+	return chaosRig{
+		horizon: horizon,
+		tune:    chaosTune{noise: 0.03, drop: 0.7, delay: 5 * time.Second, stall: 45 * time.Second},
+		knobLo:  0, knobHi: float64(llmHeapCapacity) / float64(llmKVPerToken()),
+		// Initial-convergence grace (the knob opens from 0 and the first
+		// correction overshoots into the engineered margin), then the goal.
+		goal:  []proptest.Sample{{T: 0, V: 1e12}, {T: 60 * time.Second, V: float64(llmMemoryGoal)}},
+		surge: 2,
+		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
+			return indirectStep(newLLMKVConf(opts...))
+		},
+		sense:   p.sense,
+		actuate: func(v float64) { p.sv.SetMaxBatchedTokens(int(v)) },
+		attach: func(tick func()) {
+			s.Every(0, llmSenseEvery, func() bool {
+				tick()
+				return s.Now() < horizon && !p.sv.Crashed()
+			})
+		},
+		shift: func(start, _ time.Duration) chaos.Fault {
+			return chaos.PlantShift{Label: "decode-amplification", At: start, Apply: func() { phases[0] = chat }}
+		},
+		drive: func(env *chaos.Env) {
+			heapNoise(s, p.heap, rng, llmNoiseMax, horizon)
+			llmDrive(s, p.sv, phases, seed+90011, horizon, env)
+		},
+		metric: func() (float64, bool) { return float64(p.heap.Used()), true },
+		knob:   func() float64 { return float64(p.sv.MaxBatchedTokens()) },
+		more:   func() bool { return s.Now() < horizon && !p.heap.OOM() },
+		finish: func(rep *proptest.Report) {
+			rep.Progress, rep.Crashed, rep.CrashedAt = p.sv.Completed(), p.heap.OOM(), p.oomAt
+		},
+	}
 }
 
 // LLMKVScenario returns the scenario descriptor. It is an extension beyond

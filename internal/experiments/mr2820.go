@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"smartconf"
+	"smartconf/internal/chaos"
 	"smartconf/internal/core"
 	"smartconf/internal/experiments/engine"
 	"smartconf/internal/mapred"
+	"smartconf/internal/proptest"
 	"smartconf/internal/sim"
 	"smartconf/internal/workload"
 )
@@ -46,29 +48,73 @@ func mr2820Jobs() []workload.WordCountJob {
 	return []workload.WordCountJob{p1, p1, p1, p2, p2, p2}
 }
 
+// mr2820Spec declares the minspacestart controller.
+func mr2820Spec() smartconf.Spec {
+	return smartconf.Spec{
+		Name:    "local.dir.minspacestart",
+		Metric:  "disk_consumption",
+		Goal:    float64(mr2820DiskGoal),
+		Hard:    true,
+		Initial: 512 * float64(mb), // a uselessly conservative start
+		Min:     0, Max: 1 << 30,
+	}
+}
+
+func newMR2820Conf(opts ...smartconf.Option) *smartconf.Conf {
+	return mustSynth(smartconf.New(mr2820Spec(), publicProfile(ProfileMR2820()), opts...))
+}
+
+// mr2820Occupancy is the sensor: it anticipates, reporting the occupancy
+// the candidate admission WOULD create (the Master knows the task's
+// footprint), so the controller's bound already covers the task about to
+// start.
+func mr2820Occupancy(w *mapred.Worker, next int64) float64 {
+	return float64(w.Disk.Used() + w.Committed() + next)
+}
+
 // mr2820CoTenant drives the disturbance: every 5 s each worker's co-tenant
-// footprint random-walks within [low, high].
-func mr2820CoTenant(s *sim.Simulation, c *mapred.Cluster, rng *rand.Rand, low, high, maxStep int64, until time.Duration) {
+// footprint random-walks within [low, high], a band env's surge lifts by
+// 100 MB × (factor−1) (nil: no surge), while more holds.
+func mr2820CoTenant(s *sim.Simulation, c *mapred.Cluster, rng *rand.Rand, low, high, maxStep int64, env *chaos.Env, more func() bool) {
 	current := make([]int64, len(c.Workers()))
 	for i, w := range c.Workers() {
 		current[i] = (low + high) / 2
 		w.SetCoTenant(current[i])
 	}
 	s.Every(5*time.Second, 5*time.Second, func() bool {
+		bump := int64((env.SurgeFactor() - 1) * float64(100*mb))
 		for i, w := range c.Workers() {
 			step := int64(rng.Intn(int(2*maxStep+1))) - maxStep
 			next := current[i] + step
-			if next < low {
-				next = low
+			if next < low+bump {
+				next = low + bump
 			}
-			if next > high {
-				next = high
+			if next > high+bump {
+				next = high + bump
 			}
 			current[i] = next
 			w.SetCoTenant(next)
 		}
-		return s.Now() < until
+		return more()
 	})
+}
+
+// mr2820RunJobs runs the job sequence back to back from t = 1 s, stopping
+// the simulation after the last; done receives each job's result.
+func mr2820RunJobs(s *sim.Simulation, c *mapred.Cluster, done func(mapred.JobResult)) {
+	jobs := mr2820Jobs()
+	var runNext func(i int)
+	runNext = func(i int) {
+		if i >= len(jobs) {
+			s.Stop()
+			return
+		}
+		c.RunJob(jobs[i], func(r mapred.JobResult) {
+			done(r)
+			runNext(i + 1)
+		})
+	}
+	s.At(time.Second, func() { runNext(0) })
 }
 
 // ProfileMR2820 profiles peak disk consumption against the pinned
@@ -87,7 +133,7 @@ func ProfileMR2820() core.Profile {
 			// evaluation) so the knob↔occupancy relation is identifiable — the
 			// paper's advice that wider profiling workloads make the controller
 			// more robust.
-			mr2820CoTenant(s, c, rng, 550*mb, 950*mb, 120*mb, time.Hour)
+			mr2820CoTenant(s, c, rng, 550*mb, 950*mb, 120*mb, nil, func() bool { return s.Now() < time.Hour })
 			// Time-driven sampling: the scheduler hook only fires when a slot is
 			// idle, which would systematically miss the occupancy of running
 			// tasks and flatten the model.
@@ -154,39 +200,22 @@ func runMR2820Seed(p Policy, seed int64) Result {
 	case StaticPolicy:
 		c.SetMinSpaceStart(int64(p.Static))
 	case SmartConfPolicy:
-		profile := ProfileMR2820()
-		sc, err := smartconf.New(smartconf.Spec{
-			Name:    "local.dir.minspacestart",
-			Metric:  "disk_consumption",
-			Goal:    float64(mr2820DiskGoal),
-			Hard:    true,
-			Initial: 512 * float64(mb), // a uselessly conservative start
-			Min:     0, Max: 1 << 30,
-		}, publicProfile(profile))
-		if err != nil {
-			panic(fmt.Sprintf("MR2820 synthesis: %v", err))
-		}
+		sc := newMR2820Conf()
 		// Conditional: consulted at each admission decision. The Master
 		// computes the setting and "ships" it to the worker (§6.5's Others
 		// row) — here the shipping is the SetMinSpaceStart call.
-		// The sensor anticipates: it reports the occupancy the candidate
-		// admission WOULD create (the Master knows the task's footprint), so
-		// the controller's bound already covers the task about to start.
 		c.BeforeSchedule = func(w *mapred.Worker, next int64) {
-			sc.SetPerf(float64(w.Disk.Used() + w.Committed() + next)) //sc:MR2820:sensor
-			c.SetMinSpaceStart(int64(sc.Value()))                     //sc:MR2820:other
+			sc.SetPerf(mr2820Occupancy(w, next))  //sc:MR2820:sensor
+			c.SetMinSpaceStart(int64(sc.Value())) //sc:MR2820:other
 		}
 	case SinglePolePolicy, NoVirtualGoalPolicy:
-		ctrl, err := ablationController(p.Kind, ProfileMR2820(), float64(mr2820DiskGoal), p.FixedPole)
-		if err != nil {
-			panic(fmt.Sprintf("MR2820 ablation synthesis: %v", err))
-		}
+		ctrl := mustSynth(ablationController(p.Kind, ProfileMR2820(), float64(mr2820DiskGoal), p.FixedPole))
 		c.BeforeSchedule = func(w *mapred.Worker, next int64) {
-			c.SetMinSpaceStart(int64(ctrl.Update(float64(w.Disk.Used() + w.Committed() + next))))
+			c.SetMinSpaceStart(int64(ctrl.Update(mr2820Occupancy(w, next))))
 		}
 	}
 
-	mr2820CoTenant(s, c, rng, 550*mb, 740*mb, 40*mb, time.Hour)
+	mr2820CoTenant(s, c, rng, 550*mb, 740*mb, 40*mb, nil, func() bool { return s.Now() < time.Hour })
 
 	diskS := Series{Name: "max_disk_used", Unit: "bytes"}
 	knobS := Series{Name: "minspacestart", Unit: "bytes"}
@@ -196,24 +225,10 @@ func runMR2820Seed(p Policy, seed int64) Result {
 		return c.Busy() || s.Now() < 10*time.Second
 	})
 
-	// Run the job sequence back to back.
-	jobs := mr2820Jobs()
 	var results []mapred.JobResult
-	var runNext func(i int)
-	runNext = func(i int) {
-		if i >= len(jobs) {
-			s.Stop()
-			return
-		}
-		c.RunJob(jobs[i], func(r mapred.JobResult) {
-			results = append(results, r)
-			runNext(i + 1)
-		})
-	}
-	var makespan time.Duration
-	s.At(time.Second, func() { runNext(0) })
+	mr2820RunJobs(s, c, func(r mapred.JobResult) { results = append(results, r) })
 	s.RunUntil(4 * time.Hour) // safety bound; jobs normally end far earlier
-	makespan = s.Now()
+	makespan := s.Now()
 
 	res := Result{
 		Issue:          "MR2820",
@@ -232,13 +247,73 @@ func runMR2820Seed(p Policy, seed int64) Result {
 		res.ConstraintMet = false
 		res.Violation = fmt.Sprintf("OOD (%d failed tasks)", failedTasks)
 		res.ViolatedAt = firstViolation(diskS, float64(mr2820DiskGoal))
-	case len(results) < len(jobs):
+	case len(results) < len(mr2820Jobs()):
 		res.ConstraintMet = false
-		res.Violation = fmt.Sprintf("only %d/%d jobs finished", len(results), len(jobs))
+		res.Violation = fmt.Sprintf("only %d/%d jobs finished", len(results), len(mr2820Jobs()))
 	default:
 		res.ConstraintMet = true
 	}
 	return res
+}
+
+// mr2820Chaos wires MR2820's hard out-of-disk goal into a chaos cell. Plant
+// shift: the task write rate halves (I/O contention). Surge: the co-tenant
+// band jumps up — the scenario's own disturbance, intensified.
+func mr2820Chaos(s *sim.Simulation, fault string, seed int64) chaosRig {
+	const bound = 3600 * time.Second // safety bound; jobs end far earlier
+	rng := rand.New(rand.NewSource(seed + 28200))
+	c := mapred.New(s, mr2820Config(), 0)
+	var curW *mapred.Worker
+	var curNext int64
+	finished := 0
+	return chaosRig{
+		horizon: bound,
+		active:  360 * time.Second,
+		tune:    chaosTune{noise: 0.02, drop: 0.6, delay: 2 * time.Second, stall: 30 * time.Second},
+		knobLo:  0, knobHi: 1 << 30,
+		goal:  []proptest.Sample{{T: 0, V: float64(mr2820DiskGoal)}},
+		surge: 1.5,
+		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
+			return directStep(newMR2820Conf(opts...))
+		},
+		sense:   func() (float64, float64) { return mr2820Occupancy(curW, curNext), 0 },
+		actuate: func(v float64) { c.SetMinSpaceStart(int64(v)) },
+		attach: func(tick func()) {
+			c.BeforeSchedule = func(w *mapred.Worker, next int64) {
+				curW, curNext = w, next
+				tick()
+			}
+		},
+		shift: func(start, _ time.Duration) chaos.Fault {
+			return chaos.PlantShift{Label: "task-rate-halved", At: start, Apply: func() { c.SetTaskBytesPerSec(8 * mb) }}
+		},
+		drive: func(env *chaos.Env) {
+			// The scenario's co-tenant walk, calibrated slightly below the
+			// figure run (step 25 MB, band top 720 MB): a single co-tenant
+			// step larger than the goal's 10 MB headroom can OOD an
+			// already-admitted task no matter what the controller does, so
+			// the property "no crash for ANY seed" requires the disturbance
+			// to stay within the margin the goal engineered — the figure
+			// scenario acknowledges the same race by judging over a 5-seed
+			// repetition instead.
+			mr2820CoTenant(s, c, rng, 550*mb, 720*mb, 25*mb, env, func() bool { return s.Now() < bound && !c.OOD() })
+			mr2820RunJobs(s, c, func(mapred.JobResult) { finished++ })
+		},
+		metric: func() (float64, bool) { return float64(c.MaxDiskUsed()), true },
+		knob:   func() float64 { return float64(c.MinSpaceStart()) },
+		more:   func() bool { return c.Busy() || s.Now() < 10*time.Second },
+		finish: func(rep *proptest.Report) {
+			// Drained here means the job sequence ran to completion (the sim
+			// stops early on success — the inverse of the fixed-horizon
+			// substrates).
+			rep.Drained = finished == len(mr2820Jobs())
+			rep.Progress = int64(finished)
+			rep.Crashed = c.OOD()
+			if rep.Crashed {
+				rep.CrashedAt = firstViolation(Series{Points: samplesToPoints(rep.Metric)}, float64(mr2820DiskGoal))
+			}
+		},
+	}
 }
 
 func firstViolation(s Series, goal float64) time.Duration {

@@ -77,18 +77,11 @@ func RunChaosPropertyLogged(substrate string, seed int64) (proptest.Report, decl
 // log from an unknown substrate instead of panicking inside the harness
 // dispatch.
 func ValidateEnvelopeRun(env declog.Envelope) error {
-	ok := false
-	for _, s := range ChaosSubstrates() {
-		if s == env.Substrate {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+	if chaosIndex(env.Substrate) < 0 {
 		return fmt.Errorf("experiments: unknown substrate %q (have %v)", env.Substrate, ChaosSubstrates())
 	}
 	if env.Plan != ChaosGenerated {
-		ok = false
+		ok := false
 		for _, f := range ChaosFaults() {
 			if f == env.Plan {
 				ok = true

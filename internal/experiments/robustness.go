@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
 	"smartconf"
 	"smartconf/internal/experiments/engine"
-	"smartconf/internal/memsim"
-	"smartconf/internal/rpcserver"
 	"smartconf/internal/workload"
 )
 
@@ -66,70 +63,28 @@ func RunRobustnessSweep() []RobustnessCell {
 }
 
 func runRobustnessCell(profile *smartconf.Profile, cell RobustnessCell) RobustnessCell {
-	s := newScenarioSim()
-	// The cell spec is the scenario description, so the seed derives from it:
-	// every (BurstSize, BurstEverySec) cell replays its own fixed stream.
-	cellSeed := int64(cell.BurstSize)*1000 + int64(cell.BurstEverySec*10)
-	rng := rand.New(rand.NewSource(cellSeed))
-	heap := memsim.NewHeap(rpcHeapCapacity)
-	sv := rpcserver.New(s, heap, rpcConfig())
-	sv.SetMaxQueue(0)
-
-	ic, err := smartconf.NewIndirect(smartconf.Spec{
-		Name:   "ipc.server.max.queue.size",
-		Metric: "memory_consumption",
-		Goal:   float64(rpcMemoryGoal),
-		Hard:   true,
-		Min:    0, Max: 5000,
-	}, profile, nil)
-	if err != nil {
-		panic(err)
+	phase := workload.YCSBPhase{Name: "cell", WriteRatio: cell.WriteRatio, RequestBytes: int64(cell.RequestMB * float64(mb))}
+	r := hb3813Run{
+		// The cell spec is the scenario description, so the seed derives
+		// from it: every (BurstSize, BurstEverySec) cell replays its own
+		// fixed stream.
+		seed: int64(cell.BurstSize)*1000 + int64(cell.BurstEverySec*10), genSeed: 1,
+		phases: []workload.YCSBPhase{phase}, burst: cell.BurstSize,
+		every:   time.Duration(cell.BurstEverySec * float64(time.Second)),
+		spacing: hb3813Spacing, horizon: 300 * time.Second,
 	}
-	sv.BeforeAdmit = func() {
-		ic.SetPerf(float64(heap.Used()), float64(sv.QueueLen()))
-		sv.SetMaxQueue(ic.Conf())
-	}
+	ic := mustSynth(smartconf.NewIndirect(hb3813Spec(), profile, nil))
+	res := r.evaluate(SmartConf(), func(pl *hb3813Plant) { pl.integrate(ic) })
 
-	const runTime = 300 * time.Second
-	heapNoise(s, heap, rng, rpcNoiseMax, runTime)
-	var oomAt time.Duration
-	heap.OnOOM(func() { oomAt = s.Now() })
-
-	memS := Series{Name: "used_memory"}
-	s.Every(time.Second, time.Second, func() bool {
-		memS.Points = append(memS.Points, Point{s.Now(), float64(heap.Used())})
-		return s.Now() < runTime && !heap.OOM()
-	})
-
-	w := &rpcWorkload{
-		gen: workload.NewYCSB(1, 1000, workload.YCSBPhase{
-			WriteRatio:   cell.WriteRatio,
-			RequestBytes: int64(cell.RequestMB * float64(mb)),
-		}),
-		burstSize:  cell.BurstSize,
-		burstEvery: time.Duration(cell.BurstEverySec * float64(time.Second)),
-		spacing:    2 * time.Millisecond,
-		phases: []workload.YCSBPhase{{
-			Name:         "cell",
-			WriteRatio:   cell.WriteRatio,
-			RequestBytes: int64(cell.RequestMB * float64(mb)),
-		}},
-	}
-	w.run(s, runTime, rng, func(op workload.Op) { sv.Offer(op) })
-	s.RunUntil(runTime)
-
-	met, at, worst := evalUpperBound(memS, func(time.Duration) float64 { return float64(rpcMemoryGoal) })
+	cell.ConstraintMet, cell.Throughput = res.ConstraintMet, res.Tradeoff
 	switch {
-	case heap.OOM():
-		cell.ConstraintMet = false
-		cell.Violation = fmt.Sprintf("OOM at %.0fs", oomAt.Seconds())
-	case !met:
-		cell.ConstraintMet = false
-		cell.Violation = fmt.Sprintf("memory %.0fMB at %.0fs", worst/float64(mb), at.Seconds())
-	default:
-		cell.ConstraintMet = true
+	case res.Violation == "OOM":
+		cell.Violation = fmt.Sprintf("OOM at %.0fs", res.ViolatedAt.Seconds())
+	case !res.ConstraintMet:
+		// Under a constant goal the worst violating sample is the peak.
+		mem, _ := res.SeriesByName("used_memory")
+		cell.Violation = fmt.Sprintf("memory %.0fMB at %.0fs", mem.Max()/float64(mb), res.ViolatedAt.Seconds())
 	}
-	cell.Throughput = float64(sv.Completed()) / runTime.Seconds()
 	return cell
 }
 

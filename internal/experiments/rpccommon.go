@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
+	"smartconf/internal/chaos"
 	"smartconf/internal/core"
 	"smartconf/internal/memsim"
 	"smartconf/internal/rpcserver"
@@ -43,28 +45,27 @@ type rpcWorkload struct {
 	gen        *workload.YCSB
 	burstSize  int
 	burstEvery time.Duration
-	// spacing is the gap between operations inside a burst (default 10 ms):
-	// bursts are fast relative to the drain rate but not instantaneous, so
-	// the controller can react while one is arriving.
+	// spacing is the gap between operations inside a burst: bursts are fast
+	// relative to the drain rate but not instantaneous, so the controller
+	// can react while one is arriving.
 	spacing time.Duration
 	phases  []workload.YCSBPhase
+	// env scales every burst by its surge factor; nil means no surge.
+	env *chaos.Env
 }
 
 // run starts the burst loop and the phase switcher; onOp receives each
 // operation.
 func (w *rpcWorkload) run(s *sim.Simulation, until time.Duration, rng *rand.Rand, onOp func(workload.Op)) {
-	spacing := w.spacing
-	if spacing <= 0 {
-		spacing = 10 * time.Millisecond
-	}
 	s.Every(0, w.burstEvery, func() bool {
 		if phase, _ := workload.PhaseAt(w.phases, s.Now()); phase.Name != w.gen.Phase().Name {
 			w.gen.SetPhase(phase)
 		}
-		n := w.burstSize + rng.Intn(w.burstSize/5+1) - w.burstSize/10 // ±10%
+		b := int(float64(w.burstSize) * w.env.SurgeFactor())
+		n := b + rng.Intn(b/5+1) - b/10 // ±10%
 		for i := 0; i < n; i++ {
 			op := w.gen.NextOp()
-			s.After(time.Duration(i)*spacing, func() { onOp(op) })
+			s.After(time.Duration(i)*w.spacing, func() { onOp(op) })
 		}
 		return s.Now() < until
 	})
@@ -190,6 +191,25 @@ func evalUpperBound(series Series, goalAt func(t time.Duration) float64) (met bo
 		}
 	}
 	return met, at, worst
+}
+
+// judgeHardMemory records the verdict on a hard memory goal: an OOM is the
+// violation; otherwise the first probe sample above goalAt is.
+func judgeHardMemory(res *Result, mem Series, oom bool, oomAt time.Duration, goalAt func(time.Duration) float64) {
+	met, at, worst := evalUpperBound(mem, goalAt)
+	switch {
+	case oom:
+		res.ViolatedAt, res.Violation = oomAt, "OOM"
+	case !met:
+		res.ViolatedAt = at
+		res.Violation = fmt.Sprintf("memory %.0fMB > goal %.0fMB", worst/float64(mb), goalAt(at)/float64(mb))
+	}
+	res.ConstraintMet = res.Violation == ""
+}
+
+// constGoal is a goal that holds for the whole run.
+func constGoal(goal int64) func(time.Duration) float64 {
+	return func(time.Duration) float64 { return float64(goal) }
 }
 
 // core_PoleForTest exposes the synthesized pole for test logging.
