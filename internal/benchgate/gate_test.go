@@ -8,8 +8,11 @@ import (
 
 	"smartconf/internal/cluster"
 	"smartconf/internal/declog"
+	"smartconf/internal/llmserve"
+	"smartconf/internal/memsim"
 	"smartconf/internal/metrics"
 	"smartconf/internal/sim"
+	"smartconf/internal/workload"
 )
 
 // gateInstance is the minimal cluster.Instance for the router gates.
@@ -108,6 +111,28 @@ var gated = []struct {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			l.Append(declog.Record{Source: src, Period: uint32(i + 1), Sensed: float64(i), Err: 1, Pole: 0.5, Raw: 2, Applied: 2})
+		}
+	}},
+	{"smartconf/internal/llmserve.BenchmarkLLMStepDeep", func(b *testing.B) {
+		cfg := llmserve.DefaultConfig()
+		cfg.StepPerToken = 0
+		s := sim.New()
+		sv := llmserve.New(s, memsim.NewHeap(64<<30), cfg)
+		req := workload.LLMRequest{Prompt: 150, Output: 300}
+		var now time.Duration
+		step := func(i int) {
+			now += cfg.StepBase
+			s.RunUntil(now)
+			if i%3 == 0 {
+				sv.Offer(req)
+			}
+		}
+		for i := 0; i < 3000; i++ {
+			step(i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(i)
 		}
 	}},
 	{"smartconf/internal/cluster.BenchmarkRouterRoute", func(b *testing.B) {

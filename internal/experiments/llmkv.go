@@ -81,6 +81,26 @@ func llmPhases() []workload.LLMPhase {
 	}
 }
 
+// llmProfilePhase is the load ProfileLLMKV pins each setting under:
+// chat-shaped and saturating — offered load exceeds service capacity at
+// every pinned setting, so the admitted prompts actually fill the bound.
+func llmProfilePhase() workload.LLMPhase {
+	return workload.LLMPhase{Name: "profiling", RequestsPerSec: 80, PromptMean: 150, OutputMean: 300}
+}
+
+// llmProfileSettings are the max.num.batched.tokens values ProfileLLMKV pins.
+func llmProfileSettings() []float64 { return []float64{16384, 32768, 49152, 65536} }
+
+// describeLLMPhase renders a phase for the scenario descriptor, from the
+// same values the runs use.
+func describeLLMPhase(ph workload.LLMPhase) string {
+	d := fmt.Sprintf("%s: %g req/s, %d/%d tok", ph.Name, ph.RequestsPerSec, ph.PromptMean, ph.OutputMean)
+	if ph.BurstSize > 0 {
+		return d + fmt.Sprintf(", +%d-request bursts every %v", ph.BurstSize, llmBurstEvery)
+	}
+	return d + ", sustained"
+}
+
 // llmDrive starts Poisson arrivals (with the phase switcher) and the burst
 // loop against the server. Phases are read through the slice on every
 // arrival, so a plant shift may rewrite them mid-run; every burst scales by
@@ -102,6 +122,7 @@ func llmDrive(s *sim.Simulation, sv *llmserve.Server, phases []workload.LLMPhase
 
 	// Bursts fire on a fixed cadence but only in phases that declare them —
 	// chat traffic arrives in waves; document batches trickle steadily.
+	burst := newSlotTable(s, func(req workload.LLMRequest) { sv.Offer(req) })
 	s.Every(llmBurstEvery, llmBurstEvery, func() bool {
 		ph, _ := workload.LLMPhaseAt(phases, s.Now())
 		if ph.Name != gen.Phase().Name {
@@ -109,8 +130,7 @@ func llmDrive(s *sim.Simulation, sv *llmserve.Server, phases []workload.LLMPhase
 		}
 		n := int(float64(ph.BurstSize) * env.SurgeFactor())
 		for i := 0; i < n; i++ {
-			req := gen.NextRequest()
-			s.After(time.Duration(i)*ph.BurstSpacing, func() { sv.Offer(req) })
+			burst.after(time.Duration(i)*ph.BurstSpacing, gen.NextRequest())
 		}
 		return s.Now() < until
 	})
@@ -166,7 +186,7 @@ func (p *llmkvPlant) sense() (float64, float64) {
 func ProfileLLMKV() core.Profile {
 	return memoProfile("LLMKV", func() core.Profile {
 		kvb := float64(llmKVPerToken())
-		return profileSweep([]float64{16384, 32768, 49152, 65536}, func(setting float64, record func(setting, measurement float64)) {
+		return profileSweep(llmProfileSettings(), func(setting float64, record func(setting, measurement float64)) {
 			s := newScenarioSim()
 			rng := rand.New(rand.NewSource(7001))
 			heap := memsim.NewHeap(llmProfileHeap)
@@ -182,11 +202,7 @@ func ProfileLLMKV() core.Profile {
 				}
 				return taken < 10
 			})
-			llmDrive(s, sv, []workload.LLMPhase{
-				// Saturating: offered load exceeds service capacity at every
-				// pinned setting, so the admitted prompts actually fill the bound.
-				{Name: "profiling", RequestsPerSec: 80, PromptMean: 150, OutputMean: 300},
-			}, 7002, llmProfileTime, nil)
+			llmDrive(s, sv, []workload.LLMPhase{llmProfilePhase()}, 7002, llmProfileTime, nil)
 			s.RunUntil(llmProfileTime)
 		})
 	})
@@ -393,6 +409,11 @@ func llmkvChaos(s *sim.Simulation, fault string, seed int64) chaosRig {
 // the paper's six issues, so it is not part of Scenarios(); the bench
 // registers it separately.
 func LLMKVScenario() Scenario {
+	settings := make([]string, 0, 4)
+	for _, v := range llmProfileSettings() {
+		settings = append(settings, fmt.Sprintf("%gk", v/1024))
+	}
+	prof, phases := llmProfilePhase(), llmPhases()
 	return Scenario{
 		ID:                "LLMKV",
 		Conf:              "max.num.batched.tokens",
@@ -401,16 +422,13 @@ func LLMKVScenario() Scenario {
 		ConstraintName:    "GPU memory ≤ 15GiB (hard, no OOM)",
 		TradeoffName:      "goodput (output tok/s)",
 		HigherIsBetter:    true,
-		ProfilingWorkload: "steady 40 req/s, 400/200 tok @ batch 16k/32k/48k/64k",
-		PhaseWorkloads: [2]string{
-			"chat: 20 req/s, 150/300 tok, bursty",
-			"summarize: 12 req/s, 1800/220 tok, sustained",
-		},
-		BuggyDefault: 1e7,   // effectively unbounded: admit whatever arrives
-		PatchDefault: 65536, // a "tuned-for-chat" default — still unsafe here
-		StaticGrid:   []float64{8192, 12288, 16384, 20480, 24576, 32768, 40960, 49152, 65536, 81920},
-		NonOptimal:   8192,
-		Run:          RunLLMKV,
+		ProfilingWorkload: describeLLMPhase(prof) + " @ batch " + strings.Join(settings, "/"),
+		PhaseWorkloads:    [2]string{describeLLMPhase(phases[0]), describeLLMPhase(phases[1])},
+		BuggyDefault:      1e7,   // effectively unbounded: admit whatever arrives
+		PatchDefault:      65536, // a "tuned-for-chat" default — still unsafe here
+		StaticGrid:        []float64{8192, 12288, 16384, 20480, 24576, 32768, 40960, 49152, 65536, 81920},
+		NonOptimal:        8192,
+		Run:               RunLLMKV,
 	}
 }
 

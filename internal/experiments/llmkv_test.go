@@ -27,6 +27,22 @@ func TestLLMKVProfileShape(t *testing.T) {
 	t.Logf("model %v, λ=%.3f, Δ=%.2f", m, lambda, p.Delta())
 }
 
+// TestLLMKVDescriptorMatchesRuns pins the scenario descriptor's workload
+// text, which LLMKVScenario renders from the phases the profiling campaign
+// and the two-phase run execute.
+func TestLLMKVDescriptorMatchesRuns(t *testing.T) {
+	sc := LLMKVScenario()
+	want := [3]string{
+		"profiling: 80 req/s, 150/300 tok, sustained @ batch 16k/32k/48k/64k",
+		"chat: 60 req/s, 150/300 tok, +60-request bursts every 25s",
+		"summarize: 12 req/s, 1800/220 tok, sustained",
+	}
+	got := [3]string{sc.ProfilingWorkload, sc.PhaseWorkloads[0], sc.PhaseWorkloads[1]}
+	if got != want {
+		t.Fatalf("descriptor workloads\n  got  %q\n  want %q", got, want)
+	}
+}
+
 func TestLLMKVTTFTProfileShape(t *testing.T) {
 	p := ProfileLLMKVTTFT()
 	m, err := p.Fit()

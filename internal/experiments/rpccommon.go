@@ -57,6 +57,7 @@ type rpcWorkload struct {
 // run starts the burst loop and the phase switcher; onOp receives each
 // operation.
 func (w *rpcWorkload) run(s *sim.Simulation, until time.Duration, rng *rand.Rand, onOp func(workload.Op)) {
+	ops := newSlotTable(s, onOp)
 	s.Every(0, w.burstEvery, func() bool {
 		if phase, _ := workload.PhaseAt(w.phases, s.Now()); phase.Name != w.gen.Phase().Name {
 			w.gen.SetPhase(phase)
@@ -64,11 +65,49 @@ func (w *rpcWorkload) run(s *sim.Simulation, until time.Duration, rng *rand.Rand
 		b := int(float64(w.burstSize) * w.env.SurgeFactor())
 		n := b + rng.Intn(b/5+1) - b/10 // ±10%
 		for i := 0; i < n; i++ {
-			op := w.gen.NextOp()
-			s.After(time.Duration(i)*w.spacing, func() { onOp(op) })
+			ops.after(time.Duration(i)*w.spacing, w.gen.NextOp())
 		}
 		return s.Now() < until
 	})
+}
+
+// slotTable delivers values to one handler after a delay without a closure
+// per value: each value waits in a slot, its event carries the slot index
+// (sim.AfterArg), and a fired slot returns to a free list for the next
+// value. Events keep the order and sequence numbers an s.After closure per
+// value would have had, so runs stay byte-identical.
+type slotTable[T any] struct {
+	s      *sim.Simulation
+	vals   []T
+	free   []uint64
+	handle func(T)
+	fire   func(uint64) // t.dispatch, bound once: a method value per call allocates
+}
+
+func newSlotTable[T any](s *sim.Simulation, handle func(T)) *slotTable[T] {
+	t := &slotTable[T]{s: s, handle: handle}
+	t.fire = t.dispatch
+	return t
+}
+
+// after delivers v to the handler d from now.
+func (t *slotTable[T]) after(d time.Duration, v T) {
+	var i uint64
+	if n := len(t.free); n > 0 {
+		i = t.free[n-1]
+		t.free = t.free[:n-1]
+		t.vals[i] = v
+	} else {
+		i = uint64(len(t.vals))
+		t.vals = append(t.vals, v)
+	}
+	t.s.AfterArg(d, t.fire, i)
+}
+
+func (t *slotTable[T]) dispatch(i uint64) {
+	v := t.vals[i]
+	t.free = append(t.free, i)
+	t.handle(v)
 }
 
 // heapNoise injects the fluctuating "other objects" footprint: a bounded

@@ -1,6 +1,10 @@
 package llmserve
 
-import "smartconf/internal/workload"
+import (
+	"math"
+
+	"smartconf/internal/workload"
+)
 
 // Fleet surface: what internal/cluster needs to route to, kill, and restart
 // this server as one member of an N-wide fleet. The methods are structural —
@@ -38,7 +42,7 @@ func (sv *Server) Kill() {
 	sv.down = true
 	sv.epoch++
 	held := int64(sv.residentTokens)*sv.cfg.KVBytesPerToken + sv.scratchHeld + sv.cfg.BaseHeapBytes
-	for _, s := range sv.waiting[sv.waitingHead:] {
+	for _, s := range sv.waiting.items() {
 		sv.evacuateReq(s.req)
 		sv.putSeq(s)
 	}
@@ -46,15 +50,15 @@ func (sv *Server) Kill() {
 		sv.evacuateReq(s.req)
 		sv.putSeq(s)
 	}
-	for i := range sv.waiting {
-		sv.waiting[i] = nil
-	}
-	sv.waiting = sv.waiting[:0]
-	sv.waitingHead = 0
-	for i := range sv.running {
-		sv.running[i] = nil
-	}
+	sv.waiting.reset()
+	sv.prefill.reset()
+	clear(sv.running)
 	sv.running = sv.running[:0]
+	clear(sv.firstTok)
+	sv.firstTok = sv.firstTok[:0]
+	sv.firstTokDue = 0
+	sv.decoders = 0
+	sv.retireAt = math.MaxUint64
 	sv.residentTokens = 0
 	sv.promptTokens = 0
 	sv.scratchHeld = 0

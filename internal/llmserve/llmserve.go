@@ -35,6 +35,7 @@ package llmserve
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"smartconf/internal/memsim"
@@ -87,10 +88,68 @@ type seq struct {
 	req        workload.LLMRequest
 	arrived    time.Duration
 	promptDone int // prompt tokens prefilled so far
-	outputDone int // output tokens decoded so far
-	kvTokens   int // tokens holding KV cache (prompt + decoded)
-	inRunning  bool
-	ttftSeen   bool
+	// doneAt is, while decoding, the decode pass that yields the last output
+	// token: the tokens decoded so far are derived from it (Server.decoded)
+	// rather than counted per pass.
+	doneAt   uint64
+	decoding bool // past prefill with output left: counted in Server.decoders
+	ttftSeen bool
+}
+
+// seqFIFO is a queue of sequences over a reused array: buf[head:] are the
+// queued entries. Popping advances head instead of reslicing, so the
+// array's capacity is reused and steady-state traffic allocates nothing;
+// the dead prefix is reset when empty and compacted when it dominates.
+type seqFIFO struct {
+	buf  []*seq
+	head int
+}
+
+func (q *seqFIFO) len() int      { return len(q.buf) - q.head }
+func (q *seqFIFO) peek() *seq    { return q.buf[q.head] }
+func (q *seqFIFO) items() []*seq { return q.buf[q.head:] }
+func (q *seqFIFO) push(s *seq)   { q.buf = append(q.buf, s) }
+
+// pop removes and returns the head.
+func (q *seqFIFO) pop() *seq {
+	s := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	} else if q.head > 64 && q.head*2 >= len(q.buf) {
+		m := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[m:])
+		q.buf = q.buf[:m]
+		q.head = 0
+	}
+	return s
+}
+
+// pushFront returns s to the head.
+func (q *seqFIFO) pushFront(s *seq) {
+	if q.head > 0 {
+		q.head--
+		q.buf[q.head] = s
+		return
+	}
+	q.buf = append(q.buf, nil)
+	copy(q.buf[1:], q.buf)
+	q.buf[0] = s
+}
+
+// remove deletes s, which must be queued (preemption; rare).
+func (q *seqFIFO) remove(s *seq) {
+	i := q.head + slices.Index(q.items(), s)
+	q.buf = slices.Delete(q.buf, i, i+1)
+}
+
+// reset empties the queue, keeping its capacity.
+func (q *seqFIFO) reset() {
+	clear(q.buf)
+	q.buf = q.buf[:0]
+	q.head = 0
 }
 
 // Server is the simulated inference server.
@@ -102,16 +161,28 @@ type Server struct {
 	maxBatchedTokens int // max.num.batched.tokens knob
 	waitingLimit     int // admission.queue.limit knob
 
-	// waiting[waitingHead:] is the bounded admission queue (FIFO; evictees
-	// rejoin at the head). Consuming advances waitingHead instead of
-	// reslicing, so the array's capacity is reused and steady-state admission
-	// allocates nothing; the dead prefix is reset when empty and compacted
-	// when it dominates.
-	waiting        []*seq
-	waitingHead    int
-	running        []*seq // the continuous batch, admission order
-	residentTokens int    // tokens with allocated KV (the deputy, in tokens)
-	promptTokens   int    // admitted prompt tokens (what the bound counts)
+	waiting seqFIFO // the bounded admission queue; evictees rejoin at the head
+	running []*seq  // the continuous batch, admission order
+	// prefill holds the running sequences still prefilling, admission order.
+	// Chunked prefill only ever advances its head, so they leave it in order.
+	prefill        seqFIFO
+	residentTokens int // tokens with allocated KV (the deputy, in tokens)
+	promptTokens   int // admitted prompt tokens (what the bound counts)
+
+	// The decode clock. clock counts decode passes; every decoding sequence
+	// takes one token per pass, so its progress is a function of the clock
+	// (seq.doneAt), read only where it matters: preemption, first-token
+	// observation and retirement. A pass that fits costs one heap charge for
+	// all decoders. retireAt is a lower bound on the pass at which the next
+	// running sequence completes: the retire scan over running runs only once
+	// clock reaches it. firstTok holds the decoders whose first token (TTFT)
+	// is still unobserved, admission order; the first firstTokDue of them
+	// decode it in the step in flight (the rest finished prefill during it).
+	clock       uint64
+	decoders    int
+	retireAt    uint64
+	firstTok    []*seq
+	firstTokDue int
 
 	stepping bool
 	crashed  bool
@@ -119,8 +190,9 @@ type Server struct {
 	// Raw-speed free lists, keyed to this server (NOT sync.Pool: pool reuse
 	// order is scheduler-dependent and would break deterministic replay).
 	// seqPool recycles completed sequences so a steady-state request
-	// allocates nothing; stepBatch is the reusable snapshot of running taken
-	// each step (eviction inside ensureKV mutates running mid-loop).
+	// allocates nothing; stepBatch is the reusable snapshot of running the
+	// per-sequence decode pass takes (eviction inside ensureKV mutates
+	// running mid-loop).
 	seqPool   []*seq
 	stepBatch []*seq
 
@@ -182,6 +254,7 @@ func New(s *sim.Simulation, heap *memsim.Heap, cfg Config) *Server {
 		cfg:              cfg,
 		maxBatchedTokens: math.MaxInt,
 		waitingLimit:     wl,
+		retireAt:         math.MaxUint64,
 		goodput:          metrics.NewMeter(10 * time.Second),
 		ttft:             metrics.NewLatency(1024),
 		e2e:              metrics.NewLatency(1024),
@@ -211,58 +284,30 @@ func (sv *Server) putSeq(s *seq) { sv.seqPool = append(sv.seqPool, s) }
 
 // Preallocate grows the sequence machinery to the given high-water mark:
 // seqs recycled sequences in the pool, and matching capacity in the waiting
-// queue, the continuous batch, and its reusable step snapshot. Wide fleets
-// need this — a member seeing a sliver of the fleet's load would otherwise
-// keep setting new concurrency watermarks (and allocating for them) for
-// millions of requests, which the whole-run zero-allocation gate forbids.
+// queue, the continuous batch, the prefill queue, the first-token list and
+// the step snapshot. Wide fleets need this — a member seeing a sliver of
+// the fleet's load would otherwise keep setting new concurrency watermarks
+// (and allocating for them) for millions of requests, which the whole-run
+// zero-allocation gate forbids.
 func (sv *Server) Preallocate(seqs int) {
 	for len(sv.seqPool) < seqs {
 		sv.seqPool = append(sv.seqPool, &seq{})
 	}
-	if cap(sv.waiting) < seqs {
-		w := make([]*seq, len(sv.waiting), seqs)
-		copy(w, sv.waiting)
-		sv.waiting = w
-	}
-	if cap(sv.running) < seqs {
-		r := make([]*seq, len(sv.running), seqs)
-		copy(r, sv.running)
-		sv.running = r
-	}
-	if cap(sv.stepBatch) < seqs {
-		sv.stepBatch = make([]*seq, 0, seqs)
-	}
+	sv.waiting.buf = withCap(sv.waiting.buf, seqs)
+	sv.prefill.buf = withCap(sv.prefill.buf, seqs)
+	sv.running = withCap(sv.running, seqs)
+	sv.firstTok = withCap(sv.firstTok, seqs)
+	sv.stepBatch = withCap(sv.stepBatch, seqs)
 }
 
-// popWaiting removes and returns the admission queue's head.
-func (sv *Server) popWaiting() *seq {
-	s := sv.waiting[sv.waitingHead]
-	sv.waiting[sv.waitingHead] = nil
-	sv.waitingHead++
-	if sv.waitingHead == len(sv.waiting) {
-		sv.waiting = sv.waiting[:0]
-		sv.waitingHead = 0
-	} else if sv.waitingHead > 64 && sv.waitingHead*2 >= len(sv.waiting) {
-		m := copy(sv.waiting, sv.waiting[sv.waitingHead:])
-		for i := m; i < len(sv.waiting); i++ {
-			sv.waiting[i] = nil
-		}
-		sv.waiting = sv.waiting[:m]
-		sv.waitingHead = 0
+// withCap returns b, reallocated if needed to hold n entries.
+func withCap(b []*seq, n int) []*seq {
+	if cap(b) >= n {
+		return b
 	}
-	return s
-}
-
-// pushWaitingFront returns an evictee to the head of the admission queue.
-func (sv *Server) pushWaitingFront(s *seq) {
-	if sv.waitingHead > 0 {
-		sv.waitingHead--
-		sv.waiting[sv.waitingHead] = s
-		return
-	}
-	sv.waiting = append(sv.waiting, nil)
-	copy(sv.waiting[1:], sv.waiting)
-	sv.waiting[0] = s
+	g := make([]*seq, len(b), n)
+	copy(g, b)
+	return g
 }
 
 // SetMaxBatchedTokens sets the max.num.batched.tokens knob: admission stops
@@ -310,7 +355,7 @@ func (sv *Server) PromptTokens() int { return sv.promptTokens }
 
 // WaitingLen returns the admission-queue depth (the admission.queue.limit
 // deputy variable).
-func (sv *Server) WaitingLen() int { return len(sv.waiting) - sv.waitingHead }
+func (sv *Server) WaitingLen() int { return sv.waiting.len() }
 
 // RunningLen returns the number of sequences in the continuous batch.
 func (sv *Server) RunningLen() int { return len(sv.running) }
@@ -363,7 +408,7 @@ func (sv *Server) Offer(req workload.LLMRequest) bool {
 		sv.rejected.Inc()
 		return false
 	}
-	sv.waiting = append(sv.waiting, sv.getSeq(req))
+	sv.waiting.push(sv.getSeq(req))
 	sv.kick()
 	return true
 }
@@ -394,17 +439,52 @@ func (sv *Server) kick() {
 // the token bound. Prompt tokens only: output lengths are unknown to a real
 // server, so decode growth is deliberately not reserved for.
 func (sv *Server) admit() {
-	for sv.WaitingLen() > 0 {
-		s := sv.waiting[sv.waitingHead]
+	for sv.waiting.len() > 0 {
+		s := sv.waiting.peek()
 		if sv.promptTokens > sv.maxBatchedTokens-s.req.Prompt {
 			break // head-of-line blocking, like a real FIFO admission queue
 		}
-		sv.popWaiting()
+		sv.waiting.pop()
 		sv.promptTokens += s.req.Prompt
-		s.inRunning = true
 		sv.running = append(sv.running, s)
+		if s.req.Prompt > 0 {
+			sv.prefill.push(s)
+		} else {
+			sv.startDecode(s)
+		}
 	}
 }
+
+// startDecode moves a running sequence whose prompt is fully prefilled into
+// its decode phase: from the next decode pass on, it takes one token per
+// pass until its output is done. A sequence with no output to decode is
+// complete already and retires at the end of the current step.
+func (sv *Server) startDecode(s *seq) {
+	if s.req.Output <= 0 {
+		sv.retireAt = 0
+		return
+	}
+	s.decoding = true
+	s.doneAt = sv.clock + uint64(s.req.Output)
+	sv.decoders++
+	sv.retireAt = min(sv.retireAt, s.doneAt)
+	if !s.ttftSeen {
+		sv.firstTok = append(sv.firstTok, s)
+	}
+}
+
+// decoded returns the output tokens s has decoded. Only decoding sequences
+// have any: a sequence leaves the batch (retired or preempted) as its
+// decode ends.
+func (sv *Server) decoded(s *seq) int {
+	if !s.decoding {
+		return 0
+	}
+	return s.req.Output - int(s.doneAt-sv.clock)
+}
+
+// kvTokens returns the tokens holding KV cache for s: prompt + decoded.
+func (sv *Server) kvTokens(s *seq) int { return s.promptDone + sv.decoded(s) }
 
 // step runs one scheduler iteration: admit, decode one token per running
 // sequence, chunk-prefill, then retire after the affine step latency.
@@ -422,51 +502,52 @@ func (sv *Server) step() {
 	}
 	sv.admit()
 
-	// Snapshot: eviction inside ensureKV mutates sv.running mid-loop. The
-	// snapshot buffer is reused across steps — a fresh slice per step would
-	// dominate steady-state allocations.
-	batch := append(sv.stepBatch[:0], sv.running...)
-	sv.stepBatch = batch
+	// Decode: one token for every sequence past prefill. When the whole
+	// pass fits in the heap it is one charge and one clock tick; otherwise
+	// the decoders claim their tokens one by one, preempting as they go.
 	scheduled := 0
-
-	// Decode: one token for every sequence past prefill.
-	for _, s := range batch {
-		if !s.inRunning || s.promptDone < s.req.Prompt || s.outputDone >= s.req.Output {
-			continue
+	if d := sv.decoders; d > 0 {
+		if need := int64(d) * sv.cfg.KVBytesPerToken; sv.heap.Available() >= need {
+			if err := sv.heap.Alloc(need); err != nil {
+				sv.crash()
+				return
+			}
+			sv.clock++
+			sv.residentTokens += d
+			scheduled = d
+		} else {
+			n, ok := sv.decodeEach()
+			if !ok {
+				return // crashed
+			}
+			scheduled = n
 		}
-		if !sv.ensureKV(1, s) {
-			return // crashed
-		}
-		s.kvTokens++
-		sv.residentTokens++
-		s.outputDone++
-		scheduled++
 	}
 
-	// Chunked prefill, admission order.
+	// Chunked prefill, admission order. Every sequence the budget reaches
+	// but the last finishes its prompt, so only the queue's head is ever
+	// part-way through. Decoders listed before it get their first token in
+	// this step; those it adds, in the next.
+	sv.firstTokDue = len(sv.firstTok)
 	budget := sv.cfg.PrefillChunk
 	if budget < 1 {
 		budget = math.MaxInt
 	}
-	for _, s := range batch {
-		if budget == 0 {
-			break
-		}
-		if !s.inRunning || s.promptDone >= s.req.Prompt {
-			continue
-		}
-		k := s.req.Prompt - s.promptDone
-		if k > budget {
-			k = budget
-		}
+	for budget > 0 && sv.prefill.len() > 0 {
+		s := sv.prefill.peek()
+		k := min(s.req.Prompt-s.promptDone, budget)
 		if !sv.ensureKV(k, s) {
 			return // crashed
 		}
-		s.kvTokens += k
 		sv.residentTokens += k
 		s.promptDone += k
 		scheduled += k
 		budget -= k
+		if s.promptDone < s.req.Prompt {
+			break
+		}
+		sv.prefill.pop()
+		sv.startDecode(s)
 	}
 
 	if scheduled == 0 {
@@ -494,6 +575,37 @@ func (sv *Server) step() {
 	sv.sim.AfterArg(d, sv.endStepFn, sv.epoch)
 }
 
+// decodeEach is the decode pass when the batch's tokens do not all fit:
+// each decoder, in admission order, claims its token through ensureKV,
+// which preempts the newest running sequence until the token fits. It
+// returns the tokens decoded, or false after crashing.
+func (sv *Server) decodeEach() (int, bool) {
+	// Snapshot: eviction inside ensureKV mutates sv.running mid-loop. Every
+	// decoder is held at its progress across the clock tick, and the loop
+	// below gives each its token explicitly.
+	batch := append(sv.stepBatch[:0], sv.running...)
+	sv.stepBatch = batch
+	for _, s := range batch {
+		if s.decoding {
+			s.doneAt++
+		}
+	}
+	sv.clock++
+	n := 0
+	for _, s := range batch {
+		if !s.decoding { // prefilling, complete, or preempted this pass
+			continue
+		}
+		if !sv.ensureKV(1, s) {
+			return 0, false
+		}
+		s.doneAt--
+		sv.residentTokens++
+		n++
+	}
+	return n, true
+}
+
 // endStepArg is the scheduled form of endStep: the argument carries the
 // scheduling incarnation's epoch, invalidating callbacks across Kill.
 //
@@ -516,34 +628,60 @@ func (sv *Server) endStep(scratch int64) {
 	}
 	sv.scratchHeld -= scratch
 	now := sv.sim.Now()
-	keep := sv.running[:0]
-	for _, s := range sv.running {
-		if s.outputDone > 0 && !s.ttftSeen {
-			s.ttftSeen = true
-			sv.ttft.Observe(now - s.arrived)
-		}
-		if s.promptDone >= s.req.Prompt && s.outputDone >= s.req.Output {
-			// Complete: release the KV cache, count the goodput.
-			sv.heap.Free(int64(s.kvTokens) * sv.cfg.KVBytesPerToken)
-			sv.residentTokens -= s.kvTokens
-			sv.promptTokens -= s.req.Prompt
-			s.kvTokens = 0
-			s.inRunning = false
-			sv.completed.Inc()
-			sv.outputTokens.Add(int64(s.req.Output))
-			sv.goodput.Mark(now, float64(s.req.Output))
-			sv.e2e.Observe(now - s.arrived)
-			sv.putSeq(s)
-			continue
-		}
-		keep = append(keep, s)
+	if sv.firstTokDue > 0 {
+		sv.observeFirstTokens(now)
 	}
-	for i := len(keep); i < len(sv.running); i++ {
-		sv.running[i] = nil
+	if sv.clock >= sv.retireAt {
+		sv.retire(now)
 	}
-	sv.running = keep
 	sv.stepping = false
 	sv.kick()
+}
+
+// observeFirstTokens records the TTFT of every decoder that decoded its
+// first token this step, in admission order (the order the batch holds
+// them), and keeps listed those that finished prefill during the step.
+func (sv *Server) observeFirstTokens(now time.Duration) {
+	for _, s := range sv.firstTok[:sv.firstTokDue] {
+		s.ttftSeen = true
+		sv.ttft.Observe(now - s.arrived)
+	}
+	n := copy(sv.firstTok, sv.firstTok[sv.firstTokDue:])
+	clear(sv.firstTok[n:])
+	sv.firstTok = sv.firstTok[:n]
+	sv.firstTokDue = 0
+}
+
+// retire releases every complete sequence in batch order and re-derives
+// retireAt from the decoders that remain.
+func (sv *Server) retire(now time.Duration) {
+	clock, next, kept := sv.clock, uint64(math.MaxUint64), 0
+	for _, s := range sv.running {
+		if s.promptDone < s.req.Prompt || s.decoding && clock < s.doneAt {
+			if s.decoding {
+				next = min(next, s.doneAt)
+			}
+			sv.running[kept] = s // still prefilling or decoding
+			kept++
+			continue
+		}
+		// Complete: release the KV cache, count the goodput.
+		kv := sv.kvTokens(s)
+		sv.heap.Free(int64(kv) * sv.cfg.KVBytesPerToken)
+		sv.residentTokens -= kv
+		sv.promptTokens -= s.req.Prompt
+		if s.decoding {
+			sv.decoders--
+		}
+		sv.completed.Inc()
+		sv.outputTokens.Add(int64(s.req.Output))
+		sv.goodput.Mark(now, float64(s.req.Output))
+		sv.e2e.Observe(now - s.arrived)
+		sv.putSeq(s)
+	}
+	clear(sv.running[kept:])
+	sv.running = sv.running[:kept]
+	sv.retireAt = next
 }
 
 // ensureKV makes room for tokens' KV bytes, preempting the newest running
@@ -571,7 +709,7 @@ func (sv *Server) ensureKV(tokens int, beneficiary *seq) bool {
 // sequence the eviction is for.
 func (sv *Server) evictionVictim(beneficiary *seq) *seq {
 	for i := len(sv.running) - 1; i >= 0; i-- {
-		if s := sv.running[i]; s != beneficiary && s.kvTokens > 0 {
+		if s := sv.running[i]; s != beneficiary && sv.kvTokens(s) > 0 {
 			return s
 		}
 	}
@@ -588,13 +726,30 @@ func (sv *Server) evict(s *seq) {
 			break
 		}
 	}
-	sv.heap.Free(int64(s.kvTokens) * sv.cfg.KVBytesPerToken)
-	sv.residentTokens -= s.kvTokens
+	kv := sv.kvTokens(s)
+	if s.decoding {
+		s.decoding = false
+		sv.decoders--
+		if !s.ttftSeen {
+			sv.dropFirstTok(s)
+		}
+	} else if s.promptDone < s.req.Prompt {
+		sv.prefill.remove(s)
+	}
+	sv.heap.Free(int64(kv) * sv.cfg.KVBytesPerToken)
+	sv.residentTokens -= kv
 	sv.promptTokens -= s.req.Prompt
-	s.kvTokens = 0
 	s.promptDone = 0
-	s.outputDone = 0
-	s.inRunning = false
 	sv.evictions.Inc()
-	sv.pushWaitingFront(s)
+	sv.waiting.pushFront(s)
+}
+
+// dropFirstTok unlists a preempted decoder whose first token was never
+// observed; it is listed again when it next decodes.
+func (sv *Server) dropFirstTok(s *seq) {
+	i := slices.Index(sv.firstTok, s)
+	sv.firstTok = slices.Delete(sv.firstTok, i, i+1)
+	if i < sv.firstTokDue {
+		sv.firstTokDue--
+	}
 }
