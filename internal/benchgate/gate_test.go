@@ -2,6 +2,7 @@ package benchgate
 
 import (
 	"encoding/json"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
@@ -24,6 +25,41 @@ type gateInstance struct {
 func (g gateInstance) ID() int       { return g.id }
 func (g gateInstance) Alive() bool   { return !g.dead }
 func (g gateInstance) Load() float64 { return float64(g.id) }
+
+// ReportLoad reports the instance's constant load once.
+func (g gateInstance) ReportLoad(total *int64) { *total += int64(g.id) }
+
+// gateMember is a fleet member with a bounded backlog for the dispatch gate:
+// offers fill it, drain empties it, both reporting to the fleet's total.
+type gateMember struct {
+	id, load, bound int
+	total           *int64
+}
+
+func (m *gateMember) ID() int       { return m.id }
+func (m *gateMember) Alive() bool   { return true }
+func (m *gateMember) Load() float64 { return float64(m.load) }
+
+func (m *gateMember) ReportLoad(total *int64) {
+	*total += int64(m.load)
+	m.total = total
+}
+
+func (m *gateMember) offer(int) bool {
+	if m.load >= m.bound {
+		return false
+	}
+	m.load++
+	*m.total++
+	return true
+}
+
+func (m *gateMember) drain() {
+	if m.load > 0 {
+		m.load--
+		*m.total--
+	}
+}
 
 // baselinePath locates BENCH_engine.json relative to this package.
 const baselinePath = "../../BENCH_engine.json"
@@ -157,6 +193,26 @@ var gated = []struct {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r.RouteExcluding(cluster.Request{Key: uint64(i), Cost: 1}, tried)
+		}
+	}},
+	{"smartconf/internal/cluster.BenchmarkFleetDispatchWide", func(b *testing.B) {
+		f := cluster.NewFleet[int](cluster.KeyAffinity)
+		ms := make([]*gateMember, 256)
+		for i := range ms {
+			ms[i] = &gateMember{id: i, bound: 8}
+			f.Add(ms[i], 1, ms[i].offer)
+		}
+		f.SetMaxInFlight(400)
+		zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.01, 1, 1<<16-1)
+		keys := make([]uint64, 1<<16)
+		for i := range keys {
+			keys[i] = zipf.Uint64()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ms[(2*i)&255].drain()
+			ms[(2*i+1)&255].drain()
+			f.Dispatch(cluster.Request{Key: keys[i&(1<<16-1)], Cost: 1}, i)
 		}
 	}},
 }

@@ -1,11 +1,16 @@
 package cluster
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkRouterRoute measures one routing decision on the key-affinity
 // policy (the most work per decision: one rendezvous mix per member) over a
-// 16-member fleet. The number in BENCH_engine.json is re-measured by
-// internal/benchgate, which fails CI if this path ever allocates.
+// 16-member fleet. Every op routes a new key, so every op misses the
+// rendezvous-order memo: this is the miss path. The number in
+// BENCH_engine.json is re-measured by internal/benchgate, which fails CI if
+// this path ever allocates.
 func BenchmarkRouterRoute(b *testing.B) {
 	fakes := newFakes(16)
 	r := routerOver(KeyAffinity, fakes)
@@ -19,8 +24,9 @@ func BenchmarkRouterRoute(b *testing.B) {
 // BenchmarkFleetRouteWide is the wide-router gate: one key-affinity decision
 // over a 256-member fleet with a scattered mix of dead (every 5th) and tried
 // (every 7th) members, so the eligible-set word math, the dead cache, and
-// the salted rendezvous scan are all on the measured path. Benchgate-gated
-// at 0 allocs/op via BENCH_engine.json.
+// the salted rendezvous scan are all on the measured path. Every op routes a
+// new key, so every op misses the memo (the miss path). Benchgate-gated at 0
+// allocs/op via BENCH_engine.json.
 func BenchmarkFleetRouteWide(b *testing.B) {
 	fakes := newFakes(256)
 	for i := 0; i < 256; i += 5 {
@@ -51,5 +57,68 @@ func BenchmarkFleetRouteWideLeastLoaded(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.RouteExcluding(Request{Key: uint64(i), Cost: 1}, TriedSet{})
+	}
+}
+
+// boundedMember is a fleet member with a bounded backlog: offers fill it up
+// to bound, drain empties it one request at a time, and both report to the
+// fleet's running load total.
+type boundedMember struct {
+	id, load, bound int
+	total           *int64
+}
+
+func (m *boundedMember) ID() int       { return m.id }
+func (m *boundedMember) Alive() bool   { return true }
+func (m *boundedMember) Load() float64 { return float64(m.load) }
+
+func (m *boundedMember) ReportLoad(total *int64) {
+	*total += int64(m.load)
+	m.total = total
+}
+
+func (m *boundedMember) offer(int) bool {
+	if m.load >= m.bound {
+		return false
+	}
+	m.load++
+	*m.total++
+	return true
+}
+
+func (m *boundedMember) drain() {
+	if m.load > 0 {
+		m.load--
+		*m.total--
+	}
+}
+
+// BenchmarkFleetDispatchWide measures one Fleet.Dispatch over 256 members
+// of backlog bound 8 under key affinity: zipfian keys (s=1.01 over 65536
+// keys), so hot keys repeat and their full owners spill, and an admission
+// bound of 400 that throttles while the fleet is that loaded. Each op also
+// drains two members round-robin. The mix is fleet-rpc's in shape: ~1.8
+// offers per dispatch, ~2% throttled. The admission gate, the memoized
+// rendezvous order and the retry loop are all on the measured path.
+// Benchgate-gated at 0 allocs/op via BENCH_engine.json.
+func BenchmarkFleetDispatchWide(b *testing.B) {
+	f := NewFleet[int](KeyAffinity)
+	ms := make([]*boundedMember, 256)
+	for i := range ms {
+		ms[i] = &boundedMember{id: i, bound: 8}
+		f.Add(ms[i], 1, ms[i].offer)
+	}
+	f.SetMaxInFlight(400)
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.01, 1, 1<<16-1)
+	keys := make([]uint64, 1<<16)
+	for i := range keys {
+		keys[i] = zipf.Uint64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms[(2*i)&255].drain()
+		ms[(2*i+1)&255].drain()
+		f.Dispatch(Request{Key: keys[i&(1<<16-1)], Cost: 1}, i)
 	}
 }

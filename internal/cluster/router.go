@@ -73,6 +73,30 @@ const (
 	tournamentSamples = 8
 )
 
+const (
+	// memoBits sizes the affinity policies' rendezvous-order memo: 1<<memoBits
+	// direct-mapped slots, one key each.
+	memoBits = 14
+	// memoRanks is how deep a slot's rendezvous order may grow: enough that a
+	// key whose first choices are full or dead still resolves from the memo
+	// on a spilling fleet.
+	memoRanks = 8
+)
+
+// memoSlot holds the first n places of one key's rendezvous order over every
+// registered member, dead or alive: member indices by hash descending, ties
+// to the lower index. gen ties the slot to the membership it was computed
+// for.
+type memoSlot struct {
+	key  uint64
+	gen  uint32
+	n    uint8
+	rank [memoRanks]uint8
+}
+
+// memoIndex maps a key to its memo slot (multiplicative hashing).
+func memoIndex(key uint64) uint64 { return key * goldenGamma >> (64 - memoBits) }
+
 // Router places requests on fleet members according to one PolicyKind. The
 // decision path is allocation-free: it runs once per simulated request.
 //
@@ -82,6 +106,10 @@ const (
 // Alive() calls. Cached-dead members are re-checked at the top of every
 // route — O(dead), which is zero in steady state — so a restarted member is
 // eligible again on the very next decision.
+//
+// The affinity policies memoize each recent key's rendezvous order over all
+// members (pickRendezvous), so a repeated key routes without rehashing the
+// fleet.
 type Router struct {
 	policy  PolicyKind
 	members []Instance
@@ -99,11 +127,20 @@ type Router struct {
 	// tick seeds the tournament sample draws: a deterministic sequence, so
 	// replayed runs sample identically.
 	tick uint64
+	// memo caches each recent key's rendezvous order for the affinity
+	// policies (nil for the others); a slot is valid only while its gen
+	// equals gen, which Add bumps.
+	memo []memoSlot
+	gen  uint32
 }
 
 // NewRouter returns an empty router with the given policy.
 func NewRouter(policy PolicyKind) *Router {
-	return &Router{policy: policy}
+	r := &Router{policy: policy}
+	if policy == KeyAffinity || policy == PrefixAffinity {
+		r.memo = make([]memoSlot, 1<<memoBits)
+	}
+	return r
 }
 
 // Add registers a member with its weight (relative capacity for the
@@ -120,6 +157,7 @@ func (r *Router) Add(inst Instance, weight float64) {
 	r.members = append(r.members, inst)
 	r.weights = append(r.weights, weight)
 	r.salts = append(r.salts, mix64(uint64(inst.ID())+goldenGamma))
+	r.gen++ // every memoized order predates this member
 }
 
 // Policy returns the router's policy.
@@ -214,9 +252,9 @@ func (r *Router) pick(req Request, cand *TriedSet) int {
 		}
 		return r.scanLoad(req, cand, true)
 	case KeyAffinity:
-		return r.scanRendezvous(req.Key, cand)
+		return r.pickRendezvous(req.Key, cand)
 	case PrefixAffinity:
-		return r.scanRendezvous(req.Prefix, cand)
+		return r.pickRendezvous(req.Prefix, cand)
 	}
 	return -1
 }
@@ -293,6 +331,54 @@ func (r *Router) pickTournament(req Request, cand *TriedSet, count int, weighted
 		}
 		if best < 0 || s < bestScore {
 			best, bestScore = i, s
+		}
+	}
+	return best
+}
+
+// pickRendezvous is the affinity pick: the rendezvous argmax over cand, read
+// from the key's memoized order where it can be. cand is a subset of all
+// members, so the first memoized member in cand outranks every other
+// candidate. When none is, the order grows by one place (one scan over all
+// members); if that place is not a candidate either, the candidate scan
+// decides. A miss therefore costs at most two scans, and a repeated key whose
+// owner is live and untried costs none.
+func (r *Router) pickRendezvous(key uint64, cand *TriedSet) int {
+	s := &r.memo[memoIndex(key)]
+	if s.key != key || s.gen != r.gen {
+		s.key, s.gen, s.n = key, r.gen, 0
+	}
+	for _, i := range s.rank[:s.n] {
+		if cand.Has(int(i)) {
+			return int(i)
+		}
+	}
+	if s.n < memoRanks && int(s.n) < len(r.members) {
+		i := r.nextRank(key, s)
+		s.rank[s.n] = uint8(i)
+		s.n++
+		if cand.Has(i) {
+			return i
+		}
+	}
+	return r.scanRendezvous(key, cand)
+}
+
+// nextRank returns the member that follows s's last memoized place in key's
+// rendezvous order (the first place when s is empty): the highest hash below
+// the last place's, ties ranked by ascending index.
+func (r *Router) nextRank(key uint64, s *memoSlot) int {
+	lastHash, last := ^uint64(0), -1
+	if s.n > 0 {
+		last = int(s.rank[s.n-1])
+		lastHash = mix64(key ^ r.salts[last])
+	}
+	best := -1
+	var bestHash uint64
+	for i, salt := range r.salts {
+		h := mix64(key ^ salt)
+		if (h < lastHash || h == lastHash && i > last) && (best < 0 || h > bestHash) {
+			best, bestHash = i, h
 		}
 	}
 	return best

@@ -2,16 +2,29 @@ package cluster
 
 import "testing"
 
-// fake is a minimal Instance for router and fleet tests.
+// fake is a minimal Instance for router and fleet tests. Router-only tests
+// set load directly; a fake in a fleet changes it through setLoad, which
+// reports the change into the fleet's running total like a substrate does.
 type fake struct {
 	id    int
 	alive bool
 	load  float64
+	total *int64
 }
 
 func (f *fake) ID() int       { return f.id }
 func (f *fake) Alive() bool   { return f.alive }
 func (f *fake) Load() float64 { return f.load }
+
+func (f *fake) ReportLoad(total *int64) {
+	*total += int64(f.load)
+	f.total = total
+}
+
+func (f *fake) setLoad(v float64) {
+	*f.total += int64(v) - int64(f.load)
+	f.load = v
+}
 
 func newFakes(n int) []*fake {
 	out := make([]*fake, n)

@@ -13,14 +13,15 @@ import (
 
 // The fleet raw-speed runners: the scale campaign pushed through a 256-wide
 // fleet instead of a single instance, so the wide-router machinery (multi-word
-// tried bitsets, precomputed rendezvous salts, the lazy dead-member cache) is
-// exercised at the same 10M-request scale — and held to the same steady-state
-// zero-allocation window — as the per-substrate engines. Two fleets:
+// tried bitsets, precomputed rendezvous salts, the rendezvous-order memo, the
+// lazy dead-member cache) is exercised at the same 10M-request scale — and
+// held to the same steady-state zero-allocation window — as the per-substrate
+// engines. Two fleets:
 //
 //   - fleetrpc: 256 RPC servers behind key-affinity routing, zipfian keys.
-//     Every request walks Fleet.Dispatch → Router.RouteExcluding → Offer; the
-//     admission knob stays wide open, so the O(N) fleet-load sum is skipped
-//     and one decision costs one salted rendezvous scan.
+//     Every request walks Fleet.Dispatch → Router.RouteExcluding → Offer with
+//     the admission knob wide open; a repeated key routes from its memoized
+//     rendezvous order, a new one pays a salted rendezvous scan.
 //   - fleetllm: 256 inference servers behind prefix-affinity routing. Requests
 //     cycle through a fixed pool of prompt prefixes (chat templates), so
 //     requests sharing a template co-locate — the KV-reuse placement the

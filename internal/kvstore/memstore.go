@@ -67,6 +67,12 @@ type Memstore struct {
 	down  bool
 	epoch uint64
 
+	// loadTotal receives every change of Load() (occupancy bytes): the
+	// fleet's running total once ReportLoad is called, until then ownLoad,
+	// so reporting is one add through a pointer.
+	loadTotal *int64
+	ownLoad   int64
+
 	blockTimes   *metrics.Latency // the constrained metric (worst-case block)
 	writes       metrics.Counter
 	rejected     metrics.Counter // writes refused while the store was blocked
@@ -92,6 +98,7 @@ func NewMemstore(s *sim.Simulation, heap *memsim.Heap, cfg MemstoreConfig, flush
 		writeLatency:  metrics.NewLatency(512),
 	}
 	st.flushDoneFn = st.flushDone
+	st.loadTotal = &st.ownLoad
 	if err := heap.Alloc(cfg.BaseHeapBytes); err != nil {
 		st.crashed = true
 	}
@@ -169,6 +176,7 @@ func (st *Memstore) Write(bytes int64) bool {
 		return false
 	}
 	st.bytes += bytes
+	*st.loadTotal += bytes
 	st.writes.Inc()
 	st.throughput.Mark(st.sim.Now(), 1)
 	st.writeLatency.Observe(st.cfg.WriteBaseLatency)
@@ -209,6 +217,7 @@ func (st *Memstore) flushDone(arg uint64) {
 	}
 	st.heap.Free(st.flushAmount)
 	st.bytes -= st.flushAmount
+	*st.loadTotal -= st.flushAmount
 	st.blocked = false
 	st.blockTimes.Observe(st.sim.Now() - st.blockStart)
 }
@@ -236,6 +245,14 @@ func (st *Memstore) Down() bool { return st.down }
 // routing policies compare.
 func (st *Memstore) Load() float64 { return float64(st.bytes) }
 
+// ReportLoad moves the store's load into total and makes total the target of
+// every later change: writes, finished flushes and Kill.
+func (st *Memstore) ReportLoad(total *int64) {
+	*st.loadTotal -= st.bytes
+	*total += st.bytes
+	st.loadTotal = total
+}
+
 // Kill models abrupt process death for fleet chaos: the heap is released in
 // full (base plus unflushed data), any in-progress flush is invalidated, and
 // the store stops accepting writes until Restart.
@@ -246,6 +263,7 @@ func (st *Memstore) Kill() {
 	st.down = true
 	st.epoch++
 	st.heap.Free(st.bytes + st.cfg.BaseHeapBytes)
+	*st.loadTotal -= st.bytes
 	st.bytes = 0
 	st.blocked = false
 }

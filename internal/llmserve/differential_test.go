@@ -14,7 +14,8 @@ import (
 // The differential oracle: refServer (the eager scheduler) and Server (the
 // decode clock) run on separate simulations and heaps, receive the same
 // requests, knob moves, kills and restarts, and must agree on every
-// observable after every operation and every simulated event.
+// observable — the server's reported load total included — after every
+// operation and every simulated event.
 
 // diffTick is one unit of virtual time in the differential runs. Steps cost
 // diffStepBase + scheduled ticks, so no tick holds more than one event per
@@ -58,6 +59,9 @@ type diffView struct {
 	ttftLast, ttftMean, ttftWorst                         time.Duration
 	e2eLast, e2eMean, e2eWorst                            time.Duration
 	evacuated                                             int
+	// load is the reference's waiting plus running count, and the server's
+	// reported load total: what a fleet's admission gate reads.
+	load float64
 }
 
 type diffRun struct {
@@ -69,12 +73,14 @@ type diffRun struct {
 	revac      []workload.LLMRequest
 	sevac      []workload.LLMRequest
 	now        time.Duration
+	load       int64 // the server's reported load (Server.ReportLoad)
 }
 
 func newDiffRun(cfg Config, capacity int64) *diffRun {
 	d := &diffRun{rsim: sim.New(), ssim: sim.New(), rheap: memsim.NewHeap(capacity), sheap: memsim.NewHeap(capacity)}
 	d.ref = newRefServer(d.rsim, d.rheap, cfg)
 	d.sv = New(d.ssim, d.sheap, cfg)
+	d.sv.ReportLoad(&d.load)
 	d.ref.OnEvacuate = func(r workload.LLMRequest) { d.revac = append(d.revac, r) }
 	d.sv.OnEvacuate = func(r workload.LLMRequest) { d.sevac = append(d.sevac, r) }
 	return d
@@ -93,6 +99,7 @@ func (d *diffRun) refView() diffView {
 		ttftCount: r.ttft.Count(), ttftLast: r.ttft.Last(), ttftMean: r.ttft.Mean(), ttftWorst: r.ttft.Worst(),
 		e2eCount: r.e2e.Count(), e2eLast: r.e2e.Last(), e2eMean: r.e2e.Mean(), e2eWorst: r.e2e.Worst(),
 		evacuated: len(d.revac),
+		load:      float64(len(r.running) + len(r.waiting)),
 	}
 }
 
@@ -109,6 +116,7 @@ func (d *diffRun) view() diffView {
 		ttftCount: sv.TTFT().Count(), ttftLast: sv.TTFT().Last(), ttftMean: sv.TTFT().Mean(), ttftWorst: sv.TTFT().Worst(),
 		e2eCount: sv.E2E().Count(), e2eLast: sv.E2E().Last(), e2eMean: sv.E2E().Mean(), e2eWorst: sv.E2E().Worst(),
 		evacuated: len(d.sevac),
+		load:      float64(d.load),
 	}
 }
 

@@ -28,6 +28,15 @@ func (sv *Server) Down() bool { return sv.down }
 // signal load-aware routing policies compare.
 func (sv *Server) Load() float64 { return float64(sv.WaitingLen() + len(sv.running)) }
 
+// ReportLoad moves the server's load into total and makes total the target
+// of every later change: submission, retirement and Kill.
+func (sv *Server) ReportLoad(total *int64) {
+	load := int64(sv.WaitingLen() + len(sv.running))
+	*sv.loadTotal -= load
+	*total += load
+	sv.loadTotal = total
+}
+
 // Kill models abrupt process death for fleet chaos: the accelerator heap is
 // released in full (base weights, resident KV, in-flight step scratch),
 // every waiting and running request is handed to OnEvacuate (the fleet's
@@ -50,6 +59,7 @@ func (sv *Server) Kill() {
 		sv.evacuateReq(s.req)
 		sv.putSeq(s)
 	}
+	*sv.loadTotal -= int64(sv.WaitingLen() + len(sv.running))
 	sv.waiting.reset()
 	sv.prefill.reset()
 	clear(sv.running)

@@ -212,6 +212,12 @@ type Server struct {
 	epoch       uint64
 	scratchHeld int64
 
+	// loadTotal receives every change of Load() (waiting plus running
+	// sequences): the fleet's running total once ReportLoad is called, until
+	// then ownLoad, so reporting is one add through a pointer.
+	loadTotal *int64
+	ownLoad   int64
+
 	completed    metrics.Counter
 	rejected     metrics.Counter
 	dropped      metrics.Counter // client-visible losses after a crash
@@ -260,6 +266,7 @@ func New(s *sim.Simulation, heap *memsim.Heap, cfg Config) *Server {
 		e2e:              metrics.NewLatency(1024),
 	}
 	sv.endStepFn = sv.endStepArg
+	sv.loadTotal = &sv.ownLoad
 	if err := heap.Alloc(cfg.BaseHeapBytes); err != nil {
 		sv.crashed = true
 	}
@@ -409,6 +416,7 @@ func (sv *Server) Offer(req workload.LLMRequest) bool {
 		return false
 	}
 	sv.waiting.push(sv.getSeq(req))
+	*sv.loadTotal++
 	sv.kick()
 	return true
 }
@@ -679,6 +687,7 @@ func (sv *Server) retire(now time.Duration) {
 		sv.e2e.Observe(now - s.arrived)
 		sv.putSeq(s)
 	}
+	*sv.loadTotal -= int64(len(sv.running) - kept)
 	clear(sv.running[kept:])
 	sv.running = sv.running[:kept]
 	sv.retireAt = next

@@ -28,6 +28,15 @@ func (sv *Server) Down() bool { return sv.down }
 // signal load-aware routing policies compare.
 func (sv *Server) Load() float64 { return float64(sv.QueueLen() + sv.inflightCalls) }
 
+// ReportLoad moves the server's load into total and makes total the target
+// of every later change: admission, batch retirement and Kill.
+func (sv *Server) ReportLoad(total *int64) {
+	load := int64(sv.QueueLen() + sv.inflightCalls)
+	*sv.loadTotal -= load
+	*total += load
+	sv.loadTotal = total
+}
+
 // Kill models abrupt process death for fleet chaos: the process releases
 // every byte it accounts (base heap, queued and in-flight request payloads,
 // undelivered responses), queued and in-flight calls are handed to
@@ -61,6 +70,7 @@ func (sv *Server) Kill() {
 		}
 		sv.releaseSlot(slot)
 	}
+	*sv.loadTotal -= int64(sv.QueueLen())
 	sv.queue = sv.queue[:0]
 	sv.queueHead = 0
 	sv.queueBytes = 0

@@ -137,6 +137,12 @@ type Server struct {
 	batchPool     [][]call // retired batch buffers for reuse
 	inflightCalls int
 
+	// loadTotal receives every change of Load() (queued plus in-flight
+	// calls): the fleet's running total once ReportLoad is called, until
+	// then ownLoad, so reporting is one add through a pointer.
+	loadTotal *int64
+	ownLoad   int64
+
 	// finishFn/drainFn are finishSlot/drainDone bound once at construction:
 	// creating the method value at each AfterArg call site would allocate.
 	finishFn func(uint64)
@@ -175,6 +181,7 @@ func New(s *sim.Simulation, heap *memsim.Heap, cfg Config) *Server {
 	}
 	sv.finishFn = sv.finishSlot
 	sv.drainFn = sv.drainDone
+	sv.loadTotal = &sv.ownLoad
 	if err := heap.Alloc(cfg.BaseHeapBytes); err != nil {
 		sv.crashed = true
 	}
@@ -306,6 +313,7 @@ func (sv *Server) Offer(op workload.Op) bool {
 	}
 	sv.queue = append(sv.queue, call{op: op, arrived: sv.sim.Now()})
 	sv.queueBytes += op.Bytes
+	*sv.loadTotal++
 	sv.dispatch()
 	return true
 }
@@ -358,6 +366,7 @@ func (sv *Server) releaseSlot(slot int) {
 	sv.slots[slot] = nil
 	sv.freeSlots = append(sv.freeSlots, slot)
 	sv.inflightCalls -= len(batch)
+	*sv.loadTotal -= int64(len(batch))
 	sv.batchPool = append(sv.batchPool, batch)
 }
 

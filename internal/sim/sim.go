@@ -197,6 +197,17 @@ func (s *Simulation) Run() {
 	}
 }
 
+// Step fires the next event, if one is pending and Stop has not been called,
+// and reports whether it fired one: Run one event at a time, for harnesses
+// that check state between events.
+func (s *Simulation) Step() bool {
+	if s.stopped || len(s.queue) == 0 && s.ringLen == 0 {
+		return false
+	}
+	s.step()
+	return true
+}
+
 // RunUntil executes all events scheduled at or before deadline (unless Stop
 // fires first) and then advances the clock to the deadline.
 func (s *Simulation) RunUntil(deadline time.Duration) {

@@ -28,6 +28,29 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	}
 }
 
+// TestStepFiresOneEventAtATime pins Step to Run's order, one event per call,
+// including same-instant ring events, and to Stop.
+func TestStepFiresOneEventAtATime(t *testing.T) {
+	s := New()
+	var order []int
+	s.At(2*time.Second, func() { order = append(order, 2) })
+	s.At(time.Second, func() {
+		order = append(order, 1)
+		s.After(0, func() { order = append(order, 10) })
+	})
+	s.At(3*time.Second, func() { order = append(order, 3); s.Stop() })
+	s.At(4*time.Second, func() { order = append(order, 4) })
+	want := []int{1, 10, 2, 3}
+	for n := 1; s.Step(); n++ {
+		if len(order) != n || order[n-1] != want[n-1] {
+			t.Fatalf("after step %d: fired %v, want prefix of %v", n, order, want)
+		}
+	}
+	if len(order) != len(want) || s.Pending() != 1 {
+		t.Fatalf("fired %v with %d pending; want %v and the post-Stop event left queued", order, s.Pending(), want)
+	}
+}
+
 func TestSameInstantFIFO(t *testing.T) {
 	s := New()
 	var order []int
