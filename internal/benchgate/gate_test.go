@@ -125,6 +125,16 @@ var gated = []struct {
 			s.Run()
 		}
 	}},
+	{"smartconf/internal/sim.BenchmarkSimSeries", func(b *testing.B) {
+		s := sim.NewWithCapacity(4)
+		drain := func(uint64) {}
+		offer := func(uint64) { s.AfterArg(time.Microsecond, drain, 0) }
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.AfterArgSeries(2*time.Microsecond, 300, offer, 0)
+			s.Run()
+		}
+	}},
 	{"smartconf/internal/metrics.BenchmarkMeterMark", func(b *testing.B) {
 		m := metrics.NewMeter(time.Second)
 		now := time.Duration(0)

@@ -130,8 +130,9 @@ func llmDrive(s *sim.Simulation, sv *llmserve.Server, phases []workload.LLMPhase
 		}
 		n := int(float64(ph.BurstSize) * env.SurgeFactor())
 		for i := 0; i < n; i++ {
-			burst.after(time.Duration(i)*ph.BurstSpacing, gen.NextRequest())
+			burst.push(gen.NextRequest())
 		}
+		burst.deliver(ph.BurstSpacing)
 		return s.Now() < until
 	})
 }

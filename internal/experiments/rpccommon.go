@@ -65,48 +65,66 @@ func (w *rpcWorkload) run(s *sim.Simulation, until time.Duration, rng *rand.Rand
 		b := int(float64(w.burstSize) * w.env.SurgeFactor())
 		n := b + rng.Intn(b/5+1) - b/10 // ±10%
 		for i := 0; i < n; i++ {
-			ops.after(time.Duration(i)*w.spacing, w.gen.NextOp())
+			ops.push(w.gen.NextOp())
 		}
+		ops.deliver(w.spacing)
 		return s.Now() < until
 	})
 }
 
-// slotTable delivers values to one handler after a delay without a closure
-// per value: each value waits in a slot, its event carries the slot index
-// (sim.AfterArg), and a fired slot returns to a free list for the next
-// value. Events keep the order and sequence numbers an s.After closure per
-// value would have had, so runs stay byte-identical.
+// slotTable delivers bursts of values to one handler without a closure per
+// value: a burst's values wait in a block, one sim.AfterArgSeries delivers
+// them with the argument block<<32 | i, and a block returns to a free list
+// once its last value is out. The series has the order and sequence numbers
+// an s.After closure per value would have had, so runs stay byte-identical.
 type slotTable[T any] struct {
 	s      *sim.Simulation
-	vals   []T
-	free   []uint64
+	blocks [][]T
+	free   []uint64 // delivered blocks, ready for the next burst
+	open   int      // block push fills; -1 until the next push
 	handle func(T)
 	fire   func(uint64) // t.dispatch, bound once: a method value per call allocates
 }
 
 func newSlotTable[T any](s *sim.Simulation, handle func(T)) *slotTable[T] {
-	t := &slotTable[T]{s: s, handle: handle}
+	t := &slotTable[T]{s: s, open: -1, handle: handle}
 	t.fire = t.dispatch
 	return t
 }
 
-// after delivers v to the handler d from now.
-func (t *slotTable[T]) after(d time.Duration, v T) {
-	var i uint64
-	if n := len(t.free); n > 0 {
-		i = t.free[n-1]
-		t.free = t.free[:n-1]
-		t.vals[i] = v
-	} else {
-		i = uint64(len(t.vals))
-		t.vals = append(t.vals, v)
+// push appends v to the burst being collected.
+func (t *slotTable[T]) push(v T) {
+	if t.open < 0 {
+		if n := len(t.free); n > 0 {
+			t.open = int(t.free[n-1])
+			t.free = t.free[:n-1]
+		} else {
+			t.open = len(t.blocks)
+			t.blocks = append(t.blocks, nil)
+		}
 	}
-	t.s.AfterArg(d, t.fire, i)
+	t.blocks[t.open] = append(t.blocks[t.open], v)
 }
 
-func (t *slotTable[T]) dispatch(i uint64) {
-	v := t.vals[i]
-	t.free = append(t.free, i)
+// deliver sends the collected burst to the handler, value i at
+// now + i·every. An empty burst sends nothing.
+func (t *slotTable[T]) deliver(every time.Duration) {
+	if t.open < 0 {
+		return
+	}
+	b := uint64(t.open)
+	t.open = -1
+	t.s.AfterArgSeries(every, len(t.blocks[b]), t.fire, b<<32)
+}
+
+func (t *slotTable[T]) dispatch(arg uint64) {
+	b, i := arg>>32, int(uint32(arg))
+	blk := t.blocks[b]
+	v := blk[i]
+	if i == len(blk)-1 {
+		t.blocks[b] = blk[:0]
+		t.free = append(t.free, b)
+	}
 	t.handle(v)
 }
 

@@ -14,10 +14,11 @@ import (
 // never simulate the same (scenario, policy, seed, schedule) twice, and the
 // independent runs of a figure or sweep fan out across the worker pool.
 
-// simQueueHint pre-sizes scenario event queues: a burst scenario keeps a few
-// hundred scheduled arrivals plus per-op completion events pending at peaks,
-// so 1024 slots absorb the steady state without growth reallocations.
-const simQueueHint = 1024
+// simQueueHint pre-sizes scenario event queues. A burst's pending arrivals
+// are one series element in the heap, so across every artifact the deepest
+// scenario heap peaks at 336 elements; 512 slots absorb that without growth
+// reallocations.
+const simQueueHint = 512
 
 // newScenarioSim is the simulator constructor the scenario drivers use.
 func newScenarioSim() *sim.Simulation { return sim.NewWithCapacity(simQueueHint) }

@@ -12,18 +12,25 @@
 // reproducible regardless of map iteration or goroutine scheduling — the
 // simulator is single-goroutine by design.
 //
-// The event queue is a value-typed 4-ary implicit heap: events are stored
-// inline in a slice (no per-At allocation, no interface boxing as with
-// container/heap), and the wider fan-out halves the sift-down depth for the
-// queue sizes the substrates produce.
+// The event queue is a 4-ary implicit heap of 16-byte keys holding no
+// pointers: each element is its instant plus seq<<24 | slot, where slot
+// indexes a payload table holding the callback, its argument and any series
+// state. Sifts move only keys, so they pay no GC write barriers even while
+// the collector is marking, and payloads never move once written; a
+// released payload is zeroed, so the GC can drop its callbacks, and links
+// the table's free list. The packing bounds a simulation to 2^24 pending
+// heap elements and 2^40 scheduled events: past either, scheduling panics,
+// as scheduling in the past does. The wider fan-out halves the sift-down
+// depth for the queue sizes the substrates produce.
 //
-// Two raw-speed facilities serve 10M-request runs (see DESIGN.md):
+// Three raw-speed facilities serve 10M-request runs and the figure
+// workloads (see DESIGN.md):
 //
 //   - AtArg/AfterArg schedule a monomorphic event — a func(uint64) plus its
-//     argument, both stored inline in the event — so the per-request
-//     schedule→fire cycle allocates no closure. Substrates bind a method
-//     value once at construction and pass the stored field; creating the
-//     method value at the call site would allocate.
+//     argument — so the per-request schedule→fire cycle allocates no
+//     closure. Substrates bind a method value once at construction and pass
+//     the stored field; creating the method value at the call site would
+//     allocate.
 //   - A same-instant batch lane: an event scheduled for exactly the current
 //     instant (t == Now) bypasses the heap into a FIFO ring and is popped in
 //     O(1) with no sifting. The (time, seq) order is preserved exactly: any
@@ -31,6 +38,18 @@
 //     instant (scheduling into the heap requires t > Now), hence carries a
 //     smaller sequence number than every ring event, so draining heap
 //     events at Now before the ring replays the heap-only order bit for bit.
+//   - AfterArgSeries schedules a burst — fn(arg+i) at Now + i·every for
+//     i < n — as the events, order and sequence numbers of n consecutive
+//     AfterArg calls, in two queue entries. Element 0 takes the batch lane.
+//     Elements 1…n−1 reserve the next n−1 sequence numbers and share one
+//     heap element, which advances in place each time it fires from the
+//     top (at += every, seq += 1, one sift-down). Element i+1 orders
+//     strictly after element i, so it cannot be the queue's minimum before
+//     element i has fired: keeping only the earliest unfired element in the
+//     heap leaves every minimum, and with it the firing order, exactly that
+//     of the n-event heap. The batch-lane argument still holds: an element
+//     due at T reserved its sequence number before T, and it is in the heap
+//     by T, because its predecessor fired at T − every.
 package sim
 
 import (
@@ -38,32 +57,55 @@ import (
 	"time"
 )
 
-// event is a scheduled callback, stored by value in the heap slice and the
-// same-instant ring. Exactly one of fn (closure form, At) or argFn
-// (monomorphic form, AtArg) is set.
-type event struct {
-	at    time.Duration
-	seq   uint64
+// A heap element's key packs the event's sequence number above the index
+// of its payload.
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	maxSeq   = 1<<(64-slotBits) - 1
+)
+
+// entry is one heap element. It holds no pointers, so moving it costs no
+// write barrier.
+type entry struct {
+	at  time.Duration
+	key uint64 // seq<<slotBits | slot
+}
+
+// before is the strict total order (time, then scheduling sequence). The
+// slot bits never decide it: sequence numbers are unique.
+func (e entry) before(o entry) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.key < o.key
+}
+
+// call is a callback ready to fire. Exactly one of fn (closure form, At) or
+// argFn (monomorphic form, AtArg) is set.
+type call struct {
 	fn    func()
 	argFn func(uint64)
 	arg   uint64
 }
 
-// fire runs the event's callback.
-func (e *event) fire() {
-	if e.argFn != nil {
-		e.argFn(e.arg)
+// fire runs the callback.
+func (c *call) fire() {
+	if c.argFn != nil {
+		c.argFn(c.arg)
 		return
 	}
-	e.fn()
+	c.fn()
 }
 
-// before is the strict total order (time, then scheduling sequence).
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+// payload is what a heap element fires: a single event, or the element of a
+// series now in the heap, with left more hidden behind it, every apart and
+// their arguments counting up from arg. A released payload is zero except
+// arg, which links the free list (next slot + 1; 0 ends it).
+type payload struct {
+	call
+	every time.Duration
+	left  int
 }
 
 // defaultQueueCapacity is the initial event-queue capacity used by New.
@@ -75,16 +117,19 @@ const defaultQueueCapacity = 256
 // It is not safe for concurrent use: all substrate code runs inside event
 // callbacks on a single goroutine.
 type Simulation struct {
-	now     time.Duration
-	queue   []event // 4-ary min-heap ordered by (at, seq)
-	seq     uint64
-	stopped bool
-	events  uint64 // total events executed (diagnostics / benchmarks)
+	now      time.Duration
+	queue    []entry   // 4-ary min-heap ordered by (at, seq)
+	payloads []payload // indexed by the slot bits of a queue entry's key
+	free     uint64    // first released payload, slot + 1; 0: none
+	hidden   int       // series elements not yet in the heap
+	seq      uint64
+	stopped  bool
+	events   uint64 // total events executed (diagnostics / benchmarks)
 
 	// Same-instant batch lane: events scheduled at exactly now, drained FIFO
 	// after the heap's events for the same instant (see the package comment
 	// for the ordering argument). ring is a circular buffer.
-	ring     []event
+	ring     []call
 	ringHead int
 	ringLen  int
 
@@ -103,7 +148,7 @@ func NewWithCapacity(hint int) *Simulation {
 	if hint < 0 {
 		hint = 0
 	}
-	return &Simulation{queue: make([]event, 0, hint)}
+	return &Simulation{queue: make([]entry, 0, hint), payloads: make([]payload, 0, hint)}
 }
 
 // Now returns the current virtual time.
@@ -118,7 +163,7 @@ func (s *Simulation) At(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	s.schedule(event{at: t, fn: fn})
+	s.schedule(t, call{fn: fn})
 }
 
 // After schedules fn d after the current virtual time. Negative d panics.
@@ -128,15 +173,15 @@ func (s *Simulation) After(d time.Duration, fn func()) {
 
 // AtArg schedules fn(arg) at absolute virtual time t. This is the
 // monomorphic form of At for zero-allocation request paths: the callback and
-// its argument are stored inline in the event, so scheduling captures no
-// closure. Pass a function value stored once (e.g. a struct field bound at
-// construction) — writing sv.sim.AtArg(t, sv.method, arg) creates a new
-// method value per call, which allocates.
+// its argument are stored by value, so scheduling captures no closure. Pass
+// a function value stored once (e.g. a struct field bound at construction)
+// — writing sv.sim.AtArg(t, sv.method, arg) creates a new method value per
+// call, which allocates.
 func (s *Simulation) AtArg(t time.Duration, fn func(uint64), arg uint64) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	s.schedule(event{at: t, argFn: fn, arg: arg})
+	s.schedule(t, call{argFn: fn, arg: arg})
 }
 
 // AfterArg schedules fn(arg) d after the current virtual time.
@@ -144,21 +189,75 @@ func (s *Simulation) AfterArg(d time.Duration, fn func(uint64), arg uint64) {
 	s.AtArg(s.now+d, fn, arg)
 }
 
+// AfterArgSeries schedules fn(arg+i) at Now + i·every for each i < n: the
+// events, order and sequence numbers of n consecutive AfterArg calls, held
+// as one batch-lane event and one heap element that advances in place each
+// time it fires (see the package comment). For every ≤ 0, or n < 3, where
+// sharing saves nothing, it is that AfterArg loop.
+func (s *Simulation) AfterArgSeries(every time.Duration, n int, fn func(uint64), arg uint64) {
+	if every <= 0 || n < 3 {
+		for i := 0; i < n; i++ {
+			s.AfterArg(time.Duration(i)*every, fn, arg+uint64(i))
+		}
+		return
+	}
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	seq := s.reserve(uint64(n)) // element i takes seq+i
+	s.ringPush(call{argFn: fn, arg: arg})
+	s.hidden += n - 2
+	s.push(s.now+every, seq+1, payload{call: call{argFn: fn, arg: arg + 1}, every: every, left: n - 2})
+	s.notePending()
+}
+
 // schedule routes an event to the heap (future instants) or the same-instant
 // ring (t == now, the batch lane). Scheduling in the past panics.
-func (s *Simulation) schedule(e event) {
-	if e.at < s.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", e.at, s.now))
+func (s *Simulation) schedule(t time.Duration, c call) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
-	s.seq++
-	e.seq = s.seq
-	if e.at == s.now {
-		s.ringPush(e)
+	seq := s.reserve(1)
+	if t == s.now {
+		s.ringPush(c)
 	} else {
-		s.queue = append(s.queue, e)
-		s.siftUp(len(s.queue) - 1)
+		s.push(t, seq, payload{call: c})
 	}
-	if p := len(s.queue) + s.ringLen; p > s.maxPending {
+	s.notePending()
+}
+
+// reserve claims the next n sequence numbers and returns the first.
+func (s *Simulation) reserve(n uint64) uint64 {
+	if s.seq+n > maxSeq {
+		panic("sim: more than 2^40 events scheduled")
+	}
+	first := s.seq + 1
+	s.seq += n
+	return first
+}
+
+// push adds a heap element that fires p at t with sequence number seq,
+// storing p in a released payload if there is one.
+func (s *Simulation) push(t time.Duration, seq uint64, p payload) {
+	var slot uint64
+	if s.free != 0 {
+		slot = s.free - 1
+		s.free = s.payloads[slot].arg
+		s.payloads[slot] = p
+	} else {
+		slot = uint64(len(s.payloads))
+		if slot > slotMask {
+			panic("sim: more than 2^24 events pending in the heap")
+		}
+		s.payloads = append(s.payloads, p)
+	}
+	s.queue = append(s.queue, entry{at: t, key: seq<<slotBits | slot})
+	s.siftUp(len(s.queue) - 1)
+}
+
+// notePending raises the MaxPending watermark to the current depth.
+func (s *Simulation) notePending() {
+	if p := s.Pending(); p > s.maxPending {
 		s.maxPending = p
 	}
 }
@@ -232,69 +331,87 @@ func (s *Simulation) RunUntil(deadline time.Duration) {
 	}
 }
 
-// Pending reports the number of queued events.
-func (s *Simulation) Pending() int { return len(s.queue) + s.ringLen }
+// Pending reports the number of queued events, counting every series
+// element not yet fired.
+func (s *Simulation) Pending() int { return len(s.queue) + s.ringLen + s.hidden }
 
 // MaxPending reports the high-watermark of Pending over the simulation's
 // lifetime — the measured steady-state queue depth that NewWithCapacity
 // hints should be sized to (the -scale artifact reports it per substrate).
 func (s *Simulation) MaxPending() int { return s.maxPending }
 
-// step pops and fires the next event in (time, seq) order: heap events due
-// at the current instant precede the same-instant ring (their sequence
-// numbers are necessarily smaller — see the package comment), and the ring
-// drains FIFO before the clock may advance to a future heap event.
+// step fires the next event in (time, seq) order: heap events due at the
+// current instant precede the same-instant ring (their sequence numbers are
+// necessarily smaller — see the package comment), and the ring drains FIFO
+// before the clock may advance to a future heap event.
 func (s *Simulation) step() {
 	if len(s.queue) > 0 && s.queue[0].at == s.now {
-		e := s.queue[0]
-		s.pop()
-		s.events++
-		e.fire()
+		s.fireTop()
 		return
 	}
 	if s.ringLen > 0 {
-		e := s.ringPop()
+		c := s.ringPop()
 		s.events++
-		e.fire()
+		c.fire()
 		return
 	}
-	e := s.queue[0]
-	s.pop()
-	s.now = e.at
+	s.now = s.queue[0].at
+	s.fireTop()
+}
+
+// fireTop fires the heap's minimum. A series element with more hidden
+// behind it gives way in place to the next one; any other element leaves
+// the heap and releases its payload.
+func (s *Simulation) fireTop() {
+	top := &s.queue[0]
+	slot := top.key & slotMask
+	p := &s.payloads[slot]
+	c := p.call
+	if p.left > 0 {
+		p.left--
+		p.arg++
+		s.hidden--
+		top.at += p.every
+		top.key += 1 << slotBits
+		s.siftDown(0)
+	} else {
+		*p = payload{call: call{arg: s.free}}
+		s.free = slot + 1
+		s.pop()
+	}
 	s.events++
-	e.fire()
+	c.fire()
 }
 
 // ringPush appends to the same-instant FIFO, growing the circular buffer by
 // doubling when full.
-func (s *Simulation) ringPush(e event) {
+func (s *Simulation) ringPush(c call) {
 	if s.ringLen == len(s.ring) {
-		grown := make([]event, max(4, 2*len(s.ring)))
+		grown := make([]call, max(4, 2*len(s.ring)))
 		for i := 0; i < s.ringLen; i++ {
 			grown[i] = s.ring[(s.ringHead+i)%len(s.ring)]
 		}
 		s.ring = grown
 		s.ringHead = 0
 	}
-	s.ring[(s.ringHead+s.ringLen)%len(s.ring)] = e
+	s.ring[(s.ringHead+s.ringLen)%len(s.ring)] = c
 	s.ringLen++
 }
 
 // ringPop removes the FIFO head in O(1) — the batch-dispatch path: no
 // sifting for same-instant cascades.
-func (s *Simulation) ringPop() event {
-	e := s.ring[s.ringHead]
-	s.ring[s.ringHead] = event{} // release the callbacks for GC
+func (s *Simulation) ringPop() call {
+	c := s.ring[s.ringHead]
+	s.ring[s.ringHead] = call{} // release the callbacks for GC
 	s.ringHead = (s.ringHead + 1) % len(s.ring)
 	s.ringLen--
-	return e
+	return c
 }
 
-// pop removes the minimum event from the heap.
+// pop removes the minimum element from the heap.
 func (s *Simulation) pop() {
 	n := len(s.queue) - 1
 	s.queue[0] = s.queue[n]
-	s.queue[n] = event{} // release the callback for GC
 	s.queue = s.queue[:n]
 	if n > 1 {
 		s.siftDown(0)

@@ -153,6 +153,39 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	s.Run()
 }
 
+// TestSchedulingPastSequenceLimitPanics: heap keys hold 40 bits of sequence
+// number, so the event past 2^40 panics rather than wrapping into an order
+// that would fire it first; a series that would cross the limit panics
+// before scheduling any element.
+func TestSchedulingPastSequenceLimitPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic past the sequence limit", name)
+			}
+		}()
+		f()
+	}
+	noop := func(uint64) {}
+	s := New()
+	s.seq = maxSeq - 1
+	s.AtArg(1, noop, 0) // takes the last sequence number
+	mustPanic("AtArg", func() { s.AtArg(1, noop, 0) })
+
+	s = New()
+	s.seq = maxSeq - 4
+	mustPanic("AfterArgSeries", func() { s.AfterArgSeries(1, 5, noop, 0) })
+	if s.Pending() != 0 {
+		t.Errorf("a series past the limit left %d events pending", s.Pending())
+	}
+	s.AfterArgSeries(1, 4, noop, 0) // exactly fits
+	s.Run()
+	if s.Events() != 4 {
+		t.Errorf("Events = %d after a series that fits the limit, want 4", s.Events())
+	}
+}
+
 func TestNilCallbackPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -532,6 +565,23 @@ func BenchmarkSimBatchDispatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t += time.Millisecond
 		s.AtArg(t, cascade, 63)
+		s.Run()
+	}
+}
+
+// BenchmarkSimSeries measures one workload burst: a 300-element series 2 µs
+// apart whose every element schedules a drain-like follow-up at now + 1 µs,
+// as an offer schedules its server's drain. The series holds one heap
+// element however long it is, so the heap stays two deep. ns/op is per
+// burst (600 events).
+func BenchmarkSimSeries(b *testing.B) {
+	s := NewWithCapacity(4)
+	drain := func(uint64) {}
+	offer := func(uint64) { s.AfterArg(time.Microsecond, drain, 0) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.AfterArgSeries(2*time.Microsecond, 300, offer, 0)
 		s.Run()
 	}
 }

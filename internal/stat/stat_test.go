@@ -292,8 +292,8 @@ func TestPercentilesMatchesPercentile(t *testing.T) {
 	}
 }
 
-// BenchmarkPercentiles2 vs BenchmarkPercentileTwice: the single-sort path
-// Latency.Snapshot now uses versus the old two-sort behaviour.
+// BenchmarkPercentiles2 is p50+p95 from one sorted copy: the exact path
+// Latency.Snapshot keeps for windows at or below metrics.ExactWindowThreshold.
 func BenchmarkPercentiles2(b *testing.B) {
 	xs := make([]float64, 512)
 	for i := range xs {
@@ -302,22 +302,6 @@ func BenchmarkPercentiles2(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Percentiles(xs, 50, 95); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPercentileTwice(b *testing.B) {
-	xs := make([]float64, 512)
-	for i := range xs {
-		xs[i] = float64((i * 7919) % 512)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Percentile(xs, 50); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Percentile(xs, 95); err != nil {
 			b.Fatal(err)
 		}
 	}
