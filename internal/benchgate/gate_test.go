@@ -151,6 +151,13 @@ var gated = []struct {
 			l.Observe(time.Duration(i%1000) * time.Microsecond)
 		}
 	}},
+	{"smartconf/internal/workload.BenchmarkYCSBNextOp", func(b *testing.B) {
+		y := workload.NewYCSB(1, 1<<20, workload.PresetA(4096, 1000))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			y.NextOp()
+		}
+	}},
 	{"smartconf/internal/declog.BenchmarkDeclogAppend", func(b *testing.B) {
 		l := declog.New(4096)
 		src := l.Register("gate")

@@ -238,6 +238,7 @@ func TestHotPathRootsAnnotated(t *testing.T) {
 		"smartconf/internal/mapred":    {"RunJob", "schedulerTick", "writeChunk", "reduceDone"},
 		"smartconf/internal/declog":    {"Append"},
 		"smartconf/internal/cluster":   {"Dispatch", "Redispatch", "Route", "RouteExcluding"},
+		"smartconf/internal/workload":  {"NextOp"},
 	}
 	paths := make([]string, 0, len(roots))
 	for p := range roots {

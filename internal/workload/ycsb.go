@@ -10,7 +10,10 @@
 //     parallelism) for the MapReduce substrate.
 //
 // Generators are deterministic given a seed: two runs of an experiment with
-// the same seed produce identical event streams.
+// the same seed produce identical event streams. YCSB keys are exactly
+// math/rand.Zipf's (s = 1.1, v = 1) from the same seed, drawn by a private
+// sampler that skips the stdlib's Exp and Log on almost every draw
+// (zipf.go).
 package workload
 
 import (
@@ -59,7 +62,7 @@ func (p YCSBPhase) String() string {
 // YCSB generates operations for one phase configuration.
 type YCSB struct {
 	rng   *rand.Rand
-	zipf  *rand.Zipf
+	zipf  zipf
 	phase YCSBPhase
 }
 
@@ -72,7 +75,7 @@ func NewYCSB(seed int64, keys uint64, phase YCSBPhase) *YCSB {
 	rng := rand.New(rand.NewSource(seed))
 	return &YCSB{
 		rng:   rng,
-		zipf:  rand.NewZipf(rng, 1.1, 1, keys-1),
+		zipf:  newZipf(rng, keys-1),
 		phase: phase,
 	}
 }
@@ -90,6 +93,8 @@ func (y *YCSB) NextInterarrival() time.Duration {
 }
 
 // NextOp draws the next operation.
+//
+//smartconf:hotpath
 func (y *YCSB) NextOp() Op {
 	write := y.rng.Float64() < y.phase.WriteRatio
 	jitter := 0.8 + 0.4*y.rng.Float64() // ±20%
@@ -97,7 +102,7 @@ func (y *YCSB) NextOp() Op {
 	if bytes < 1 {
 		bytes = 1
 	}
-	return Op{Write: write, Key: y.zipf.Uint64(), Bytes: bytes}
+	return Op{Write: write, Key: y.zipf.next(), Bytes: bytes}
 }
 
 // PhaseAt selects the active phase from a schedule at virtual time now: each
