@@ -55,8 +55,10 @@ func TestUnknownArtifactListsValidIDs(t *testing.T) {
 // TestOutputByteIdenticalAcrossWorkerCounts is the engine's headline
 // guarantee: every artifact the bench renders — figures, ablations, sweeps,
 // extensions — is byte-identical whether the simulations ran sequentially or
-// fanned out across 8 workers. Tables 2-5 are static study data and carry no
-// simulations, so the comparison covers the simulation-backed artifacts.
+// were shared among 2, 3 or 8 workers, and the run cache executes and hits
+// the same number of runs at every count. Tables 2-5 are static study data
+// and carry no simulations, so the comparison covers the simulation-backed
+// artifacts.
 func TestOutputByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	ids := make([]string, 0, len(order))
 	for _, id := range order {
@@ -69,37 +71,43 @@ func TestOutputByteIdenticalAcrossWorkerCounts(t *testing.T) {
 
 	prev := engine.SetWorkers(1)
 	defer engine.SetWorkers(prev)
-	experiments.ResetRunCache()
-	seq, err := renderArtifacts(ids)
-	if err != nil {
-		t.Fatalf("sequential render: %v", err)
-	}
-
-	engine.SetWorkers(8)
-	experiments.ResetRunCache()
-	par, err := renderArtifacts(ids)
-	experiments.ResetRunCache()
-	if err != nil {
-		t.Fatalf("parallel render: %v", err)
-	}
-
-	if seq != par {
-		i := 0
-		for i < len(seq) && i < len(par) && seq[i] == par[i] {
-			i++
+	defer experiments.ResetRunCache()
+	var seq string
+	var seqExec, seqHits uint64
+	for _, w := range []int{1, 2, 3, 8} {
+		engine.SetWorkers(w)
+		experiments.ResetRunCache()
+		out, err := renderArtifacts(ids)
+		if err != nil {
+			t.Fatalf("render at %d workers: %v", w, err)
 		}
-		lo, hi := i-120, i+120
-		if lo < 0 {
-			lo = 0
+		exec, hits := experiments.RunCacheStats()
+		if w == 1 {
+			seq, seqExec, seqHits = out, exec, hits
+			continue
 		}
-		window := func(s string) string {
-			if hi > len(s) {
-				return s[lo:]
+		if exec != seqExec || hits != seqHits {
+			t.Errorf("run cache at %d workers: %d executed, %d hits; at 1 worker: %d executed, %d hits",
+				w, exec, hits, seqExec, seqHits)
+		}
+		if out != seq {
+			i := 0
+			for i < len(seq) && i < len(out) && seq[i] == out[i] {
+				i++
 			}
-			return s[lo:hi]
+			lo, hi := i-120, i+120
+			if lo < 0 {
+				lo = 0
+			}
+			window := func(s string) string {
+				if hi > len(s) {
+					return s[lo:]
+				}
+				return s[lo:hi]
+			}
+			t.Errorf("output differs between -parallel 1 and -parallel %d at byte %d:\n--- workers=1 ---\n…%s…\n--- workers=%d ---\n…%s…",
+				w, i, window(seq), w, window(out))
 		}
-		t.Errorf("output differs between -parallel 1 and -parallel 8 at byte %d:\n--- workers=1 ---\n…%s…\n--- workers=8 ---\n…%s…",
-			i, window(seq), window(par))
 	}
 }
 

@@ -232,6 +232,17 @@ var gated = []struct {
 			f.Dispatch(cluster.Request{Key: keys[i&(1<<16-1)], Cost: 1}, i)
 		}
 	}},
+	{"smartconf/internal/cluster.BenchmarkFleetDispatchRefusedByAll", func(b *testing.B) {
+		f := cluster.NewFleet[int](cluster.KeyAffinity)
+		for i := 0; i < 256; i++ {
+			m := &gateMember{id: i}
+			f.Add(m, 1, m.offer)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.Dispatch(cluster.Request{Key: uint64(i), Cost: 1}, i)
+		}
+	}},
 }
 
 // TestHotPathAllocationsVsBaseline fails the build when a gated hot path

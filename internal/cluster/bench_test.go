@@ -122,3 +122,22 @@ func BenchmarkFleetDispatchWide(b *testing.B) {
 		f.Dispatch(Request{Key: keys[i&(1<<16-1)], Cost: 1}, i)
 	}
 }
+
+// BenchmarkFleetDispatchRefusedByAll measures a placement that every member
+// refuses: 256 members of backlog bound 0 under key affinity, a new key
+// every op. Each Dispatch makes 256 routing attempts: the first memoRanks
+// fill the key's memo slot, and the rest walk the key's deep rendezvous
+// order, built once per key. Benchgate-gated at 0 allocs/op via
+// BENCH_engine.json.
+func BenchmarkFleetDispatchRefusedByAll(b *testing.B) {
+	f := NewFleet[int](KeyAffinity)
+	for i := 0; i < 256; i++ {
+		m := &boundedMember{id: i}
+		f.Add(m, 1, m.offer)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Dispatch(Request{Key: uint64(i), Cost: 1}, i)
+	}
+}

@@ -71,8 +71,10 @@ func FuzzRouteExcluding(f *testing.F) {
 // through a fuzzer-chosen sequence of steps and requires every decision to
 // match. Unlike FuzzRouteExcluding, the router lives across steps, so the
 // affinity memo sees hits, slot collisions, evictions, rank extensions and
-// membership growth; after every affinity route the key's memoized order
-// must also be a prefix of the reference's full rendezvous order.
+// membership growth, and placements that spill past the memo walk, resume
+// and restart the deep order; after every affinity route the key's memoized
+// order must also be a prefix of the reference's full rendezvous order, and
+// the deep order must equal the full order of its key.
 //
 // The input is a four-byte header — policy, initial width (1–256), member
 // id modulus (0 keeps ids unique; otherwise ids repeat, so rendezvous hashes
@@ -228,6 +230,32 @@ func routeBoth(t *testing.T, step int, r *Router, ref *refRouter, req Request, t
 				}
 			}
 		}
+		checkDeepOrder(t, step, r, ref)
 	}
 	return got
+}
+
+// checkDeepOrder requires a built deep order to be its key's full
+// rendezvous order, with prefix holding exactly the members above the
+// cursor.
+func checkDeepOrder(t *testing.T, step int, r *Router, ref *refRouter) {
+	t.Helper()
+	d := r.deep
+	if d.gen != r.gen {
+		return
+	}
+	var above TriedSet
+	for k, i := range ref.order(d.key) {
+		if d.place[k].idx != i {
+			t.Fatalf("step %d, %s: deep order of key %#x has member %d at place %d, reference %d",
+				step, r.policy, d.key, d.place[k].idx, k, i)
+		}
+		if k < d.cursor {
+			above.Set(i)
+		}
+	}
+	if above != d.prefix {
+		t.Fatalf("step %d, %s: deep prefix %v, want the members above cursor %d: %v",
+			step, r.policy, d.prefix, d.cursor, above)
+	}
 }

@@ -1,6 +1,9 @@
 package cluster
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // PolicyKind selects the routing policy a Router applies.
 type PolicyKind int
@@ -97,6 +100,40 @@ type memoSlot struct {
 // memoIndex maps a key to its memo slot (multiplicative hashing).
 func memoIndex(key uint64) uint64 { return key * goldenGamma >> (64 - memoBits) }
 
+// deepOrder is the full rendezvous order of the last key that spilled past
+// its memo slot's memoRanks places, for the placements that go that deep:
+// one that every member refuses walks the order once instead of scanning
+// every remaining candidate on each attempt. Places are ranked by the memo's
+// rule (hash descending, ties to the lower index); gen ties the order to
+// the membership it was built for, and is 0 while the order is empty (a
+// router with members is past generation 0). cursor is where the last walk
+// stopped and prefix holds every member ranked above it, so a walk whose
+// candidates include none of them resumes at the cursor.
+type deepOrder struct {
+	key    uint64
+	gen    uint32
+	cursor int
+	prefix TriedSet
+	place  [maxMembers]deepPlace
+}
+
+// deepPlace is one member's place in a deep order.
+type deepPlace struct {
+	hash uint64
+	idx  int
+}
+
+// byRank orders places hash descending, ties to the lower index.
+func byRank(a, b deepPlace) int {
+	switch {
+	case a.hash > b.hash:
+		return -1
+	case a.hash < b.hash:
+		return 1
+	}
+	return a.idx - b.idx
+}
+
 // Router places requests on fleet members according to one PolicyKind. The
 // decision path is allocation-free: it runs once per simulated request.
 //
@@ -109,7 +146,9 @@ func memoIndex(key uint64) uint64 { return key * goldenGamma >> (64 - memoBits) 
 //
 // The affinity policies memoize each recent key's rendezvous order over all
 // members (pickRendezvous), so a repeated key routes without rehashing the
-// fleet.
+// fleet, and keep the full order of the last key that spilled past its memo
+// (pickDeep), so a placement refused by every member costs one order build
+// rather than a scan per attempt.
 type Router struct {
 	policy  PolicyKind
 	members []Instance
@@ -129,8 +168,10 @@ type Router struct {
 	tick uint64
 	// memo caches each recent key's rendezvous order for the affinity
 	// policies (nil for the others); a slot is valid only while its gen
-	// equals gen, which Add bumps.
+	// equals gen, which Add bumps. deep holds the full order of the last key
+	// that spilled past its slot (nil for the other policies).
 	memo []memoSlot
+	deep *deepOrder
 	gen  uint32
 }
 
@@ -139,6 +180,7 @@ func NewRouter(policy PolicyKind) *Router {
 	r := &Router{policy: policy}
 	if policy == KeyAffinity || policy == PrefixAffinity {
 		r.memo = make([]memoSlot, 1<<memoBits)
+		r.deep = &deepOrder{}
 	}
 	return r
 }
@@ -342,7 +384,8 @@ func (r *Router) pickTournament(req Request, cand *TriedSet, count int, weighted
 // candidate. When none is, the order grows by one place (one scan over all
 // members); if that place is not a candidate either, the candidate scan
 // decides. A miss therefore costs at most two scans, and a repeated key whose
-// owner is live and untried costs none.
+// owner is live and untried costs none. Once the slot holds all memoRanks
+// places and none is a candidate, the key's full order decides (pickDeep).
 func (r *Router) pickRendezvous(key uint64, cand *TriedSet) int {
 	s := &r.memo[memoIndex(key)]
 	if s.key != key || s.gen != r.gen {
@@ -353,7 +396,10 @@ func (r *Router) pickRendezvous(key uint64, cand *TriedSet) int {
 			return int(i)
 		}
 	}
-	if s.n < memoRanks && int(s.n) < len(r.members) {
+	if s.n == memoRanks {
+		return r.pickDeep(key, cand)
+	}
+	if int(s.n) < len(r.members) {
 		i := r.nextRank(key, s)
 		s.rank[s.n] = uint8(i)
 		s.n++
@@ -362,6 +408,42 @@ func (r *Router) pickRendezvous(key uint64, cand *TriedSet) int {
 		}
 	}
 	return r.scanRendezvous(key, cand)
+}
+
+// pickDeep returns the first candidate in key's full rendezvous order,
+// building the order (one hash per member and a sort) when the deep order
+// holds another key or membership. A placement's tried set only grows, so
+// its next attempt finds no candidate above the cursor and resumes there:
+// a placement refused by all N members walks the order once, O(N) in all.
+// Any candidate above the cursor (a new placement, a revived member)
+// restarts the walk at the top.
+func (r *Router) pickDeep(key uint64, cand *TriedSet) int {
+	d := r.deep
+	n := len(r.members)
+	if d.key != key || d.gen != r.gen {
+		d.key, d.gen = key, r.gen
+		for i, salt := range r.salts {
+			d.place[i] = deepPlace{hash: mix64(key ^ salt), idx: i}
+		}
+		slices.SortFunc(d.place[:n], byRank)
+		d.cursor, d.prefix = 0, TriedSet{}
+	}
+	j := d.cursor
+	for w := 0; w < triedWords; w++ {
+		if d.prefix[w]&cand[w] != 0 {
+			j, d.prefix = 0, TriedSet{}
+			break
+		}
+	}
+	for ; j < n; j++ {
+		i := d.place[j].idx
+		if cand.Has(i) {
+			d.cursor = j
+			return i
+		}
+		d.prefix.Set(i)
+	}
+	return -1 // unreachable: every candidate is a member
 }
 
 // nextRank returns the member that follows s's last memoized place in key's

@@ -127,6 +127,68 @@ func TestKeyAffinityStableAndMinimal(t *testing.T) {
 	}
 }
 
+// TestAffinityRefusedByAllThenPlacedAgain spills one key past its memo: a
+// placement every member refuses must visit the key's whole rendezvous
+// order exactly once, and a later placement with a fresh tried set must
+// restart the walk at the top (the cursor-reset path) rather than resume
+// where the refused placement stopped. A member added afterwards must
+// appear in the next walk: the order is rebuilt for the new membership.
+// Every decision is checked against the reference router.
+func TestAffinityRefusedByAllThenPlacedAgain(t *testing.T) {
+	fakes := newFakes(maxMembers)
+	r, ref := NewRouter(KeyAffinity), newRefRouter(KeyAffinity)
+	for _, f := range fakes[:maxMembers-1] {
+		r.Add(f, 1)
+		ref.add(f, 1)
+	}
+	req := Request{Key: 0xdecaf, Cost: 1}
+	order := ref.order(req.Key)
+	place := func(step, refusals int) {
+		t.Helper()
+		var tried TriedSet
+		for k := 0; k <= refusals && k < len(order); k++ {
+			got := routeBoth(t, step, r, ref, req, tried)
+			if got != order[k] {
+				t.Fatalf("placement %d, attempt %d: routed to %d, want place %d of the order (%d)", step, k, got, k, order[k])
+			}
+			tried.Set(got)
+		}
+		if refusals >= len(order) {
+			if got := r.RouteExcluding(req, tried); got != -1 {
+				t.Fatalf("placement %d: every member tried, still routed to %d", step, got)
+			}
+		}
+	}
+	place(0, len(order)) // refused by all: the memo, then the deep order to its end
+	if r.deep.key != req.Key || r.deep.cursor != len(order)-1 {
+		t.Fatalf("deep order holds key %#x at cursor %d after a refused-by-all placement, want %#x at %d",
+			r.deep.key, r.deep.cursor, req.Key, len(order)-1)
+	}
+	place(1, memoRanks+2) // fresh tried set: the deep walk restarts at the top
+	if r.deep.cursor != memoRanks+2 {
+		t.Fatalf("deep cursor %d after a placement accepted at place %d", r.deep.cursor, memoRanks+2)
+	}
+	// A dead member above the cursor is skipped; revived, it is a candidate
+	// above the cursor again, so the walk restarts and finds it.
+	fakes[order[memoRanks]].alive = false
+	var tried TriedSet
+	for _, i := range order[:memoRanks] {
+		tried.Set(i)
+	}
+	if got := routeBoth(t, 2, r, ref, req, tried); got != order[memoRanks+1] {
+		t.Fatalf("routed to %d with place %d dead, want place %d (%d)", got, memoRanks, memoRanks+1, order[memoRanks+1])
+	}
+	fakes[order[memoRanks]].alive = true
+	if got := routeBoth(t, 3, r, ref, req, tried); got != order[memoRanks] {
+		t.Fatalf("routed to %d after place %d revived, want %d", got, memoRanks, order[memoRanks])
+	}
+	// Growing the fleet invalidates the order.
+	r.Add(fakes[maxMembers-1], 1)
+	ref.add(fakes[maxMembers-1], 1)
+	order = ref.order(req.Key)
+	place(4, len(order))
+}
+
 func TestKeyAffinitySpreadsKeys(t *testing.T) {
 	fakes := newFakes(4)
 	r := routerOver(KeyAffinity, fakes)

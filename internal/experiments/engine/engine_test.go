@@ -41,28 +41,66 @@ func TestMapSequentialWhenOneWorker(t *testing.T) {
 }
 
 func TestMapNestedNoDeadlock(t *testing.T) {
-	prev := SetWorkers(4)
+	prev := SetWorkers(1)
 	defer SetWorkers(prev)
-	done := make(chan []int, 1)
-	go func() {
-		done <- Map(8, func(i int) int {
-			inner := Map(8, func(j int) int { return j })
-			sum := 0
-			for _, v := range inner {
-				sum += v
+	for _, w := range []int{2, 3, 8} {
+		SetWorkers(w)
+		done := make(chan []int, 1)
+		go func() {
+			done <- Map(8, func(i int) int {
+				inner := Map(8, func(j int) int { return j })
+				sum := 0
+				for _, v := range inner {
+					sum += v
+				}
+				return sum + i
+			})
+		}()
+		select {
+		case got := <-done:
+			for i, v := range got {
+				if v != 28+i {
+					t.Fatalf("workers=%d: got[%d] = %d, want %d", w, i, v, 28+i)
+				}
 			}
-			return sum + i
-		})
-	}()
-	select {
-	case got := <-done:
-		for i, v := range got {
-			if v != 28+i {
-				t.Fatalf("got[%d] = %d, want %d", i, v, 28+i)
-			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: nested Map deadlocked", w)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("nested Map deadlocked")
+	}
+}
+
+// TestMapIdleLanePullsNextJob makes job k wait until every other job has
+// finished, for every k, at two workers. That finishes only if the lane not
+// stuck in job k pulls all the others — including the jobs after k, which a
+// scheduler that hands out jobs in the caller's loop never reaches while the
+// caller itself sits in k.
+func TestMapIdleLanePullsNextJob(t *testing.T) {
+	prev := SetWorkers(2)
+	defer SetWorkers(prev)
+	const n = 6
+	for k := 0; k < n; k++ {
+		var finished atomic.Int64
+		others := make(chan struct{})
+		var timedOut atomic.Bool
+		Map(n, func(i int) int {
+			if i != k {
+				time.Sleep(time.Millisecond)
+				if finished.Add(1) == n-1 {
+					close(others)
+				}
+				return i
+			}
+			select {
+			case <-others:
+			case <-time.After(2 * time.Second):
+				timedOut.Store(true)
+			}
+			return i
+		})
+		if timedOut.Load() {
+			t.Fatalf("job %d waited 2 s for the other %d jobs: the idle lane did not pull them (%d finished)",
+				k, n-1, finished.Load())
+		}
 	}
 }
 
@@ -80,6 +118,120 @@ func TestMapPanicPropagates(t *testing.T) {
 		}
 		return i
 	})
+}
+
+// TestMapPanicStopsPullsAndWaits runs jobs 0, 1 and 2 on three lanes and
+// panics in job 2 while the other two are running. They return only once
+// the panicking lane has given its token back, that is after the panic was
+// recorded: no job may start after that, and the panic may reach the caller
+// only after job 1, running on a helper, has returned.
+func TestMapPanicStopsPullsAndWaits(t *testing.T) {
+	prev := SetWorkers(3)
+	defer SetWorkers(prev)
+	const n = 10
+	entry := inFlight.Load()
+	var started [n]atomic.Bool
+	var running sync.WaitGroup
+	running.Add(2)
+	job2Running := make(chan struct{})
+	var job1Returned, stuck atomic.Bool
+	// waitForPanic blocks until the panicking helper has exited, leaving
+	// one token (the other helper's) in flight.
+	waitForPanic := func() {
+		<-job2Running
+		for deadline := time.Now().Add(5 * time.Second); inFlight.Load() > entry+1; {
+			if time.Now().After(deadline) {
+				stuck.Store(true)
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the job's panic value %q", r, "boom")
+			}
+			if !job1Returned.Load() {
+				t.Error("panic re-raised while job 1 was still running")
+			}
+		}()
+		Map(n, func(i int) int {
+			started[i].Store(true)
+			switch i {
+			case 0, 1:
+				running.Done()
+				waitForPanic()
+				if i == 1 {
+					job1Returned.Store(true)
+				}
+			case 2:
+				close(job2Running)
+				running.Wait()
+				panic("boom")
+			}
+			return i
+		})
+		t.Fatal("Map returned normally after a job panicked")
+	}()
+	if stuck.Load() {
+		t.Error("the panicking lane kept its token for 5 s")
+	}
+	for i := 3; i < n; i++ {
+		if started[i].Load() {
+			t.Errorf("job %d started after job 2 panicked", i)
+		}
+	}
+}
+
+// TestMapReleasesTokens checks the token budget at several worker counts:
+// no more than workers-1 helpers hold tokens at once, and every token is
+// back when Map returns — after a nested fan-out, and after a panic raised
+// on one lane while the other lane is still inside a job.
+func TestMapReleasesTokens(t *testing.T) {
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	for _, w := range []int{2, 3, 8} {
+		SetWorkers(w)
+		entry := inFlight.Load()
+		var peak atomic.Int64
+		Map(12, func(i int) int {
+			for {
+				cur, p := inFlight.Load(), peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			return len(Map(3, func(j int) int {
+				time.Sleep(200 * time.Microsecond)
+				return j
+			}))
+		})
+		if got := inFlight.Load(); got != entry {
+			t.Errorf("workers=%d: %d tokens in flight after Map, want %d", w, got, entry)
+		}
+		if p := peak.Load(); p > int64(w-1) {
+			t.Errorf("workers=%d: %d helpers held tokens at once, budget is %d", w, p, w-1)
+		}
+
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d: panic did not propagate", w)
+				}
+			}()
+			Map(4, func(i int) int {
+				if i == 1 {
+					panic("boom")
+				}
+				time.Sleep(20 * time.Millisecond)
+				return i
+			})
+		}()
+		if got := inFlight.Load(); got != entry {
+			t.Errorf("workers=%d: %d tokens in flight after a panicking Map, want %d", w, got, entry)
+		}
+	}
 }
 
 func TestMapSlice(t *testing.T) {

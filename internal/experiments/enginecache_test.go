@@ -70,23 +70,33 @@ func TestRunCacheKeySeparation(t *testing.T) {
 	}
 }
 
-// Fanning a figure out across many workers must produce byte-identical
-// renderings to the sequential build. Forcing 8 workers on any host also
-// makes this the package's concurrency test under -race.
+// Sharing a figure's runs among any number of workers must produce
+// byte-identical renderings to the sequential build, with the same run-cache
+// counts. Forcing 2, 3 and 8 workers on any host also makes this the
+// package's concurrency test under -race.
 func TestParallelFigure5Deterministic(t *testing.T) {
 	prev := engine.SetWorkers(1)
 	defer engine.SetWorkers(prev)
+	defer ResetRunCache()
 
-	ResetRunCache()
-	seq := RenderFigure5(BuildFigure5())
-
-	engine.SetWorkers(8)
-	ResetRunCache()
-	par := RenderFigure5(BuildFigure5())
-	ResetRunCache()
-
-	if seq != par {
-		t.Errorf("parallel Figure 5 differs from sequential:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
+	var seq string
+	var seqExec, seqHits uint64
+	for _, w := range []int{1, 2, 3, 8} {
+		engine.SetWorkers(w)
+		ResetRunCache()
+		out := RenderFigure5(BuildFigure5())
+		exec, hits := RunCacheStats()
+		if w == 1 {
+			seq, seqExec, seqHits = out, exec, hits
+			continue
+		}
+		if exec != seqExec || hits != seqHits {
+			t.Errorf("run cache at %d workers: %d executed, %d hits; at 1 worker: %d executed, %d hits",
+				w, exec, hits, seqExec, seqHits)
+		}
+		if out != seq {
+			t.Errorf("Figure 5 at %d workers differs from sequential:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s", w, seq, w, out)
+		}
 	}
 }
 
