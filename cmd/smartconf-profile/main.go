@@ -112,8 +112,9 @@ func run() int {
 	fmt.Printf("profiled %s (%s): %d samples over %d settings\n",
 		*issue, p.conf, profile.TotalSamples(), len(profile.Settings))
 	fmt.Printf("  model: %v\n", model)
-	fmt.Printf("  λ = %.4f  Δ = %.3f  pole = %.3f\n",
-		profile.Lambda(), profile.Delta(), core.PoleFromDelta(profile.Delta()))
+	pole := core.PoleFromDelta(profile.Delta())
+	fmt.Printf("  λ = %.4f  Δ = %.3f  pole = %.3f  tolerated gain error < %.3f× soft, %.3f× hard\n",
+		profile.Lambda(), profile.Delta(), pole, core.GainTolerance(pole, false), core.GainTolerance(pole, true))
 	fmt.Printf("  wrote %s\n", path)
 	return 0
 }

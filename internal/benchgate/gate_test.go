@@ -98,6 +98,24 @@ var gated = []struct {
 			s.Run()
 		}
 	}},
+	{"smartconf/internal/sim.BenchmarkSimScheduleDeep", func(b *testing.B) {
+		const depth = 1024
+		s := sim.NewWithCapacity(depth + 1)
+		fn := func() {}
+		t := time.Duration(0)
+		for i := 0; i < depth; i++ {
+			t += time.Millisecond
+			s.At(t, fn)
+		}
+		next := time.Duration(0) // the earliest pending instant
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t += time.Millisecond
+			next += time.Millisecond
+			s.At(t, fn)
+			s.RunUntil(next)
+		}
+	}},
 	{"smartconf/internal/sim.BenchmarkSimScheduleArg", func(b *testing.B) {
 		s := sim.NewWithCapacity(1)
 		fn := func(uint64) {}

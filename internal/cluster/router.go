@@ -447,14 +447,22 @@ func (r *Router) pickDeep(key uint64, cand *TriedSet) int {
 }
 
 // nextRank returns the member that follows s's last memoized place in key's
-// rendezvous order (the first place when s is empty): the highest hash below
-// the last place's, ties ranked by ascending index.
+// rendezvous order: the highest hash below the last place's, ties ranked by
+// ascending index. An empty slot's first place is the plain argmax, which
+// takes a later member only on a strictly greater hash, so ties go to the
+// lower index there too.
 func (r *Router) nextRank(key uint64, s *memoSlot) int {
-	lastHash, last := ^uint64(0), -1
-	if s.n > 0 {
-		last = int(s.rank[s.n-1])
-		lastHash = mix64(key ^ r.salts[last])
+	if s.n == 0 {
+		best, bestHash := 0, mix64(key^r.salts[0])
+		for i, salt := range r.salts[1:] {
+			if h := mix64(key ^ salt); h > bestHash {
+				best, bestHash = i+1, h
+			}
+		}
+		return best
 	}
+	last := int(s.rank[s.n-1])
+	lastHash := mix64(key ^ r.salts[last])
 	best := -1
 	var bestHash uint64
 	for i, salt := range r.salts {

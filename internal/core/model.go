@@ -187,6 +187,20 @@ func PoleFromDelta(delta float64) float64 {
 	return 0
 }
 
+// GainTolerance is the largest plant-gain error a loop with the given pole
+// converges under, the true slope being g·α while the model says α:
+// 2/(1−p) for a soft goal, and 1 + 1/(1−p) for a hard one, whose pole-0
+// step past the virtual goal overshoots by g−1 (DESIGN.md §3). At the pole
+// PoleFromDelta picks for Δ > 2 these are Δ and 1 + Δ/2. Both are at least
+// 2 for every pole in [0, 1): the paper's tolerance of any model error
+// below 2×.
+func GainTolerance(pole float64, hard bool) float64 {
+	if hard {
+		return 1 + 1/(1-pole)
+	}
+	return 2 / (1 - pole)
+}
+
 // VirtualGoal applies the §5.2 rule s_v = (1−λ)·goal for upper-bound goals
 // and the mirror form (1+λ)·goal for lower-bound goals, clamping λ into
 // [0, 0.95] so a wildly unstable profile cannot produce a degenerate (zero

@@ -111,6 +111,30 @@ func TestPoleFromDeltaBoundary(t *testing.T) {
 	}
 }
 
+// TestGainTolerance: at the pole PoleFromDelta picks, a soft loop tolerates
+// a gain error up to Δ and a hard loop up to 1 + Δ/2, and neither tolerates
+// less than 2 (the deadbeat pole of Δ ≤ 2).
+func TestGainTolerance(t *testing.T) {
+	cases := []struct {
+		delta      float64
+		soft, hard float64
+	}{
+		{1, 2, 2},
+		{2, 2, 2},
+		{4, 4, 3},
+		{8, 8, 5},
+	}
+	for _, c := range cases {
+		p := PoleFromDelta(c.delta)
+		if got := GainTolerance(p, false); math.Abs(got-c.soft) > 1e-12 {
+			t.Errorf("Δ = %v: soft tolerance %v, want %v", c.delta, got, c.soft)
+		}
+		if got := GainTolerance(p, true); math.Abs(got-c.hard) > 1e-12 {
+			t.Errorf("Δ = %v: hard tolerance %v, want %v", c.delta, got, c.hard)
+		}
+	}
+}
+
 func TestVirtualGoal(t *testing.T) {
 	if got := VirtualGoal(1000, 0.1, UpperBound); math.Abs(got-900) > 1e-9 {
 		t.Errorf("upper virtual goal = %v, want 900", got)

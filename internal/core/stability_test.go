@@ -33,12 +33,10 @@ type stabilityLoop struct {
 	n            int
 }
 
-// boundary returns the loop gain error g where convergence ends.
+// boundary returns the loop gain error g where convergence ends: N times
+// the tolerance of the controller's pole for the goal's kind.
 func (l stabilityLoop) boundary() float64 {
-	if l.hard {
-		return float64(l.n) * (1 + l.delta/2)
-	}
-	return float64(l.n) * l.delta
+	return float64(l.n) * GainTolerance(PoleFromDelta(l.delta), l.hard)
 }
 
 // envelopes runs the loop at gain error g and returns, per window, the

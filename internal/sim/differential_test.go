@@ -255,6 +255,22 @@ var simDiffSeeds = [][]byte{
 	// a handler schedules a series whose handlers schedule closures and
 	// events; RunUntil deadlines fall between its elements.
 	{3 | 6<<2, 1, 0, 10, 2, 0, 6, 2 | 9<<2, 9, 3, 9, 0, 6, 5, 0, 0, 2 | 9<<2, 0, 0},
+	deepTieSeed(),
+}
+
+// deepTieSeed keeps up to 258 events in the heap, all due within 15 ns, so
+// every pop walks several levels through full groups of children that tie
+// on their instant: 300 top-level AtArg ops 1–15 ns ahead, with a Step
+// every 7 ops whose handler reads a 0, which schedules nothing.
+func deepTieSeed() []byte {
+	var prog []byte
+	for i := 0; i < 300; i++ {
+		prog = append(prog, 3|6<<2, byte(1+i*7%15))
+		if i%7 == 6 {
+			prog = append(prog, 0, 0)
+		}
+	}
+	return prog
 }
 
 // tableRun runs script against a fresh scheduler, then steps it dry and

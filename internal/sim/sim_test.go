@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -183,6 +185,39 @@ func TestSchedulingPastSequenceLimitPanics(t *testing.T) {
 	s.Run()
 	if s.Events() != 4 {
 		t.Errorf("Events = %d after a series that fits the limit, want 4", s.Events())
+	}
+}
+
+// TestLessBitMatchesBefore checks the heap's branch-free comparison against
+// before on every pair of edge entries (negative, zero and extreme instants,
+// equal instants and equal keys) and on random entries, some sharing an
+// edge instant or key.
+func TestLessBitMatchesBefore(t *testing.T) {
+	ats := []time.Duration{math.MinInt64, math.MinInt64 + 1, -time.Second, -1, 0, 1, time.Second, math.MaxInt64 - 1, math.MaxInt64}
+	keys := []uint64{0, 1, slotMask, 1 << slotBits, 1<<slotBits | 1, maxSeq << slotBits, math.MaxUint64 - 1, math.MaxUint64}
+	var es []entry
+	for _, at := range ats {
+		for _, key := range keys {
+			es = append(es, entry{at, key})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		es = append(es,
+			entry{time.Duration(rng.Uint64()), rng.Uint64()},
+			entry{ats[rng.Intn(len(ats))], rng.Uint64()},
+			entry{time.Duration(rng.Uint64()), keys[rng.Intn(len(keys))]})
+	}
+	for _, a := range es {
+		for _, b := range es {
+			want := 0
+			if a.before(b) {
+				want = 1
+			}
+			if got := lessBit(a, b); got != want {
+				t.Fatalf("lessBit(%v, %v) = %d, before says %v", a, b, got, a.before(b))
+			}
+		}
 	}
 }
 
