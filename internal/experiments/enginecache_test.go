@@ -51,6 +51,28 @@ func TestRunCacheDeduplicatesAcrossFigures(t *testing.T) {
 	}
 }
 
+// A cold fleet build executes each fleet run and each profile it needs once,
+// and looks none of them up twice: six policies plus the fleet-memory and SLA
+// profiles for the comparison, one run plus the fleet-memory profile for the
+// heterogeneous fleet. A profile fetched once per node would show as hits.
+func TestRunCacheColdFleetCounts(t *testing.T) {
+	defer ResetRunCache()
+	for _, c := range []struct {
+		name       string
+		build      func()
+		runs, hits uint64
+	}{
+		{"BuildFleetComparison", func() { BuildFleetComparison() }, 8, 0},
+		{"BuildFleetHetero", func() { BuildFleetHetero() }, 2, 0},
+	} {
+		ResetRunCache()
+		c.build()
+		if runs, hits := RunCacheStats(); runs != c.runs || hits != c.hits {
+			t.Errorf("cold %s: %d runs, %d hits; want %d runs, %d hits", c.name, runs, hits, c.runs, c.hits)
+		}
+	}
+}
+
 // The cache key must separate runs that share a policy label: Figure 7's
 // pinned-pole SmartConf run may not alias Figure 5's auto-pole run, and the
 // per-seed MR2820 runs may not alias each other.

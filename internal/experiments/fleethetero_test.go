@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"testing"
+)
 
 // TestFleetHeteroSpecMaxDerivation pins the heap → Spec.Max derivation: a
 // bigger box must get a strictly deeper knob capacity, and the derivation on
@@ -27,9 +32,19 @@ func TestFleetHeteroSpecMaxDerivation(t *testing.T) {
 // each node's own heap, the coordinated controllers must meet the hard
 // fleet-wide memory goal, no member may OOM, and no node's final bound may
 // exceed its derived capacity — the property a uniform Spec.Max cannot give
-// a mixed fleet.
+// a mixed fleet. The whole result is pinned by the SHA-256 of its JSON (the
+// run cache's encoding): a change that moves the run but keeps those
+// properties must re-record it on purpose.
 func TestFleetHeteroAcceptance(t *testing.T) {
 	r := BuildFleetHetero()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "99b438360b08a45dbc592bc2e05be221369a69b008d534eab506d39b2c634864"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != golden {
+		t.Errorf("heterogeneous FleetResult sha256 %s, recorded %s", got, golden)
+	}
 	if !r.ConstraintMet {
 		t.Fatalf("heterogeneous fleet violated the hard memory goal: %s at %v", r.Violation, r.ViolatedAt)
 	}

@@ -31,15 +31,34 @@ func fleetSeeds() []int64 {
 	return seeds
 }
 
+// fleetPins are the recorded whole-run fingerprints of the quick seeds. The
+// replay oracles compare a run only with its own replay, so a change that
+// shifts every run alike passes them; the pins catch it.
+var fleetPins = map[string]string{
+	"RPC/seed=1":        "43e72575a60d0336",
+	"RPC/seed=2":        "f29ecf71cd983f67",
+	"LLM/seed=1":        "3d4f86961f181b9a",
+	"LLM/seed=2":        "e2144ca2aeffef3a",
+	"LLM-PREFIX/seed=1": "94f787b16fdc99c0",
+	"LLM-PREFIX/seed=2": "451226afbb781425",
+	"KV/seed=1":         "72cc28401a172854",
+	"KV/seed=2":         "1279a3a2dd91176c",
+}
+
 // TestFleetProperties holds every substrate × seed fleet run to the
 // conservation and drain oracles, then replays it and holds the pair to the
-// stability oracles.
+// stability oracles and, on the quick seeds, to the recorded fingerprint.
 func TestFleetProperties(t *testing.T) {
 	for _, sub := range experiments.FleetSubstrates() {
 		for _, seed := range fleetSeeds() {
-			t.Run(fmt.Sprintf("%s/seed=%d", sub, seed), func(t *testing.T) {
+			name := fmt.Sprintf("%s/seed=%d", sub, seed)
+			t.Run(name, func(t *testing.T) {
 				a := experiments.RunFleetProperty(sub, seed)
 				b := experiments.RunFleetProperty(sub, seed)
+				t.Logf("fingerprint %s", a.Fingerprint)
+				if want, ok := fleetPins[name]; ok && a.Fingerprint != want {
+					t.Errorf("fingerprint %s, recorded %s", a.Fingerprint, want)
+				}
 				if a.Lost < 1 {
 					t.Fatalf("fleet run lost %d instances; the plan must kill one", a.Lost)
 				}
