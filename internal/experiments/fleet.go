@@ -14,6 +14,7 @@ import (
 	"smartconf/internal/experiments/engine"
 	"smartconf/internal/memsim"
 	"smartconf/internal/rpcserver"
+	"smartconf/internal/sim"
 	"smartconf/internal/stat"
 	"smartconf/internal/workload"
 )
@@ -152,28 +153,62 @@ func ProfileFleetMemory() core.Profile {
 	})
 }
 
+// fleetRun is one RPC fleet scenario. The `fleet` artifact's uniform fleet
+// and the mixed-heap fleet are two values of it: run wires the members, the
+// controllers, the coordinator ticks, the probes and the verdict for both.
+type fleetRun struct {
+	// heaps are the member heap capacities, one member each.
+	heaps []int64
+	// The run ends at runTime; the workload stops at loadUntil, before it,
+	// so the drain tail is observable.
+	runTime, loadUntil time.Duration
+	// nodeMax is a node's memory-guard Spec.Max given its heap: the knob's
+	// per-node capacity, which the fleet-wide goal cannot see.
+	nodeMax func(heap int64) float64
+	// armed arms the seeded loss/restart plan and the per-node soft p99
+	// layer (latency guards, their tick and the p99 probe).
+	armed bool
+}
+
 // RunFleetScenario executes the fleet scenario under one policy. Uncached:
 // BuildFleetComparison memoizes around it.
 func RunFleetScenario(p Policy) FleetResult {
+	heaps := make([]int64, fleetNodes)
+	for i := range heaps {
+		heaps[i] = fleetHeapCapacity
+	}
+	return fleetRun{
+		heaps: heaps, runTime: fleetRunTime, loadUntil: fleetLoadUntil,
+		// The fleet-wide goal cannot see one member hogging the shared
+		// budget past its OWN heap (base 280 MB + noise in a 768 MB heap
+		// leaves ~450 queued MB), so the capacity bound encodes it.
+		nodeMax: func(int64) float64 { return 400 },
+		armed:   true,
+	}.run(p)
+}
+
+// run executes the fleet under one policy. The simulator breaks same-instant
+// ties by scheduling order, so run schedules in one fixed order for every
+// value: heap noise, controller ticks, loss plan, memory probe, p99 probe,
+// workload.
+func (f fleetRun) run(p Policy) FleetResult {
+	nodes := len(f.heaps)
 	s := newScenarioSim()
 	rng := rand.New(rand.NewSource(fleetSeed))
 
-	heaps := make([]*memsim.Heap, fleetNodes)
-	servers := make([]*rpcserver.Server, fleetNodes)
 	fleet := cluster.NewFleet[workload.Op](cluster.KeyAffinity)
-	targets := make([]chaos.Killable, fleetNodes)
-	for i := range servers {
-		heaps[i] = memsim.NewHeap(fleetHeapCapacity)
-		servers[i] = rpcserver.New(s, heaps[i], rpcConfig())
-		servers[i].SetID(i)
-		servers[i].SetMaxQueue(0)
-		sv := servers[i]
-		sv.OnEvacuate = func(op workload.Op) {
-			fleet.Redispatch(cluster.Request{Key: op.Key, Cost: float64(op.Bytes)}, op)
-		}
-		fleet.Add(sv, 1, sv.Offer)
-		targets[i] = sv
-		heapNoise(s, heaps[i], rand.New(rand.NewSource(fleetSeed+100+int64(i))), rpcNoiseMax, fleetRunTime)
+	heaps := make([]*memsim.Heap, nodes)
+	servers := make([]*rpcserver.Server, nodes)
+	targets := make([]chaos.Killable, nodes)
+	bound := 0 // a SmartConf fleet starts closed; its guards open it
+	if p.Kind == StaticPolicy {
+		bound = int(p.Static)
+	}
+	for i, capacity := range f.heaps {
+		heaps[i] = memsim.NewHeap(capacity)
+		servers[i] = addRPCMember(s, fleet, heaps[i], i, bound)
+		targets[i] = servers[i]
+		heapNoise(s, heaps[i], rand.New(rand.NewSource(fleetSeed+100+int64(i))), rpcNoiseMax, f.runTime)
 	}
 	fleetMem := func() float64 {
 		var total int64
@@ -183,138 +218,44 @@ func RunFleetScenario(p Policy) FleetResult {
 		return float64(total)
 	}
 
-	res := FleetResult{Policy: p, Nodes: fleetNodes, Lost: 1, FinalAdmission: -1}
-
 	var coord *cluster.Coordinator
-	switch p.Kind {
-	case StaticPolicy:
-		for _, sv := range servers {
-			sv.SetMaxQueue(int(p.Static))
-		}
-	case SmartConfPolicy:
-		memProfile := publicProfile(ProfileFleetMemory())
-		slaProf := profileSLA()
-		latProfile := publicProfile(slaProf)
-		latCap := slaCapacity(slaProf, fleetP99Goal)
-		nodes := make([]cluster.NodeControl, fleetNodes)
-		for i := range servers {
-			sv := servers[i]
-			memC, err := smartconf.NewIndirect(smartconf.Spec{
-				Name:        fmt.Sprintf("node%d/ipc.server.max.queue.size#fleet-mem", i),
-				Metric:      "fleet_memory_consumption",
-				Goal:        float64(fleetMemGoal),
-				Hard:        true,
-				Interaction: fleetNodes + 1, // N node guards + the admission knob
-				// Max declares the knob's per-node capacity: the fleet-wide
-				// goal cannot see one member hogging the shared budget past
-				// its OWN heap (base 280 MB + noise in a 768 MB heap leaves
-				// ~450 queued MB), so the capacity bound encodes it.
-				Min: 0, Max: 400,
-			}, memProfile, nil)
-			if err != nil {
-				panic(err)
-			}
-			// The knob's capacity under the soft goal is model-derived: the
-			// deepest queue at which the profiled line still predicts
-			// p99 ≤ goal. Starting AT capacity and letting feedback only
-			// trim below it keeps the integrator's windup bounded by model
-			// accuracy — while the memory layer binds, the latency proposal
-			// can sit at most at the goal setting, never at an arbitrary
-			// cap a transient could then blow past the SLA with.
-			latC, err := smartconf.New(smartconf.Spec{
-				Name:    fmt.Sprintf("node%d/ipc.server.max.queue.size#p99", i),
-				Metric:  "p99_latency",
-				Goal:    fleetP99Goal,
-				Hard:    false,
-				Initial: float64(latCap),
-				Min:     1, Max: float64(latCap),
-			}, latProfile)
-			if err != nil {
-				panic(err)
-			}
-			nodes[i] = cluster.NodeControl{
-				Inst:         sv,
-				Memory:       memC,
-				Deputy:       func() float64 { return float64(sv.QueueLen()) },
-				Latency:      latC,
-				SenseLatency: func() float64 { return sv.Latency().Percentile(99).Seconds() },
-				Apply:        func(bound int) { sv.SetMaxQueue(bound) },
-			}
-		}
-		admission, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:        "fleet/max.in.flight",
-			Metric:      "fleet_memory_consumption",
-			Goal:        float64(fleetMemGoal),
-			Hard:        true,
-			Interaction: fleetNodes + 1,
-			Min:         0, Max: 20000,
-		}, memProfile, nil)
-		if err != nil {
-			panic(err)
-		}
-		coord = cluster.NewCoordinator(fleet, fleetMem, admission, nodes)
-		// Two cadences (DESIGN.md §cluster). The memory guards run on the
-		// paper's setPerf-on-every-enqueue idiom — BeforeDispatch senses the
-		// LIVE deputies mid-burst, so each proposed bound is "current queue
-		// + my share of the remaining fleet headroom" while a burst is
-		// arriving, not a stale between-burst snapshot of an empty queue.
-		// The slow 1 s tick keeps the guards moving when no requests arrive
-		// (e.g. while evacuated work drains after a loss). The latency
-		// controllers run on the slow p99-window cadence (the SLA
-		// extension's 15 s rationale) with anti-windup in the coordinator.
-		fleet.BeforeDispatch = coord.StepMemory
-		s.Every(time.Second, time.Second, func() bool {
-			coord.StepMemory()
-			return s.Now() < fleetRunTime
-		})
-		s.Every(15*time.Second, 15*time.Second, func() bool {
-			coord.StepLatency()
-			return s.Now() < fleetRunTime
-		})
+	if p.Kind == SmartConfPolicy {
+		coord = f.coordinate(s, fleet, fleetMem, servers)
 	}
-
-	plan := chaos.Plan{Name: "fleet-loss", Seed: fleetSeed, Faults: []chaos.Fault{
-		chaos.InstanceLoss{At: fleetLossAt, Targets: targets, Victim: -1},
-		chaos.InstanceRestart{At: fleetRestartAt, Targets: targets, Victim: -1},
-	}}
-	plan.Arm(s, nil)
+	res := FleetResult{Policy: p, Nodes: nodes, FinalAdmission: -1}
+	if f.armed {
+		armLossRestart(s, fleetSeed, fleetLossAt, fleetRestartAt, targets)
+		res.Lost = 1
+	}
 
 	res.FleetMem = Series{Name: "fleet_memory", Unit: "bytes"}
-	var worstP99 float64
 	s.Every(time.Second, time.Second, func() bool {
 		res.FleetMem.Points = append(res.FleetMem.Points, Point{s.Now(), fleetMem()})
-		return s.Now() < fleetRunTime
+		return s.Now() < f.runTime
 	})
-	s.Every(5*time.Second, 5*time.Second, func() bool {
-		if s.Now() > 60*time.Second { // after convergence
-			for _, sv := range servers {
-				if !sv.Alive() {
-					continue
-				}
-				if v := sv.Latency().Percentile(99).Seconds(); v > worstP99 {
-					worstP99 = v
+	if f.armed {
+		s.Every(5*time.Second, 5*time.Second, func() bool {
+			if s.Now() > 60*time.Second { // after convergence
+				for _, sv := range servers {
+					if !sv.Alive() {
+						continue
+					}
+					if v := sv.Latency().Percentile(99).Seconds(); v > res.WorstP99 {
+						res.WorstP99 = v
+					}
 				}
 			}
-		}
-		return s.Now() < fleetRunTime
-	})
-
-	w := &rpcWorkload{
-		gen: workload.NewYCSB(fleetSeed+1, 256, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb}),
-		// Offered load deliberately exceeds the fleet's service capacity
-		// between bursts: whatever a fleet cannot queue, it must refuse, so
-		// deeper queues buy throughput and shallow ones leave it on the
-		// table — HB3813's trade-off at fleet scale. Zipfian keys under
-		// key-affinity routing make the per-node shares unequal.
-		burstSize:  hb3813BurstSize * fleetNodes,
-		burstEvery: hb3813BurstEvery,
-		spacing:    hb3813Spacing,
-		phases:     []workload.YCSBPhase{{Name: "steady", WriteRatio: 1, RequestBytes: 1 * mb}},
+			return s.Now() < f.runTime
+		})
 	}
-	w.run(s, fleetLoadUntil, rng, func(op workload.Op) {
-		fleet.Dispatch(cluster.Request{Key: op.Key, Cost: float64(op.Bytes)}, op)
-	})
-	s.RunUntil(fleetRunTime)
+
+	// Offered load deliberately exceeds the fleet's service capacity between
+	// bursts: whatever a fleet cannot queue, it must refuse, so deeper queues
+	// buy throughput and shallow ones leave it on the table — HB3813's
+	// trade-off at fleet scale. Zipfian keys under key-affinity routing make
+	// the per-node shares unequal.
+	driveRPCFleet(s, fleet, fleetSeed+1, 256, hb3813BurstSize*nodes, f.loadUntil, rng)
+	s.RunUntil(f.runTime)
 
 	res.ConstraintMet = true
 	if met, at, worst := evalUpperBound(res.FleetMem, func(time.Duration) float64 { return float64(fleetMemGoal) }); !met {
@@ -331,15 +272,16 @@ func RunFleetScenario(p Policy) FleetResult {
 		}
 	}
 	res.WorstMem = res.FleetMem.Max()
-	res.WorstP99 = worstP99
-	res.SoftGoalMet = worstP99 <= fleetP99Goal*1.1 // soft: 10% SLA slack
+	// Soft: 10% SLA slack. Without the p99 layer WorstP99 stays 0 and the
+	// goal is met trivially.
+	res.SoftGoalMet = res.WorstP99 <= fleetP99Goal*1.1
 
 	var completed int64
 	for _, sv := range servers {
 		completed += sv.Completed()
 		res.FinalBounds = append(res.FinalBounds, sv.MaxQueue())
 	}
-	res.Throughput = float64(completed) / fleetRunTime.Seconds()
+	res.Throughput = float64(completed) / f.runTime.Seconds()
 	res.Refused = fleet.Refused()
 	res.Throttled = fleet.Throttled()
 	res.Redispatched = fleet.Redispatched()
@@ -349,6 +291,126 @@ func RunFleetScenario(p Policy) FleetResult {
 		}
 	}
 	return res
+}
+
+// coordinate builds the SmartConf control plane over the members and
+// schedules its ticks. Each node gets a memory guard against the hard
+// fleet-wide goal and, when the p99 layer is armed, a latency guard against
+// the soft per-node goal; a global admission knob sits above them.
+func (f fleetRun) coordinate(s *sim.Simulation, fleet *cluster.Fleet[workload.Op], fleetMem func() float64, servers []*rpcserver.Server) *cluster.Coordinator {
+	nodes := len(servers)
+	memProfile := publicProfile(ProfileFleetMemory())
+	var latProfile *smartconf.Profile
+	var latCap int
+	if f.armed {
+		slaProf := profileSLA()
+		latProfile = publicProfile(slaProf)
+		latCap = slaCapacity(slaProf, fleetP99Goal)
+	}
+	controls := make([]cluster.NodeControl, nodes)
+	for i, sv := range servers {
+		controls[i] = cluster.NodeControl{
+			Inst: sv,
+			Memory: mustSynth(smartconf.NewIndirect(smartconf.Spec{
+				Name:        fmt.Sprintf("node%d/ipc.server.max.queue.size#fleet-mem", i),
+				Metric:      "fleet_memory_consumption",
+				Goal:        float64(fleetMemGoal),
+				Hard:        true,
+				Interaction: nodes + 1, // N node guards + the admission knob
+				Min:         0, Max: f.nodeMax(f.heaps[i]),
+			}, memProfile, nil)),
+			Deputy: func() float64 { return float64(sv.QueueLen()) },
+			Apply:  func(bound int) { sv.SetMaxQueue(bound) },
+		}
+		if !f.armed {
+			continue
+		}
+		// The knob's capacity under the soft goal is model-derived: the
+		// deepest queue at which the profiled line still predicts
+		// p99 ≤ goal. Starting AT capacity and letting feedback only trim
+		// below it keeps the integrator's windup bounded by model accuracy
+		// — while the memory layer binds, the latency proposal can sit at
+		// most at the goal setting, never at an arbitrary cap a transient
+		// could then blow past the SLA with.
+		controls[i].Latency = mustSynth(smartconf.New(smartconf.Spec{
+			Name:    fmt.Sprintf("node%d/ipc.server.max.queue.size#p99", i),
+			Metric:  "p99_latency",
+			Goal:    fleetP99Goal,
+			Hard:    false,
+			Initial: float64(latCap),
+			Min:     1, Max: float64(latCap),
+		}, latProfile))
+		controls[i].SenseLatency = func() float64 { return sv.Latency().Percentile(99).Seconds() }
+	}
+	admission := mustSynth(smartconf.NewIndirect(smartconf.Spec{
+		Name:        "fleet/max.in.flight",
+		Metric:      "fleet_memory_consumption",
+		Goal:        float64(fleetMemGoal),
+		Hard:        true,
+		Interaction: nodes + 1,
+		Min:         0, Max: 20000,
+	}, memProfile, nil))
+	coord := cluster.NewCoordinator(fleet, fleetMem, admission, controls)
+	// Two cadences (DESIGN.md §5e). The memory guards run on the paper's
+	// setPerf-on-every-enqueue idiom — BeforeDispatch senses the LIVE
+	// deputies mid-burst, so each proposed bound is "current queue + my
+	// share of the remaining fleet headroom" while a burst is arriving, not
+	// a stale between-burst snapshot of an empty queue. The slow 1 s tick
+	// keeps the guards moving when no requests arrive (e.g. while evacuated
+	// work drains after a loss). The latency controllers run on the slow
+	// p99-window cadence (the SLA extension's 15 s rationale) with
+	// anti-windup in the coordinator.
+	fleet.BeforeDispatch = coord.StepMemory
+	s.Every(time.Second, time.Second, func() bool {
+		coord.StepMemory()
+		return s.Now() < f.runTime
+	})
+	if f.armed {
+		s.Every(15*time.Second, 15*time.Second, func() bool {
+			coord.StepLatency()
+			return s.Now() < f.runTime
+		})
+	}
+	return coord
+}
+
+// addRPCMember builds RPC server i on heap at queue bound maxQueue, joins it
+// to the fleet, and re-dispatches the requests its death evacuates.
+func addRPCMember(s *sim.Simulation, fleet *cluster.Fleet[workload.Op], heap *memsim.Heap, i, maxQueue int) *rpcserver.Server {
+	sv := rpcserver.New(s, heap, rpcConfig())
+	sv.SetID(i)
+	sv.SetMaxQueue(maxQueue)
+	sv.OnEvacuate = func(op workload.Op) { fleet.Redispatch(opRequest(op), op) }
+	fleet.Add(sv, 1, sv.Offer)
+	return sv
+}
+
+// driveRPCFleet offers HB3813's bursts of 1 MB writes over keys zipfian keys
+// to the fleet until until.
+func driveRPCFleet(s *sim.Simulation, fleet *cluster.Fleet[workload.Op], genSeed int64, keys uint64, burstSize int, until time.Duration, rng *rand.Rand) {
+	w := &rpcWorkload{
+		gen:        workload.NewYCSB(genSeed, keys, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb}),
+		burstSize:  burstSize,
+		burstEvery: hb3813BurstEvery,
+		spacing:    hb3813Spacing,
+		phases:     []workload.YCSBPhase{{Name: "steady", WriteRatio: 1, RequestBytes: 1 * mb}},
+	}
+	w.run(s, until, rng, func(op workload.Op) { fleet.Dispatch(opRequest(op), op) })
+}
+
+// opRequest is a YCSB operation's routing request: its key, costed in bytes.
+func opRequest(op workload.Op) cluster.Request {
+	return cluster.Request{Key: op.Key, Cost: float64(op.Bytes)}
+}
+
+// armLossRestart arms a seeded plan that kills one member at lossAt and
+// brings the same victim back at restartAt.
+func armLossRestart(s *sim.Simulation, seed int64, lossAt, restartAt time.Duration, targets []chaos.Killable) {
+	plan := chaos.Plan{Name: "fleet-loss", Seed: seed, Faults: []chaos.Fault{
+		chaos.InstanceLoss{At: lossAt, Targets: targets, Victim: -1},
+		chaos.InstanceRestart{At: restartAt, Targets: targets, Victim: -1},
+	}}
+	plan.Arm(s, nil)
 }
 
 // fleetStaticGrid is the static sweep the SmartConf fleet is compared

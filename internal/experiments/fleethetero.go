@@ -1,17 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-	"time"
-
-	"smartconf"
-	"smartconf/internal/cluster"
-	"smartconf/internal/memsim"
-	"smartconf/internal/rpcserver"
-	"smartconf/internal/workload"
-)
+import "time"
 
 // The heterogeneous fleet: same control plane as the uniform fleet scenario,
 // but the members have DIFFERENT heap capacities — a mixed hardware
@@ -36,131 +25,16 @@ func heteroNodeMaxQueue(heapCapacity int64) float64 {
 }
 
 // RunFleetHeteroScenario executes the SmartConf fleet over the heterogeneous
-// member set: no chaos (the uniform scenario owns the loss story), skewed
-// zipfian load, the same hard fleet-wide memory goal, per-node Spec.Max from
-// heteroNodeMaxQueue. Uncached: BuildFleetHetero memoizes around it.
+// member set: no chaos and no p99 layer (the uniform scenario owns the loss
+// story), skewed zipfian load, the same hard fleet-wide memory goal, per-node
+// Spec.Max from heteroNodeMaxQueue. Uncached: BuildFleetHetero memoizes
+// around it.
 func RunFleetHeteroScenario() FleetResult {
-	const (
-		runTime   = 240 * time.Second
-		loadUntil = 220 * time.Second
-	)
-	nodes := len(fleetHeteroHeaps)
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(fleetSeed))
-
-	heaps := make([]*memsim.Heap, nodes)
-	servers := make([]*rpcserver.Server, nodes)
-	fleet := cluster.NewFleet[workload.Op](cluster.KeyAffinity)
-	for i := range servers {
-		heaps[i] = memsim.NewHeap(fleetHeteroHeaps[i])
-		servers[i] = rpcserver.New(s, heaps[i], rpcConfig())
-		servers[i].SetID(i)
-		servers[i].SetMaxQueue(0)
-		sv := servers[i]
-		sv.OnEvacuate = func(op workload.Op) {
-			fleet.Redispatch(cluster.Request{Key: op.Key, Cost: float64(op.Bytes)}, op)
-		}
-		fleet.Add(sv, 1, sv.Offer)
-		heapNoise(s, heaps[i], rand.New(rand.NewSource(fleetSeed+100+int64(i))), rpcNoiseMax, runTime)
-	}
-	fleetMem := func() float64 {
-		var total int64
-		for _, h := range heaps {
-			total += h.Used()
-		}
-		return float64(total)
-	}
-
-	res := FleetResult{Policy: SmartConf(), Nodes: nodes, FinalAdmission: -1}
-
-	memProfile := publicProfile(ProfileFleetMemory())
-	controls := make([]cluster.NodeControl, nodes)
-	for i := range servers {
-		sv := servers[i]
-		memC, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:        fmt.Sprintf("node%d/ipc.server.max.queue.size#hetero-mem", i),
-			Metric:      "fleet_memory_consumption",
-			Goal:        float64(fleetMemGoal),
-			Hard:        true,
-			Interaction: nodes + 1,
-			Min:         0, Max: heteroNodeMaxQueue(fleetHeteroHeaps[i]),
-		}, memProfile, nil)
-		if err != nil {
-			panic(err)
-		}
-		controls[i] = cluster.NodeControl{
-			Inst:   sv,
-			Memory: memC,
-			Deputy: func() float64 { return float64(sv.QueueLen()) },
-			Apply:  func(bound int) { sv.SetMaxQueue(bound) },
-		}
-	}
-	admission, err := smartconf.NewIndirect(smartconf.Spec{
-		Name:        "fleet/max.in.flight#hetero",
-		Metric:      "fleet_memory_consumption",
-		Goal:        float64(fleetMemGoal),
-		Hard:        true,
-		Interaction: nodes + 1,
-		Min:         0, Max: 20000,
-	}, memProfile, nil)
-	if err != nil {
-		panic(err)
-	}
-	coord := cluster.NewCoordinator(fleet, fleetMem, admission, controls)
-	fleet.BeforeDispatch = coord.StepMemory
-	s.Every(time.Second, time.Second, func() bool {
-		coord.StepMemory()
-		return s.Now() < runTime
-	})
-
-	res.FleetMem = Series{Name: "fleet_memory", Unit: "bytes"}
-	s.Every(time.Second, time.Second, func() bool {
-		res.FleetMem.Points = append(res.FleetMem.Points, Point{s.Now(), fleetMem()})
-		return s.Now() < runTime
-	})
-
-	w := &rpcWorkload{
-		gen:        workload.NewYCSB(fleetSeed+1, 256, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb}),
-		burstSize:  hb3813BurstSize * nodes,
-		burstEvery: hb3813BurstEvery,
-		spacing:    hb3813Spacing,
-		phases:     []workload.YCSBPhase{{Name: "steady", WriteRatio: 1, RequestBytes: 1 * mb}},
-	}
-	w.run(s, loadUntil, rng, func(op workload.Op) {
-		fleet.Dispatch(cluster.Request{Key: op.Key, Cost: float64(op.Bytes)}, op)
-	})
-	s.RunUntil(runTime)
-
-	res.ConstraintMet = true
-	if met, at, worst := evalUpperBound(res.FleetMem, func(time.Duration) float64 { return float64(fleetMemGoal) }); !met {
-		res.ConstraintMet = false
-		res.Violation = fmt.Sprintf("fleet memory %.0f MB > goal %d MB", worst/float64(mb), fleetMemGoal/mb)
-		res.ViolatedAt = at
-	}
-	for i, h := range heaps {
-		if h.OOM() {
-			res.ConstraintMet = false
-			if res.Violation == "" {
-				res.Violation = fmt.Sprintf("node %d OOM", i)
-			}
-		}
-	}
-	res.WorstMem = res.FleetMem.Max()
-	res.SoftGoalMet = true // no soft goal in this scenario
-
-	var completed int64
-	for _, sv := range servers {
-		completed += sv.Completed()
-		res.FinalBounds = append(res.FinalBounds, sv.MaxQueue())
-	}
-	res.Throughput = float64(completed) / runTime.Seconds()
-	res.Refused = fleet.Refused()
-	res.Throttled = fleet.Throttled()
-	res.Redispatched = fleet.Redispatched()
-	if a := coord.Admission(); a != math.MaxInt {
-		res.FinalAdmission = a
-	}
-	return res
+	return fleetRun{
+		heaps:   fleetHeteroHeaps,
+		runTime: 240 * time.Second, loadUntil: 220 * time.Second,
+		nodeMax: heteroNodeMaxQueue,
+	}.run(SmartConf())
 }
 
 // BuildFleetHetero runs (or recalls) the heterogeneous fleet scenario.

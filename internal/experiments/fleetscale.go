@@ -92,7 +92,7 @@ func (r *fleetRPCScaleRunner) RunTo(n int64) {
 		r.now += r.gen.NextInterarrival()
 		r.s.RunUntil(r.now)
 		op := r.gen.NextOp()
-		r.fleet.Dispatch(cluster.Request{Key: op.Key, Cost: float64(op.Bytes)}, op)
+		r.fleet.Dispatch(opRequest(op), op)
 		r.offered++
 	}
 }
@@ -102,14 +102,7 @@ func (r *fleetRPCScaleRunner) Result() ScaleResult {
 	for _, sv := range r.servers {
 		completed += sv.Completed()
 	}
-	return ScaleResult{
-		Substrate:   "fleetrpc",
-		Requests:    r.offered,
-		Completed:   completed,
-		VirtualTime: r.s.Now(),
-		Events:      r.s.Events(),
-		PeakPending: r.s.MaxPending(),
-	}
+	return scaleResult("fleetrpc", r.s, r.offered, completed)
 }
 
 // ---- fleetllm ----
@@ -179,12 +172,5 @@ func (r *fleetLLMScaleRunner) Result() ScaleResult {
 	for _, sv := range r.servers {
 		completed += sv.Completed()
 	}
-	return ScaleResult{
-		Substrate:   "fleetllm",
-		Requests:    r.offered,
-		Completed:   completed,
-		VirtualTime: r.s.Now(),
-		Events:      r.s.Events(),
-		PeakPending: r.s.MaxPending(),
-	}
+	return scaleResult("fleetllm", r.s, r.offered, completed)
 }

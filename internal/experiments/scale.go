@@ -69,9 +69,52 @@ type ScaleRunner interface {
 	Result() ScaleResult
 }
 
-// ScaleSubstrates lists the campaign's substrates in report order: the five
-// single-instance engines, then the two 256-node fleets (fleetscale.go).
-var ScaleSubstrates = []string{"rpc", "llm", "kv", "dfs", "mapred", "fleetrpc", "fleetllm"}
+// scaleRegistry is the campaign's substrate table in report order: the five
+// single-instance engines, then the two 256-node fleets (fleetscale.go). Each
+// row builds its runner and names the load a shadow controller senses on it
+// (NewLoggedScaleRunner).
+var scaleRegistry = []struct {
+	name string
+	new  func() (ScaleRunner, func() float64)
+}{
+	{"rpc", func() (ScaleRunner, func() float64) {
+		r := newRPCScaleRunner()
+		return r, func() float64 { return float64(r.sv.QueueLen()) }
+	}},
+	{"llm", func() (ScaleRunner, func() float64) {
+		r := newLLMScaleRunner()
+		return r, func() float64 { return float64(r.sv.PromptTokens()) }
+	}},
+	{"kv", func() (ScaleRunner, func() float64) {
+		r := newKVScaleRunner()
+		return r, func() float64 { return float64(r.st.MemtableBytes()) }
+	}},
+	{"dfs", func() (ScaleRunner, func() float64) {
+		r := newDFSScaleRunner()
+		return r, func() float64 { return float64(r.nn.WritesDone()) }
+	}},
+	{"mapred", func() (ScaleRunner, func() float64) {
+		r := newMapredScaleRunner()
+		return r, func() float64 { return float64(r.c.MaxDiskUsed()) }
+	}},
+	{"fleetrpc", func() (ScaleRunner, func() float64) {
+		r := newFleetRPCScaleRunner()
+		return r, r.fleet.TotalLoad
+	}},
+	{"fleetllm", func() (ScaleRunner, func() float64) {
+		r := newFleetLLMScaleRunner()
+		return r, r.fleet.TotalLoad
+	}},
+}
+
+// ScaleSubstrates lists the campaign's substrates in report order.
+var ScaleSubstrates = func() []string {
+	names := make([]string, len(scaleRegistry))
+	for i, r := range scaleRegistry {
+		names[i] = r.name
+	}
+	return names
+}()
 
 // scaleSeed fixes every scale workload's rng. One seed is enough: each
 // runner owns a private generator.
@@ -87,23 +130,31 @@ const scaleQueueHint = 64
 // NewScaleRunner returns the named substrate's runner. Unknown names panic:
 // the set is fixed by ScaleSubstrates.
 func NewScaleRunner(substrate string) ScaleRunner {
-	switch substrate {
-	case "rpc":
-		return newRPCScaleRunner()
-	case "llm":
-		return newLLMScaleRunner()
-	case "kv":
-		return newKVScaleRunner()
-	case "dfs":
-		return newDFSScaleRunner()
-	case "mapred":
-		return newMapredScaleRunner()
-	case "fleetrpc":
-		return newFleetRPCScaleRunner()
-	case "fleetllm":
-		return newFleetLLMScaleRunner()
+	r, _ := newScaleRunner(substrate)
+	return r
+}
+
+// newScaleRunner builds the named substrate's runner and its sensed load.
+func newScaleRunner(substrate string) (ScaleRunner, func() float64) {
+	for _, r := range scaleRegistry {
+		if r.name == substrate {
+			return r.new()
+		}
 	}
 	panic(fmt.Sprintf("experiments: unknown scale substrate %q", substrate))
+}
+
+// scaleResult reports a run on s that offered requests and saw completed of
+// them finish.
+func scaleResult(substrate string, s *sim.Simulation, requests, completed int64) ScaleResult {
+	return ScaleResult{
+		Substrate:   substrate,
+		Requests:    requests,
+		Completed:   completed,
+		VirtualTime: s.Now(),
+		Events:      s.Events(),
+		PeakPending: s.MaxPending(),
+	}
 }
 
 // RunScale executes (or recalls) the substrate's raw-speed run at the given
@@ -176,14 +227,7 @@ func (r *rpcScaleRunner) RunTo(n int64) {
 }
 
 func (r *rpcScaleRunner) Result() ScaleResult {
-	return ScaleResult{
-		Substrate:   "rpc",
-		Requests:    r.offered,
-		Completed:   r.sv.Completed(),
-		VirtualTime: r.s.Now(),
-		Events:      r.s.Events(),
-		PeakPending: r.s.MaxPending(),
-	}
+	return scaleResult("rpc", r.s, r.offered, r.sv.Completed())
 }
 
 // ---- llm ----
@@ -228,14 +272,7 @@ func (r *llmScaleRunner) RunTo(n int64) {
 }
 
 func (r *llmScaleRunner) Result() ScaleResult {
-	return ScaleResult{
-		Substrate:   "llm",
-		Requests:    r.offered,
-		Completed:   r.sv.Completed(),
-		VirtualTime: r.s.Now(),
-		Events:      r.s.Events(),
-		PeakPending: r.s.MaxPending(),
-	}
+	return scaleResult("llm", r.s, r.offered, r.sv.Completed())
 }
 
 // ---- kv ----
@@ -276,14 +313,7 @@ func (r *kvScaleRunner) RunTo(n int64) {
 }
 
 func (r *kvScaleRunner) Result() ScaleResult {
-	return ScaleResult{
-		Substrate:   "kv",
-		Requests:    r.offered,
-		Completed:   r.st.Writes(),
-		VirtualTime: r.s.Now(),
-		Events:      r.s.Events(),
-		PeakPending: r.s.MaxPending(),
-	}
+	return scaleResult("kv", r.s, r.offered, r.st.Writes())
 }
 
 // ---- dfs ----
@@ -328,14 +358,7 @@ func (r *dfsScaleRunner) RunTo(n int64) {
 }
 
 func (r *dfsScaleRunner) Result() ScaleResult {
-	return ScaleResult{
-		Substrate:   "dfs",
-		Requests:    r.offered,
-		Completed:   r.nn.WritesDone(),
-		VirtualTime: r.s.Now(),
-		Events:      r.s.Events(),
-		PeakPending: r.s.MaxPending(),
-	}
+	return scaleResult("dfs", r.s, r.offered, r.nn.WritesDone())
 }
 
 // ---- mapred ----
@@ -382,12 +405,5 @@ func (r *mapredScaleRunner) RunTo(n int64) {
 }
 
 func (r *mapredScaleRunner) Result() ScaleResult {
-	return ScaleResult{
-		Substrate:   "mapred",
-		Requests:    r.tasks,
-		Completed:   r.tasks - r.failed*int64(r.job.MapTasks()),
-		VirtualTime: r.s.Now(),
-		Events:      r.s.Events(),
-		PeakPending: r.s.MaxPending(),
-	}
+	return scaleResult("mapred", r.s, r.tasks, r.tasks-r.failed*int64(r.job.MapTasks()))
 }

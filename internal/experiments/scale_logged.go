@@ -29,33 +29,7 @@ type loggedScaleRunner struct {
 // NewLoggedScaleRunner wraps the named substrate's scale runner with a
 // shadow decision-logging controller recording into log.
 func NewLoggedScaleRunner(substrate string, log *declog.Log) ScaleRunner {
-	var inner ScaleRunner
-	var sense func() float64
-	switch substrate {
-	case "rpc":
-		r := newRPCScaleRunner()
-		inner, sense = r, func() float64 { return float64(r.sv.QueueLen()) }
-	case "llm":
-		r := newLLMScaleRunner()
-		inner, sense = r, func() float64 { return float64(r.sv.PromptTokens()) }
-	case "kv":
-		r := newKVScaleRunner()
-		inner, sense = r, func() float64 { return float64(r.st.MemtableBytes()) }
-	case "dfs":
-		r := newDFSScaleRunner()
-		inner, sense = r, func() float64 { return float64(r.nn.WritesDone()) }
-	case "mapred":
-		r := newMapredScaleRunner()
-		inner, sense = r, func() float64 { return float64(r.c.MaxDiskUsed()) }
-	case "fleetrpc":
-		r := newFleetRPCScaleRunner()
-		inner, sense = r, r.fleet.TotalLoad
-	case "fleetllm":
-		r := newFleetLLMScaleRunner()
-		inner, sense = r, r.fleet.TotalLoad
-	default:
-		panic(fmt.Sprintf("experiments: unknown scale substrate %q", substrate))
-	}
+	inner, sense := newScaleRunner(substrate)
 	return &loggedScaleRunner{inner: inner, conf: loggedScaleConf(substrate, log), sense: sense}
 }
 
