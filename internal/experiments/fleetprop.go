@@ -93,7 +93,9 @@ func RunFleetProperty(substrate string, seed int64) proptest.FleetReport {
 // R: the router policy, the plan and load times, a member builder and a load
 // driver. run holds the rest.
 type fleetProp[R any] struct {
-	policy                                cluster.PolicyKind
+	policy cluster.PolicyKind
+	// The plan kills one member at lossAt and restarts it at restartAt; the
+	// load stops at loadUntil and the run ends at horizon.
 	lossAt, restartAt, loadUntil, horizon time.Duration
 	// member builds member i on s and joins it to the fleet. It returns the
 	// member's chaos target and a reader of its completed and pending
