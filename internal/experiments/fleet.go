@@ -187,6 +187,19 @@ func RunFleetScenario(p Policy) FleetResult {
 	}.run(p)
 }
 
+// RunFleetHeteroScenario executes the SmartConf fleet over the heterogeneous
+// member set (fleethetero.go): no chaos and no p99 layer (the uniform
+// scenario owns the loss story), skewed zipfian load, the same hard
+// fleet-wide memory goal, per-node Spec.Max from heteroNodeMaxQueue.
+// Uncached: BuildFleetHetero memoizes around it.
+func RunFleetHeteroScenario() FleetResult {
+	return fleetRun{
+		heaps:   fleetHeteroHeaps,
+		runTime: 240 * time.Second, loadUntil: 220 * time.Second,
+		nodeMax: heteroNodeMaxQueue,
+	}.run(SmartConf())
+}
+
 // run executes the fleet under one policy. The simulator breaks same-instant
 // ties by scheduling order, so run schedules in one fixed order for every
 // value: heap noise, controller ticks, loss plan, memory probe, p99 probe,

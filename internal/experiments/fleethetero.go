@@ -1,7 +1,5 @@
 package experiments
 
-import "time"
-
 // The heterogeneous fleet: same control plane as the uniform fleet scenario,
 // but the members have DIFFERENT heap capacities — a mixed hardware
 // generation, the common shape of a real fleet. A uniform per-node Spec.Max
@@ -22,19 +20,6 @@ var fleetHeteroHeaps = []int64{512 * mb, 640 * mb, 768 * mb, 1024 * mb}
 // its OWN heap is smaller than its peers'.
 func heteroNodeMaxQueue(heapCapacity int64) float64 {
 	return float64((heapCapacity - rpcBaseHeap - rpcNoiseMax) / mb)
-}
-
-// RunFleetHeteroScenario executes the SmartConf fleet over the heterogeneous
-// member set: no chaos and no p99 layer (the uniform scenario owns the loss
-// story), skewed zipfian load, the same hard fleet-wide memory goal, per-node
-// Spec.Max from heteroNodeMaxQueue. Uncached: BuildFleetHetero memoizes
-// around it.
-func RunFleetHeteroScenario() FleetResult {
-	return fleetRun{
-		heaps:   fleetHeteroHeaps,
-		runTime: 240 * time.Second, loadUntil: 220 * time.Second,
-		nodeMax: heteroNodeMaxQueue,
-	}.run(SmartConf())
 }
 
 // BuildFleetHetero runs (or recalls) the heterogeneous fleet scenario.
