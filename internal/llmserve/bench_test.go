@@ -9,17 +9,15 @@ import (
 	"smartconf/internal/workload"
 )
 
-// BenchmarkLLMStepDeep times one scheduler step and the retirement that
-// ends it, with ~100 sequences decoding at once: the LLM-KV figure regime
-// of 150-token prompts and 300-token answers. Step latency is pinned to
-// StepBase, so each iteration advances exactly one step; a request arrives
-// every third step, which holds the batch at ~100 sequences.
-func BenchmarkLLMStepDeep(b *testing.B) {
+// benchLLMStep times one scheduler step and the retirement that ends it.
+// Step latency is pinned to StepBase, so each iteration advances exactly one
+// step, and req arrives every third step: the batch holds about output/3
+// sequences, nearly all decoding.
+func benchLLMStep(b *testing.B, heap int64, req workload.LLMRequest) {
 	cfg := DefaultConfig()
 	cfg.StepPerToken = 0
 	s := sim.New()
-	sv := New(s, memsim.NewHeap(64<<30), cfg)
-	req := workload.LLMRequest{Prompt: 150, Output: 300}
+	sv := New(s, memsim.NewHeap(heap), cfg)
 	var now time.Duration
 	step := func(i int) {
 		now += cfg.StepBase
@@ -28,7 +26,7 @@ func BenchmarkLLMStepDeep(b *testing.B) {
 			sv.Offer(req)
 		}
 	}
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < 10*req.Output; i++ {
 		step(i)
 	}
 	b.ReportAllocs()
@@ -38,4 +36,22 @@ func BenchmarkLLMStepDeep(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(sv.RunningLen()), "running")
+}
+
+// BenchmarkLLMStepDeep holds ~100 sequences decoding at once: the LLM-KV
+// figure regime of 150-token prompts and 300-token answers.
+func BenchmarkLLMStepDeep(b *testing.B) {
+	benchLLMStep(b, 64<<30, workload.LLMRequest{Prompt: 150, Output: 300})
+}
+
+// BenchmarkLLMStepShallow holds ~2 sequences: a completion every third step
+// from a batch too small for retirement bookkeeping to pay for itself, the
+// regime of the -scale llm and fleetllm members.
+func BenchmarkLLMStepShallow(b *testing.B) {
+	benchLLMStep(b, 16<<30, workload.LLMRequest{Prompt: 8, Output: 6})
+}
+
+// BenchmarkLLMStepWide holds ~1000 sequences, ten times the LLM-KV batch.
+func BenchmarkLLMStepWide(b *testing.B) {
+	benchLLMStep(b, 1<<40, workload.LLMRequest{Prompt: 150, Output: 3000})
 }

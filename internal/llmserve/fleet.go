@@ -26,12 +26,12 @@ func (sv *Server) Down() bool { return sv.down }
 
 // Load returns the server's backlog — waiting plus running sequences — the
 // signal load-aware routing policies compare.
-func (sv *Server) Load() float64 { return float64(sv.WaitingLen() + len(sv.running)) }
+func (sv *Server) Load() float64 { return float64(sv.WaitingLen() + sv.RunningLen()) }
 
 // ReportLoad moves the server's load into total and makes total the target
 // of every later change: submission, retirement and Kill.
 func (sv *Server) ReportLoad(total *int64) {
-	load := int64(sv.WaitingLen() + len(sv.running))
+	load := int64(sv.WaitingLen() + sv.RunningLen())
 	*sv.loadTotal -= load
 	*total += load
 	sv.loadTotal = total
@@ -56,14 +56,18 @@ func (sv *Server) Kill() {
 		sv.putSeq(s)
 	}
 	for _, s := range sv.running {
-		sv.evacuateReq(s.req)
-		sv.putSeq(s)
+		if s != nil {
+			sv.evacuateReq(s.req)
+			sv.putSeq(s)
+		}
 	}
-	*sv.loadTotal -= int64(sv.WaitingLen() + len(sv.running))
+	*sv.loadTotal -= int64(sv.WaitingLen() + sv.RunningLen())
 	sv.waiting.reset()
-	sv.prefill.reset()
 	clear(sv.running)
 	sv.running = sv.running[:0]
+	sv.resetKeys()
+	sv.vacant = 0
+	sv.prefillAt = 0
 	clear(sv.firstTok)
 	sv.firstTok = sv.firstTok[:0]
 	sv.firstTokDue = 0

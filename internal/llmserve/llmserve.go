@@ -96,6 +96,10 @@ type seq struct {
 	ttftSeen bool
 }
 
+// never is the completion key of a sequence that cannot complete at any pass
+// yet (still prefilling) and of a vacated slot.
+const never = math.MaxUint64
+
 // seqFIFO is a queue of sequences over a reused array: buf[head:] are the
 // queued entries. Popping advances head instead of reslicing, so the
 // array's capacity is reused and steady-state traffic allocates nothing;
@@ -139,12 +143,6 @@ func (q *seqFIFO) pushFront(s *seq) {
 	q.buf[0] = s
 }
 
-// remove deletes s, which must be queued (preemption; rare).
-func (q *seqFIFO) remove(s *seq) {
-	i := q.head + slices.Index(q.items(), s)
-	q.buf = slices.Delete(q.buf, i, i+1)
-}
-
 // reset empties the queue, keeping its capacity.
 func (q *seqFIFO) reset() {
 	clear(q.buf)
@@ -162,10 +160,27 @@ type Server struct {
 	waitingLimit     int // admission.queue.limit knob
 
 	waiting seqFIFO // the bounded admission queue; evictees rejoin at the head
-	running []*seq  // the continuous batch, admission order
-	// prefill holds the running sequences still prefilling, admission order.
-	// Chunked prefill only ever advances its head, so they leave it in order.
-	prefill        seqFIFO
+	// running is the continuous batch in admission order. A sequence keeps its
+	// slot until it leaves; leaving vacates the slot (nil) rather than
+	// shifting the sequences behind it, and retire compacts the batch once
+	// vacated slots outnumber the occupied ones. The last slot is always
+	// occupied.
+	running []*seq
+	vacant  int // vacated slots in running
+	// keys holds the completion keys of running's slots, pointer-free, in
+	// blocks of blockSlots slots. keys[blocks+i] is the key of slot i: the
+	// decode pass at which running[i] completes (doneAt for a decoder, the
+	// pass it finished prefill in for a zero-output sequence), or never.
+	// keys[b], b < blocks, is the least key of block b. There are
+	// blocks·blockSlots slots' keys, at least len(running), and every key
+	// past len(running) is never.
+	keys   []uint64
+	blocks int
+	// prefillAt is the slot of the oldest sequence still prefilling, or
+	// len(running). Chunked prefill completes prompts in admission order, so
+	// every occupied slot below it holds a sequence past prefill, and the
+	// prefill pass resumes there.
+	prefillAt      int
 	residentTokens int // tokens with allocated KV (the deputy, in tokens)
 	promptTokens   int // admitted prompt tokens (what the bound counts)
 
@@ -173,11 +188,11 @@ type Server struct {
 	// takes one token per pass, so its progress is a function of the clock
 	// (seq.doneAt), read only where it matters: preemption, first-token
 	// observation and retirement. A pass that fits costs one heap charge for
-	// all decoders. retireAt is a lower bound on the pass at which the next
-	// running sequence completes: the retire scan over running runs only once
-	// clock reaches it. firstTok holds the decoders whose first token (TTFT)
-	// is still unobserved, admission order; the first firstTokDue of them
-	// decode it in the step in flight (the rest finished prefill during it).
+	// all decoders. retireAt is the least completion key in keys: retire
+	// runs only once clock reaches it. firstTok holds the decoders whose
+	// first token (TTFT) is still unobserved, admission order; the first
+	// firstTokDue of them decode it in the step in flight (the rest finished
+	// prefill during it).
 	clock       uint64
 	decoders    int
 	retireAt    uint64
@@ -260,13 +275,15 @@ func New(s *sim.Simulation, heap *memsim.Heap, cfg Config) *Server {
 		cfg:              cfg,
 		maxBatchedTokens: math.MaxInt,
 		waitingLimit:     wl,
-		retireAt:         math.MaxUint64,
+		retireAt:         never,
+		blocks:           1,
 		goodput:          metrics.NewMeter(10 * time.Second),
 		ttft:             metrics.NewLatency(1024),
 		e2e:              metrics.NewLatency(1024),
 	}
 	sv.endStepFn = sv.endStepArg
 	sv.loadTotal = &sv.ownLoad
+	sv.resetKeys()
 	if err := heap.Alloc(cfg.BaseHeapBytes); err != nil {
 		sv.crashed = true
 	}
@@ -291,8 +308,8 @@ func (sv *Server) putSeq(s *seq) { sv.seqPool = append(sv.seqPool, s) }
 
 // Preallocate grows the sequence machinery to the given high-water mark:
 // seqs recycled sequences in the pool, and matching capacity in the waiting
-// queue, the continuous batch, the prefill queue, the first-token list and
-// the step snapshot. Wide fleets need this — a member seeing a sliver of
+// queue, the continuous batch and its keys, the first-token list and the
+// step snapshot. Wide fleets need this — a member seeing a sliver of
 // the fleet's load would otherwise keep setting new concurrency watermarks
 // (and allocating for them) for millions of requests, which the whole-run
 // zero-allocation gate forbids.
@@ -301,18 +318,22 @@ func (sv *Server) Preallocate(seqs int) {
 		sv.seqPool = append(sv.seqPool, &seq{})
 	}
 	sv.waiting.buf = withCap(sv.waiting.buf, seqs)
-	sv.prefill.buf = withCap(sv.prefill.buf, seqs)
 	sv.running = withCap(sv.running, seqs)
+	b := 1
+	for b*blockSlots < seqs {
+		b *= 2
+	}
+	sv.keys = withCap(sv.keys, b*(1+blockSlots))
 	sv.firstTok = withCap(sv.firstTok, seqs)
 	sv.stepBatch = withCap(sv.stepBatch, seqs)
 }
 
 // withCap returns b, reallocated if needed to hold n entries.
-func withCap(b []*seq, n int) []*seq {
+func withCap[T any](b []T, n int) []T {
 	if cap(b) >= n {
 		return b
 	}
-	g := make([]*seq, len(b), n)
+	g := make([]T, len(b), n)
 	copy(g, b)
 	return g
 }
@@ -365,7 +386,7 @@ func (sv *Server) PromptTokens() int { return sv.promptTokens }
 func (sv *Server) WaitingLen() int { return sv.waiting.len() }
 
 // RunningLen returns the number of sequences in the continuous batch.
-func (sv *Server) RunningLen() int { return len(sv.running) }
+func (sv *Server) RunningLen() int { return len(sv.running) - sv.vacant }
 
 // Crashed reports whether the server has died (OOM).
 func (sv *Server) Crashed() bool { return sv.crashed }
@@ -428,7 +449,7 @@ func (sv *Server) crash() {
 	sv.crashed = true
 	// A dead process serves nothing; all in-flight and queued work is lost
 	// from the clients' perspective.
-	sv.dropped.Add(int64(sv.WaitingLen() + len(sv.running)))
+	sv.dropped.Add(int64(sv.WaitingLen() + sv.RunningLen()))
 }
 
 // kick starts the step loop if it is idle and there is work.
@@ -454,31 +475,35 @@ func (sv *Server) admit() {
 		}
 		sv.waiting.pop()
 		sv.promptTokens += s.req.Prompt
+		if len(sv.running) == sv.blocks*blockSlots {
+			sv.makeRoom()
+		}
 		sv.running = append(sv.running, s)
-		if s.req.Prompt > 0 {
-			sv.prefill.push(s)
-		} else {
-			sv.startDecode(s)
+		if s.req.Prompt <= 0 {
+			sv.startDecode(s, len(sv.running)-1)
 		}
 	}
 }
 
-// startDecode moves a running sequence whose prompt is fully prefilled into
-// its decode phase: from the next decode pass on, it takes one token per
-// pass until its output is done. A sequence with no output to decode is
-// complete already and retires at the end of the current step.
-func (sv *Server) startDecode(s *seq) {
-	if s.req.Output <= 0 {
-		sv.retireAt = 0
-		return
+// startDecode moves s, the running sequence in slot i, its prompt fully
+// prefilled, into its decode phase: from the next decode pass on, it takes
+// one token per pass until its output is done. A sequence with no output to
+// decode is complete already: its key is the current pass, so it retires at
+// the end of the current step.
+func (sv *Server) startDecode(s *seq, i int) {
+	key := sv.clock
+	if s.req.Output > 0 {
+		key += uint64(s.req.Output)
+		s.doneAt, s.decoding = key, true
+		sv.decoders++
+		if !s.ttftSeen {
+			sv.firstTok = append(sv.firstTok, s)
+		}
 	}
-	s.decoding = true
-	s.doneAt = sv.clock + uint64(s.req.Output)
-	sv.decoders++
-	sv.retireAt = min(sv.retireAt, s.doneAt)
-	if !s.ttftSeen {
-		sv.firstTok = append(sv.firstTok, s)
-	}
+	sv.keys[sv.blocks+i] = key
+	m := &sv.keys[i/blockSlots]
+	*m = min(*m, key)
+	sv.retireAt = min(sv.retireAt, key)
 }
 
 // decoded returns the output tokens s has decoded. Only decoding sequences
@@ -532,17 +557,18 @@ func (sv *Server) step() {
 		}
 	}
 
-	// Chunked prefill, admission order. Every sequence the budget reaches
-	// but the last finishes its prompt, so only the queue's head is ever
-	// part-way through. Decoders listed before it get their first token in
-	// this step; those it adds, in the next.
+	// Chunked prefill, admission order, from prefillAt: the prefilling
+	// sequences are the occupied slots there on whose key is never. Every
+	// sequence the budget reaches but the last finishes its prompt, so only
+	// the oldest is ever part-way through. Decoders listed before it get
+	// their first token in this step; those it adds, in the next.
 	sv.firstTokDue = len(sv.firstTok)
 	budget := sv.cfg.PrefillChunk
 	if budget < 1 {
 		budget = math.MaxInt
 	}
-	for budget > 0 && sv.prefill.len() > 0 {
-		s := sv.prefill.peek()
+	for budget > 0 && sv.nextPrefill() {
+		s := sv.running[sv.prefillAt]
 		k := min(s.req.Prompt-s.promptDone, budget)
 		if !sv.ensureKV(k, s) {
 			return // crashed
@@ -554,8 +580,7 @@ func (sv *Server) step() {
 		if s.promptDone < s.req.Prompt {
 			break
 		}
-		sv.prefill.pop()
-		sv.startDecode(s)
+		sv.startDecode(s, sv.prefillAt)
 	}
 
 	if scheduled == 0 {
@@ -583,6 +608,18 @@ func (sv *Server) step() {
 	sv.sim.AfterArg(d, sv.endStepFn, sv.epoch)
 }
 
+// nextPrefill advances prefillAt to the oldest sequence still prefilling
+// and reports whether there is one. The slots it passes hold decoders, or
+// sequences that completed or were preempted.
+func (sv *Server) nextPrefill() bool {
+	i, keys := sv.prefillAt, sv.keys[sv.blocks:]
+	for i < len(sv.running) && (keys[i] != never || sv.running[i] == nil) {
+		i++
+	}
+	sv.prefillAt = i
+	return i < len(sv.running)
+}
+
 // decodeEach is the decode pass when the batch's tokens do not all fit:
 // each decoder, in admission order, claims its token through ensureKV,
 // which preempts the newest running sequence until the token fits. It
@@ -590,18 +627,19 @@ func (sv *Server) step() {
 func (sv *Server) decodeEach() (int, bool) {
 	// Snapshot: eviction inside ensureKV mutates sv.running mid-loop. Every
 	// decoder is held at its progress across the clock tick, and the loop
-	// below gives each its token explicitly.
+	// below gives each its token explicitly, so its doneAt (and key) ends
+	// where it began.
 	batch := append(sv.stepBatch[:0], sv.running...)
 	sv.stepBatch = batch
 	for _, s := range batch {
-		if s.decoding {
+		if s != nil && s.decoding {
 			s.doneAt++
 		}
 	}
 	sv.clock++
 	n := 0
 	for _, s := range batch {
-		if !s.decoding { // prefilling, complete, or preempted this pass
+		if s == nil || !s.decoding { // vacant, prefilling, complete, or preempted this pass
 			continue
 		}
 		if !sv.ensureKV(1, s) {
@@ -660,37 +698,152 @@ func (sv *Server) observeFirstTokens(now time.Duration) {
 	sv.firstTokDue = 0
 }
 
-// retire releases every complete sequence in batch order and re-derives
-// retireAt from the decoders that remain.
+// retire releases every sequence whose completion key clock has reached, in
+// batch order, and re-derives retireAt. It reads the blocks' least keys and
+// scans only the blocks whose least key clock has reached, so a deep batch
+// costs a pass over one key in blockSlots plus the blocks that complete
+// something. A sequence that stays is neither dereferenced nor moved.
 func (sv *Server) retire(now time.Duration) {
-	clock, next, kept := sv.clock, uint64(math.MaxUint64), 0
-	for _, s := range sv.running {
-		if s.promptDone < s.req.Prompt || s.decoding && clock < s.doneAt {
-			if s.decoding {
-				next = min(next, s.doneAt)
+	clock, next, done := sv.clock, uint64(never), 0
+	n := len(sv.running)
+	mins, keys := sv.keys[:(n+blockSlots-1)/blockSlots], sv.keys[sv.blocks:sv.blocks+n]
+	for b, m := range mins {
+		if m <= clock {
+			m = never
+			base := b * blockSlots
+			for i, k := range keys[base:min(base+blockSlots, n)] {
+				if k > clock {
+					m = min(m, k)
+					continue
+				}
+				// Complete: release the KV cache, count the goodput.
+				s := sv.running[base+i]
+				kv := sv.kvTokens(s)
+				sv.heap.Free(int64(kv) * sv.cfg.KVBytesPerToken)
+				sv.residentTokens -= kv
+				sv.promptTokens -= s.req.Prompt
+				if s.decoding {
+					sv.decoders--
+				}
+				sv.completed.Inc()
+				sv.outputTokens.Add(int64(s.req.Output))
+				sv.goodput.Mark(now, float64(s.req.Output))
+				sv.e2e.Observe(now - s.arrived)
+				sv.putSeq(s)
+				sv.running[base+i] = nil
+				keys[base+i] = never
+				done++
 			}
-			sv.running[kept] = s // still prefilling or decoding
-			kept++
+			mins[b] = m
+		}
+		next = min(next, m)
+	}
+	*sv.loadTotal -= int64(done)
+	sv.vacant += done
+	sv.trim()
+	if 2*sv.vacant > len(sv.running) {
+		sv.compact()
+	}
+	sv.retireAt = next
+}
+
+// blockSlots is the number of slots whose keys share one least key: one
+// 64-byte cache line of keys.
+const blockSlots = 8
+
+// minKey returns the least of keys, or never if there are none.
+func minKey(keys []uint64) uint64 {
+	m := uint64(never)
+	for _, k := range keys {
+		m = min(m, k)
+	}
+	return m
+}
+
+// clearKey sets slot i's key to never and re-derives its block's least key
+// and retireAt.
+func (sv *Server) clearKey(i int) {
+	keys, b := sv.keys[sv.blocks:], i/blockSlots
+	keys[i] = never
+	sv.keys[b] = minKey(keys[b*blockSlots : (b+1)*blockSlots])
+	sv.retireAt = minKey(sv.keys[:sv.blocks])
+}
+
+// resetKeys lays the keys out as one block, every key never.
+func (sv *Server) resetKeys() {
+	sv.keys, sv.blocks = sv.keys[:0], 1
+	for range 1 + blockSlots {
+		sv.keys = append(sv.keys, never)
+	}
+}
+
+// trim drops vacant slots from the end of the batch, so that its last slot
+// is occupied. Their keys are never already. An empty batch goes back to
+// one block: every key is never, so the first block's worth of them serves.
+func (sv *Server) trim() {
+	n := len(sv.running)
+	for n > 0 && sv.running[n-1] == nil {
+		n--
+	}
+	sv.vacant -= len(sv.running) - n
+	sv.running = sv.running[:n]
+	sv.prefillAt = min(sv.prefillAt, n)
+	if n == 0 {
+		sv.keys, sv.blocks = sv.keys[:1+blockSlots], 1
+	}
+}
+
+// makeRoom frees a slot past the end of a batch that fills its blocks: it
+// closes the vacant slots if they are at least half the batch, and
+// otherwise doubles the blocks. Either way the work is paid for by the
+// slots vacated or filled since the last time, so a sequence's share of it
+// is constant.
+func (sv *Server) makeRoom() {
+	if 2*sv.vacant >= len(sv.running) {
+		sv.compact()
+		return
+	}
+	b := sv.blocks
+	for len(sv.keys) < 2*b*(1+blockSlots) {
+		sv.keys = append(sv.keys, never)
+	}
+	copy(sv.keys[2*b:], sv.keys[b:b+b*blockSlots])
+	for j := b; j < 2*b; j++ {
+		sv.keys[j] = never // the new blocks are past the batch
+	}
+	sv.blocks = 2 * b
+}
+
+// compact closes the batch's vacant slots, keeping admission order, and
+// re-derives every block's least key. A sequence knows no slot of its own,
+// so moving it touches only the batch and the keys.
+func (sv *Server) compact() {
+	keys := sv.keys[sv.blocks:]
+	n, at := 0, 0
+	for i, s := range sv.running {
+		if i == sv.prefillAt {
+			at = n
+		}
+		if s == nil {
 			continue
 		}
-		// Complete: release the KV cache, count the goodput.
-		kv := sv.kvTokens(s)
-		sv.heap.Free(int64(kv) * sv.cfg.KVBytesPerToken)
-		sv.residentTokens -= kv
-		sv.promptTokens -= s.req.Prompt
-		if s.decoding {
-			sv.decoders--
-		}
-		sv.completed.Inc()
-		sv.outputTokens.Add(int64(s.req.Output))
-		sv.goodput.Mark(now, float64(s.req.Output))
-		sv.e2e.Observe(now - s.arrived)
-		sv.putSeq(s)
+		sv.running[n] = s
+		keys[n] = keys[i]
+		n++
 	}
-	*sv.loadTotal -= int64(len(sv.running) - kept)
-	clear(sv.running[kept:])
-	sv.running = sv.running[:kept]
-	sv.retireAt = next
+	if sv.prefillAt == len(sv.running) {
+		at = n
+	}
+	sv.prefillAt = at
+	for i := n; i < len(sv.running); i++ {
+		keys[i] = never
+	}
+	for b := range (len(sv.running) + blockSlots - 1) / blockSlots {
+		sv.keys[b] = minKey(keys[b*blockSlots : (b+1)*blockSlots])
+	}
+	clear(sv.running[n:])
+	sv.running = sv.running[:n]
+	sv.vacant = 0
 }
 
 // ensureKV makes room for tokens' KV bytes, preempting the newest running
@@ -700,7 +853,7 @@ func (sv *Server) ensureKV(tokens int, beneficiary *seq) bool {
 	need := int64(tokens) * sv.cfg.KVBytesPerToken
 	for sv.heap.Available() < need {
 		victim := sv.evictionVictim(beneficiary)
-		if victim == nil {
+		if victim < 0 {
 			sv.heap.Alloc(need) // records the OOM on the heap
 			sv.crash()
 			return false
@@ -714,27 +867,26 @@ func (sv *Server) ensureKV(tokens int, beneficiary *seq) bool {
 	return true
 }
 
-// evictionVictim picks the newest running sequence holding KV, skipping the
-// sequence the eviction is for.
-func (sv *Server) evictionVictim(beneficiary *seq) *seq {
+// evictionVictim returns the slot of the newest running sequence holding
+// KV, skipping the sequence the eviction is for, or -1 if there is none.
+func (sv *Server) evictionVictim(beneficiary *seq) int {
 	for i := len(sv.running) - 1; i >= 0; i-- {
-		if s := sv.running[i]; s != beneficiary && sv.kvTokens(s) > 0 {
-			return s
+		if s := sv.running[i]; s != nil && s != beneficiary && sv.kvTokens(s) > 0 {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// evict preempts a sequence: frees its KV, resets its progress
-// (recompute-from-scratch, like vLLM's recompute preemption), and returns
-// it to the head of the waiting queue.
-func (sv *Server) evict(s *seq) {
-	for i := len(sv.running) - 1; i >= 0; i-- {
-		if sv.running[i] == s {
-			sv.running = append(sv.running[:i], sv.running[i+1:]...)
-			break
-		}
-	}
+// evict preempts the sequence in slot i: vacates the slot, frees its KV,
+// resets its progress (recompute-from-scratch, like vLLM's recompute
+// preemption), and returns it to the head of the waiting queue.
+func (sv *Server) evict(i int) {
+	s := sv.running[i]
+	sv.running[i] = nil
+	sv.clearKey(i)
+	sv.vacant++
+	sv.trim()
 	kv := sv.kvTokens(s)
 	if s.decoding {
 		s.decoding = false
@@ -742,8 +894,6 @@ func (sv *Server) evict(s *seq) {
 		if !s.ttftSeen {
 			sv.dropFirstTok(s)
 		}
-	} else if s.promptDone < s.req.Prompt {
-		sv.prefill.remove(s)
 	}
 	sv.heap.Free(int64(kv) * sv.cfg.KVBytesPerToken)
 	sv.residentTokens -= kv

@@ -63,20 +63,27 @@ func (p LLMPhase) String() string {
 // LLMGen generates inference requests for one phase configuration,
 // deterministically given a seed.
 type LLMGen struct {
-	rng   *rand.Rand
-	phase LLMPhase
+	rng            *rand.Rand
+	phase          LLMPhase
+	prompt, output tokenDist // the phase's token-count distributions
 }
 
 // NewLLMGen returns a seeded generator starting in the given phase.
 func NewLLMGen(seed int64, phase LLMPhase) *LLMGen {
-	return &LLMGen{rng: rand.New(rand.NewSource(seed)), phase: phase}
+	g := &LLMGen{rng: rand.New(rand.NewSource(seed))}
+	g.SetPhase(phase)
+	return g
 }
 
 // Phase returns the current phase parameters.
 func (g *LLMGen) Phase() LLMPhase { return g.phase }
 
 // SetPhase switches the generator to a new phase (workload shift).
-func (g *LLMGen) SetPhase(p LLMPhase) { g.phase = p }
+func (g *LLMGen) SetPhase(p LLMPhase) {
+	g.phase = p
+	g.prompt = newTokenDist(p.PromptMean, p.PromptSigma, p.MaxPrompt)
+	g.output = newTokenDist(p.OutputMean, p.OutputSigma, p.MaxOutput)
+}
 
 // NextInterarrival draws the gap to the next request from the phase's
 // arrival distribution (Poisson by default).
@@ -87,17 +94,26 @@ func (g *LLMGen) NextInterarrival() time.Duration {
 // NextRequest draws the next request's token counts.
 func (g *LLMGen) NextRequest() LLMRequest {
 	return LLMRequest{
-		Prompt: g.drawTokens(g.phase.PromptMean, g.phase.PromptSigma, g.phase.MaxPrompt),
-		Output: g.drawTokens(g.phase.OutputMean, g.phase.OutputSigma, g.phase.MaxOutput),
+		Prompt: g.prompt.draw(g.rng),
+		Output: g.output.draw(g.rng),
 	}
 }
 
-// drawTokens samples a lognormal token count with the given mean: the
+// tokenDist is a lognormal token-count distribution with a given mean. Its
 // location parameter is mean-corrected (µ = ln m − σ²/2) so the arithmetic
-// mean of the draws matches the configured mean regardless of sigma.
-func (g *LLMGen) drawTokens(mean int, sigma float64, max int) int {
+// mean of the draws matches the configured mean regardless of sigma; µ is
+// computed once per phase, not per draw.
+type tokenDist struct {
+	fixed     bool // a non-positive mean: every draw is 1 and uses no randomness
+	mu, sigma float64
+	max       int
+}
+
+// newTokenDist returns the distribution for a phase's mean, sigma (0 means
+// 0.5) and clamp (≤ 0 means 8× the mean).
+func newTokenDist(mean int, sigma float64, max int) tokenDist {
 	if mean <= 0 {
-		return 1
+		return tokenDist{fixed: true}
 	}
 	if sigma == 0 {
 		sigma = 0.5
@@ -105,13 +121,20 @@ func (g *LLMGen) drawTokens(mean int, sigma float64, max int) int {
 	if max <= 0 {
 		max = 8 * mean
 	}
-	mu := math.Log(float64(mean)) - sigma*sigma/2
-	n := int(math.Round(math.Exp(mu + sigma*g.rng.NormFloat64())))
+	return tokenDist{mu: math.Log(float64(mean)) - sigma*sigma/2, sigma: sigma, max: max}
+}
+
+// draw samples one token count, clamped to [1, max].
+func (d *tokenDist) draw(rng *rand.Rand) int {
+	if d.fixed {
+		return 1
+	}
+	n := int(math.Round(math.Exp(d.mu + d.sigma*rng.NormFloat64())))
 	if n < 1 {
 		n = 1
 	}
-	if n > max {
-		n = max
+	if n > d.max {
+		n = d.max
 	}
 	return n
 }
