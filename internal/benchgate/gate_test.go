@@ -61,6 +61,32 @@ func (m *gateMember) drain() {
 	}
 }
 
+// llmStep is the body of the llmserve step benchmarks: one scheduler step
+// and the retirement that ends it, step latency pinned to StepBase, req
+// arriving every third step, so the batch holds about req.Output/3
+// sequences.
+func llmStep(b *testing.B, heap int64, req workload.LLMRequest) {
+	cfg := llmserve.DefaultConfig()
+	cfg.StepPerToken = 0
+	s := sim.New()
+	sv := llmserve.New(s, memsim.NewHeap(heap), cfg)
+	var now time.Duration
+	step := func(i int) {
+		now += cfg.StepBase
+		s.RunUntil(now)
+		if i%3 == 0 {
+			sv.Offer(req)
+		}
+	}
+	for i := 0; i < 10*req.Output; i++ {
+		step(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}
+
 // baselinePath locates BENCH_engine.json relative to this package.
 const baselinePath = "../../BENCH_engine.json"
 
@@ -185,26 +211,13 @@ var gated = []struct {
 		}
 	}},
 	{"smartconf/internal/llmserve.BenchmarkLLMStepDeep", func(b *testing.B) {
-		cfg := llmserve.DefaultConfig()
-		cfg.StepPerToken = 0
-		s := sim.New()
-		sv := llmserve.New(s, memsim.NewHeap(64<<30), cfg)
-		req := workload.LLMRequest{Prompt: 150, Output: 300}
-		var now time.Duration
-		step := func(i int) {
-			now += cfg.StepBase
-			s.RunUntil(now)
-			if i%3 == 0 {
-				sv.Offer(req)
-			}
-		}
-		for i := 0; i < 3000; i++ {
-			step(i)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step(i)
-		}
+		llmStep(b, 64<<30, workload.LLMRequest{Prompt: 150, Output: 300})
+	}},
+	{"smartconf/internal/llmserve.BenchmarkLLMStepShallow", func(b *testing.B) {
+		llmStep(b, 16<<30, workload.LLMRequest{Prompt: 8, Output: 6})
+	}},
+	{"smartconf/internal/llmserve.BenchmarkLLMStepWide", func(b *testing.B) {
+		llmStep(b, 1<<40, workload.LLMRequest{Prompt: 150, Output: 3000})
 	}},
 	{"smartconf/internal/cluster.BenchmarkRouterRoute", func(b *testing.B) {
 		r := cluster.NewRouter(cluster.KeyAffinity)

@@ -236,9 +236,9 @@ func (f fleetRun) run(p Policy) FleetResult {
 		coord = f.coordinate(s, fleet, fleetMem, servers)
 	}
 	res := FleetResult{Policy: p, Nodes: nodes, FinalAdmission: -1}
+	lost := new(int)
 	if f.armed {
-		armLossRestart(s, fleetSeed, fleetLossAt, fleetRestartAt, targets)
-		res.Lost = 1
+		lost = armLossRestart(s, fleetSeed, fleetLossAt, fleetRestartAt, targets)
 	}
 
 	res.FleetMem = Series{Name: "fleet_memory", Unit: "bytes"}
@@ -269,6 +269,7 @@ func (f fleetRun) run(p Policy) FleetResult {
 	// the per-node shares unequal.
 	driveRPCFleet(s, fleet, fleetSeed+1, 256, hb3813BurstSize*nodes, f.loadUntil, rng)
 	s.RunUntil(f.runTime)
+	res.Lost = *lost
 
 	res.ConstraintMet = true
 	if met, at, worst := evalUpperBound(res.FleetMem, func(time.Duration) float64 { return float64(fleetMemGoal) }); !met {
@@ -417,13 +418,35 @@ func opRequest(op workload.Op) cluster.Request {
 }
 
 // armLossRestart arms a seeded plan that kills one member at lossAt and
-// brings the same victim back at restartAt.
-func armLossRestart(s *sim.Simulation, seed int64, lossAt, restartAt time.Duration, targets []chaos.Killable) {
+// brings the same victim back at restartAt. It returns the count of live
+// members the plan's kills took down, read once the run is over.
+func armLossRestart(s *sim.Simulation, seed int64, lossAt, restartAt time.Duration, targets []chaos.Killable) *int {
+	killed := new(int)
+	counted := make([]chaos.Killable, len(targets))
+	for i, t := range targets {
+		counted[i] = killCounter{t, killed}
+	}
 	plan := chaos.Plan{Name: "fleet-loss", Seed: seed, Faults: []chaos.Fault{
-		chaos.InstanceLoss{At: lossAt, Targets: targets, Victim: -1},
-		chaos.InstanceRestart{At: restartAt, Targets: targets, Victim: -1},
+		chaos.InstanceLoss{At: lossAt, Targets: counted, Victim: -1},
+		chaos.InstanceRestart{At: restartAt, Targets: counted, Victim: -1},
 	}}
 	plan.Arm(s, nil)
+	return killed
+}
+
+// killCounter is a fleet member whose kills are counted when they take it
+// down.
+type killCounter struct {
+	chaos.Killable
+	killed *int
+}
+
+func (k killCounter) Kill() {
+	alive := k.Alive()
+	k.Killable.Kill()
+	if alive && !k.Alive() {
+		*k.killed++
+	}
 }
 
 // fleetStaticGrid is the static sweep the SmartConf fleet is compared

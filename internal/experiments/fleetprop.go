@@ -119,7 +119,7 @@ func (h fleetProp[R]) run(substrate string, seed int64) proptest.FleetReport {
 		targets[i], counts[i] = h.member(s, fleet, i)
 	}
 	trace := newRouteTrace(fleet)
-	armLossRestart(s, seed, h.lossAt, h.restartAt, targets)
+	lost := armLossRestart(s, seed, h.lossAt, h.restartAt, targets)
 	h.drive(s, fleet, seed, rng, h.loadUntil)
 	s.RunUntil(h.horizon)
 
@@ -131,7 +131,7 @@ func (h fleetProp[R]) run(substrate string, seed int64) proptest.FleetReport {
 	}
 	r := proptest.FleetReport{
 		Substrate: substrate, Policy: fleet.Router().Policy().String(),
-		Seed: seed, Horizon: h.horizon, Members: members, Lost: 1,
+		Seed: seed, Horizon: h.horizon, Members: members, Lost: *lost,
 		Submitted: fleet.Submitted(), Completed: completed,
 		Refused: fleet.Refused(), Pending: pending,
 		RouteFingerprint: fmt.Sprintf("%016x", trace.Sum64()),

@@ -201,10 +201,14 @@ func runDifferential(t *testing.T, data []byte) (preempted bool) {
 	return d.ref.evictions.Value() > 0
 }
 
-// diffSeeds are hand-written inputs covering the regimes the fuzzer must
-// keep reaching: a roomy heap with zero-length prompts and outputs, a bound
-// parked at 0 and reopened, tight heaps that preempt, scratch OOM, and
-// kill/restart with requests in flight.
+// diffSeeds are inputs covering the regimes the fuzzer must keep reaching:
+// a roomy heap with zero-length prompts and outputs, a bound parked at 0 and
+// reopened, tight heaps that preempt, scratch OOM, kill/restart with
+// requests in flight, and the retirement paths of the batch's completion
+// keys. The corpus under testdata/fuzz/FuzzLLMServeDifferential adds longer
+// inputs: kills over vacated slots and over a batch grown past one block of
+// keys, batches grown to two and four blocks and drained, and completions in
+// two blocks at one pass.
 var diffSeeds = [][]byte{
 	// roomy heap, unlimited prefill; empty prompt and/or output mixed in
 	{255, 0, 0, 0, 0, 0x00, 1, 0x05, 2, 0x30, 0, 0x47, 7, 60, 1, 0x13, 7, 200},
@@ -219,6 +223,16 @@ var diffSeeds = [][]byte{
 	{100, 4, 3, 5, 0, 0x56, 1, 0x67, 7, 20, 5, 0, 0, 0x11, 6, 0, 0, 0x22, 7, 200},
 	// waiting limit 1 refuses, limit 0 refuses all, bound moves mid-run
 	{120, 0, 2, 1, 0, 0x33, 1, 0x44, 2, 0x55, 4, 0, 0, 0x12, 3, 20, 7, 100, 4, 9, 0, 0x12, 7, 100},
+	// two decoders admitted at different times complete at one pass: the
+	// release order shows in the last E2E observation
+	{0x7d, 0x67, 0x68, 0xb0, 0x2, 0xac, 0x7, 0x18, 0x1, 0xe7, 0x7, 0x1c},
+	// a zero-output sequence completes in the same retire as decoders
+	{0xca, 0x94, 0x55, 0x41, 0x2, 0xb0, 0x2, 0x5a, 0x1, 0x6, 0x2, 0xd9},
+	// a prefilling and a decoding sequence are preempted between two
+	// retires, and an admission compacts a full block of slots
+	{0x93, 0x10, 0xe5, 0x80, 0x7, 0x3, 0x1, 0x77, 0x7, 0x24, 0x2, 0x94},
+	// retire compacts the batch while a prompt is still prefilling
+	{0xe5, 0x8b, 0x11, 0x60, 0x2, 0x0, 0x0, 0x89, 0x0, 0x2a, 0x0, 0x4c},
 }
 
 func FuzzLLMServeDifferential(f *testing.F) {
