@@ -558,7 +558,7 @@ func (sv *Server) step() {
 	}
 
 	// Chunked prefill, admission order, from prefillAt: the prefilling
-	// sequences are the occupied slots there on whose key is never. Every
+	// sequences are the occupied slots from there on whose key is never. Every
 	// sequence the budget reaches but the last finishes its prompt, so only
 	// the oldest is ever part-way through. Decoders listed before it get
 	// their first token in this step; those it adds, in the next.
