@@ -142,6 +142,18 @@ var gated = []struct {
 			s.RunUntil(next)
 		}
 	}},
+	{"smartconf/internal/sim.BenchmarkSimScheduleHold", func(b *testing.B) {
+		s := sim.NewWithCapacity(16)
+		fn := func(uint64) {}
+		for i := 0; i < 9; i++ {
+			s.AtArg(time.Duration(1000+i)*time.Hour, fn, 0)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.AfterArg(time.Microsecond, fn, uint64(i))
+			s.Step()
+		}
+	}},
 	{"smartconf/internal/sim.BenchmarkSimScheduleArg", func(b *testing.B) {
 		s := sim.NewWithCapacity(1)
 		fn := func(uint64) {}

@@ -3,6 +3,7 @@ package llmserve
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -74,6 +75,11 @@ type diffRun struct {
 	sevac      []workload.LLMRequest
 	now        time.Duration
 	load       int64 // the server's reported load (Server.ReportLoad)
+
+	// twoBlocks records a tick that completed sequences from two blocks
+	// of the server's running slots; slots holds the slots before the tick.
+	twoBlocks bool
+	slots     []*seq
 }
 
 func newDiffRun(cfg Config, capacity int64) *diffRun {
@@ -140,25 +146,52 @@ func (d *diffRun) advance(t *testing.T, op int, n int) {
 	for i := 0; i < n; i++ {
 		d.now += diffTick
 		rb, sb := d.rsim.Events(), d.ssim.Events()
+		completed, evictions := d.sv.Completed(), d.sv.Evictions()
+		d.slots = append(d.slots[:0], d.sv.running...)
 		d.rsim.RunUntil(d.now)
 		d.ssim.RunUntil(d.now)
 		if d.rsim.Events() != rb || d.ssim.Events() != sb {
 			d.check(t, op, "event")
+			if d.sv.Completed() > completed+1 && d.sv.Evictions() == evictions && !d.sv.Crashed() {
+				d.noteTwoBlocks()
+			}
+		}
+	}
+}
+
+// noteTwoBlocks sets twoBlocks if the sequences that left the batch in the
+// tick just run held slots in two blocks. advance calls it only for a tick
+// that completed two or more and neither preempted nor crashed, and a tick
+// holds at most one event, so they completed in one retire. A sequence
+// recycled into the batch in the same tick still counts as present, which
+// can only miss a two-block retire.
+func (d *diffRun) noteTwoBlocks() {
+	first := -1
+	for i, s := range d.slots {
+		if s == nil || slices.Contains(d.sv.running, s) {
+			continue
+		}
+		if first < 0 {
+			first = i / blockSlots
+		} else if i/blockSlots != first {
+			d.twoBlocks = true
+			return
 		}
 	}
 }
 
 // runDifferential interprets data as a calibration (4 bytes) followed by
 // two-byte operations, applies each to both servers, drains them, and
-// reports whether the run preempted anything. Operation codes (first byte
+// reports whether the run preempted anything and whether one retire
+// completed sequences in two blocks of slots. Operation codes (first byte
 // mod 8): 0–2 offer a request (prompt 0–45 and output 0–15 tokens from the
 // second byte), 3 moves max.num.batched.tokens (0 parks admission, 255
 // reopens it), 4 moves admission.queue.limit, 5 kills, 6 restarts, 7
 // advances time 1–256 ticks.
-func runDifferential(t *testing.T, data []byte) (preempted bool) {
+func runDifferential(t *testing.T, data []byte) (preempted, twoBlocks bool) {
 	t.Helper()
 	if len(data) < 4 {
-		return false
+		return false, false
 	}
 	cfg, capacity := diffConfig(data)
 	d := newDiffRun(cfg, capacity)
@@ -198,7 +231,7 @@ func runDifferential(t *testing.T, data []byte) (preempted bool) {
 	for n := 0; n < diffDrain && (d.rsim.Pending() > 0 || d.ssim.Pending() > 0); n++ {
 		d.advance(t, -1, 1)
 	}
-	return d.ref.evictions.Value() > 0
+	return d.ref.evictions.Value() > 0, d.twoBlocks
 }
 
 // diffSeeds are inputs covering the regimes the fuzzer must keep reaching:
@@ -244,9 +277,28 @@ func FuzzLLMServeDifferential(f *testing.F) {
 	})
 }
 
+// wideBatchInput draws an input that keeps more than one block of
+// sequences running: the roomiest heap without scratch, unbounded waiting,
+// and 24–47 operations, three in four an offer of a 0- or 3-token prompt
+// with an 8–15-token output, the rest advancing 1–16 ticks. Offers that
+// arrive together complete together, so one retire often spans two blocks.
+func wideBatchInput(rng *rand.Rand) []byte {
+	data := []byte{127 | byte(rng.Intn(2))<<7, byte(rng.Intn(2) | rng.Intn(4)<<2), byte(rng.Intn(256)), 0}
+	for n := 24 + rng.Intn(24); n > 0; n-- {
+		if rng.Intn(4) == 0 {
+			data = append(data, 7, byte(rng.Intn(16)))
+		} else {
+			data = append(data, byte(rng.Intn(3)), byte(rng.Intn(2)<<4|8+rng.Intn(8)))
+		}
+	}
+	return data
+}
+
 // TestLLMServeDifferentialRandom runs the oracle over seeded random inputs
 // drawn like the fuzzer's, and checks that the generator still reaches
-// preemption on a meaningful share of them.
+// preemption on a meaningful share of them; then over wide-batch inputs,
+// and checks that a meaningful share of those retire across two blocks of
+// slots at one pass.
 func TestLLMServeDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const inputs = 400
@@ -254,7 +306,7 @@ func TestLLMServeDifferentialRandom(t *testing.T) {
 	for n := 0; n < inputs; n++ {
 		data := make([]byte, 4+2*(8+rng.Intn(56)))
 		rng.Read(data)
-		if runDifferential(t, data) {
+		if p, _ := runDifferential(t, data); p {
 			preempted++
 		}
 	}
@@ -264,5 +316,18 @@ func TestLLMServeDifferentialRandom(t *testing.T) {
 	t.Logf("%d/%d random inputs preempted", preempted, inputs)
 	if preempted < inputs/10 {
 		t.Fatalf("only %d/%d random inputs preempted: the generator no longer stresses the KV heap", preempted, inputs)
+	}
+
+	rng = rand.New(rand.NewSource(2))
+	const wide = 100
+	twoBlocks := 0
+	for n := 0; n < wide; n++ {
+		if _, b := runDifferential(t, wideBatchInput(rng)); b {
+			twoBlocks++
+		}
+	}
+	t.Logf("%d/%d wide-batch inputs retired across two blocks", twoBlocks, wide)
+	if twoBlocks < wide/2 {
+		t.Fatalf("only %d/%d wide-batch inputs retired across two blocks: the generator no longer fills the batch", twoBlocks, wide)
 	}
 }

@@ -359,6 +359,73 @@ func TestSimMatchesReferenceOnOrderingCases(t *testing.T) {
 			s.AtArg(20, rec("late"), 0)
 		},
 		want: []string{"s:0@0", "s:1@3", "s:2@6"},
+	}, {
+		// Fifteen events at 4 and H at 8 fill the buffer in front of the
+		// heap. E at 3 spills H, the latest, into the heap. L at 6 orders
+		// before the heap's minimum H but after the full buffer's latest,
+		// a:14, so it goes to the heap itself. Once E has fired, T ties the
+		// heap's minimum L on its instant and fires after it. Draining the
+		// buffer refills it from the heap while the heap still holds T and H.
+		name: "full-buffer-edges",
+		script: func(s scheduler, rec func(string) func(uint64)) {
+			a := rec("a")
+			for i := range 15 {
+				s.AtArg(4, a, uint64(i))
+			}
+			s.AtArg(8, rec("h"), 0)
+			s.AtArg(3, rec("e"), 0)
+			s.AtArg(6, rec("l"), 0)
+			s.Step()
+			s.AtArg(6, rec("t"), 0)
+		},
+		want: []string{"e:0@3", "a:0@4", "a:1@4", "a:2@4", "a:3@4", "a:4@4", "a:5@4", "a:6@4", "a:7@4",
+			"a:8@4", "a:9@4", "a:10@4", "a:11@4", "a:12@4", "a:13@4", "a:14@4", "l:0@6", "t:0@6", "h:0@8"},
+	}, {
+		// A series 3 apart fills the buffer with fifteen events at 4, and
+		// b:15 goes to the heap. Element 1 fires at 3 and element 2, due at
+		// 6, is later than the heap's minimum: it crosses into the heap and
+		// comes back through a refill.
+		name: "series-element-crosses-into-heap",
+		script: func(s scheduler, rec func(string) func(uint64)) {
+			s.AfterArgSeries(3, 4, rec("s"), 0)
+			b := rec("b")
+			for i := range 16 {
+				s.AtArg(4, b, uint64(i))
+			}
+		},
+		want: []string{"s:0@0", "s:1@3", "b:0@4", "b:1@4", "b:2@4", "b:3@4", "b:4@4", "b:5@4", "b:6@4", "b:7@4",
+			"b:8@4", "b:9@4", "b:10@4", "b:11@4", "b:12@4", "b:13@4", "b:14@4", "b:15@4", "s:2@6", "s:3@9"},
+	}, {
+		// The same with the events at 6: element 2 ties the buffered events
+		// and the heap's minimum b:15 on their instant and reserved its
+		// sequence number before all of them, so it stays in the buffer and
+		// fires first.
+		name: "series-element-ties-heap-minimum",
+		script: func(s scheduler, rec func(string) func(uint64)) {
+			s.AfterArgSeries(3, 4, rec("s"), 0)
+			b := rec("b")
+			for i := range 16 {
+				s.AtArg(6, b, uint64(i))
+			}
+		},
+		want: []string{"s:0@0", "s:1@3", "s:2@6", "b:0@6", "b:1@6", "b:2@6", "b:3@6", "b:4@6", "b:5@6", "b:6@6",
+			"b:7@6", "b:8@6", "b:9@6", "b:10@6", "b:11@6", "b:12@6", "b:13@6", "b:14@6", "b:15@6", "s:3@9"},
+	}, {
+		// RunUntil's deadline falls between the sixteen buffered events at
+		// 2 and the heap's H at 9: the buffer drains, H stays pending and
+		// the clock parks at 5.
+		name: "until-between-buffer-and-heap",
+		script: func(s scheduler, rec func(string) func(uint64)) {
+			a := rec("a")
+			for i := range 16 {
+				s.AtArg(2, a, uint64(i))
+			}
+			s.AtArg(9, rec("h"), 0)
+			s.RunUntil(5)
+			rec("until")(0)
+		},
+		want: []string{"a:0@2", "a:1@2", "a:2@2", "a:3@2", "a:4@2", "a:5@2", "a:6@2", "a:7@2",
+			"a:8@2", "a:9@2", "a:10@2", "a:11@2", "a:12@2", "a:13@2", "a:14@2", "a:15@2", "until:0@5", "h:0@9"},
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

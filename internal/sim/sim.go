@@ -12,20 +12,32 @@
 // reproducible regardless of map iteration or goroutine scheduling — the
 // simulator is single-goroutine by design.
 //
-// The event queue is a 4-ary implicit heap of 16-byte keys holding no
-// pointers: each element is its instant plus seq<<24 | slot, where slot
-// indexes a payload table holding the callback, its argument and any series
-// state. Sifts move only keys, so they pay no GC write barriers even while
-// the collector is marking, and payloads never move once written; a
-// released payload is zeroed, so the GC can drop its callbacks, and links
-// the table's free list. The packing bounds a simulation to 2^24 pending
-// heap elements and 2^40 scheduled events: past either, scheduling panics,
-// as scheduling in the past does. A pop deletes bottom-up: the hole at the
-// root walks to a leaf along the smaller child without comparing the moved
-// last element, which then sifts up from there, where it usually belongs.
-// A full group of four children picks its minimum by a branch-free
-// tournament (lessBit), since which child wins is a coin toss to the branch
-// predictor on a deep queue.
+// The event queue holds 16-byte keys with no pointers: each element is its
+// instant plus seq<<24 | slot, where slot indexes a payload table holding
+// the callback, its argument and any series state. Moving a key pays no GC
+// write barrier even while the collector is marking, and payloads never
+// move once written; a released payload is zeroed, so the GC can drop its
+// callbacks, and links the table's free list. The packing bounds a
+// simulation to 2^24 pending queue elements and 2^40 scheduled events: past
+// either, scheduling panics, as scheduling in the past does.
+//
+// The keys live in two places. A sorted buffer of up to 16 keys, latest
+// first, holds the earliest pending events, and a 4-ary implicit heap holds
+// the rest; every buffered key orders before every heap key, and the buffer
+// is empty only when the heap is. The next event is the buffer's last
+// entry, so firing it is a decrement. An event that orders before the
+// heap's minimum joins the buffer, scanning from its earliest end; a full
+// buffer spills its latest key into the heap, and an event later than a
+// full buffer's latest goes to the heap itself. An emptied buffer refills
+// with the heap's minimum. In a control loop the event just scheduled is
+// most often the next to fire, and few others are pending, so most events
+// never reach the heap: they are scheduled into the buffer and fire from
+// it. A deep queue keeps the heap's costs. A heap pop deletes bottom-up:
+// the hole at the root walks to a leaf along the smaller child without
+// comparing the moved last element, which then sifts up from there, where
+// it usually belongs. A full group of four children picks its minimum by a
+// branch-free tournament (lessBit), since which child wins is a coin toss
+// to the branch predictor on a deep queue.
 //
 // Three raw-speed facilities serve 10M-request runs and the figure
 // workloads (see DESIGN.md):
@@ -36,24 +48,25 @@
 //     the stored field; creating the method value at the call site would
 //     allocate.
 //   - A same-instant batch lane: an event scheduled for exactly the current
-//     instant (t == Now) bypasses the heap into a FIFO ring and is popped in
-//     O(1) with no sifting. The (time, seq) order is preserved exactly: any
-//     heap event with at == Now was necessarily scheduled at an earlier
-//     instant (scheduling into the heap requires t > Now), hence carries a
-//     smaller sequence number than every ring event, so draining heap
-//     events at Now before the ring replays the heap-only order bit for bit.
+//     instant (t == Now) bypasses the queue into a FIFO ring and is popped
+//     in O(1) with no sifting. The (time, seq) order is preserved exactly:
+//     any queued event with at == Now was necessarily scheduled at an
+//     earlier instant (queueing requires t > Now), hence carries a smaller
+//     sequence number than every ring event, so draining queued events at
+//     Now before the ring replays the queue-only order bit for bit.
 //   - AfterArgSeries schedules a burst — fn(arg+i) at Now + i·every for
 //     i < n — as the events, order and sequence numbers of n consecutive
 //     AfterArg calls, in two queue entries. Element 0 takes the batch lane.
 //     Elements 1…n−1 reserve the next n−1 sequence numbers and share one
-//     heap element, which advances in place each time it fires from the
-//     top (at += every, seq += 1, one sift-down). Element i+1 orders
-//     strictly after element i, so it cannot be the queue's minimum before
-//     element i has fired: keeping only the earliest unfired element in the
-//     heap leaves every minimum, and with it the firing order, exactly that
-//     of the n-event heap. The batch-lane argument still holds: an element
-//     due at T reserved its sequence number before T, and it is in the heap
-//     by T, because its predecessor fired at T − every.
+//     queue element and payload. Each time the element fires it is queued
+//     again as its successor (at += every, seq += 1), by the same rule as a
+//     new event. Element i+1 orders strictly after element i, so it cannot
+//     be the queue's minimum before element i has fired: keeping only the
+//     earliest unfired element queued leaves every minimum, and with it the
+//     firing order, exactly that of the n-event queue. The batch-lane
+//     argument still holds: an element due at T reserved its sequence
+//     number before T, and it is queued by T, because its predecessor fired
+//     at T − every.
 package sim
 
 import (
@@ -62,7 +75,7 @@ import (
 	"time"
 )
 
-// A heap element's key packs the event's sequence number above the index
+// A queue element's key packs the event's sequence number above the index
 // of its payload.
 const (
 	slotBits = 24
@@ -70,7 +83,7 @@ const (
 	maxSeq   = 1<<(64-slotBits) - 1
 )
 
-// entry is one heap element. It holds no pointers, so moving it costs no
+// entry is one queue element. It holds no pointers, so moving it costs no
 // write barrier.
 type entry struct {
 	at  time.Duration
@@ -113,8 +126,8 @@ func (c *call) fire() {
 	c.fn()
 }
 
-// payload is what a heap element fires: a single event, or the element of a
-// series now in the heap, with left more hidden behind it, every apart and
+// payload is what a queue element fires: a single event, or the element of
+// a series now queued, with left more hidden behind it, every apart and
 // their arguments counting up from arg. A released payload is zero except
 // arg, which links the free list (next slot + 1; 0 ends it).
 type payload struct {
@@ -122,6 +135,12 @@ type payload struct {
 	every time.Duration
 	left  int
 }
+
+// bufCap is the number of earliest pending events held in front of the
+// heap: room for a per-admission loop's nine pending events and for the
+// figure workloads' average of about nine per pop (DESIGN.md §5f). Eight
+// and thirty-two entries measured no better.
+const bufCap = 16
 
 // defaultQueueCapacity is the initial event-queue capacity used by New.
 // Substrates that know their steady-state queue depth can pass a tighter or
@@ -132,17 +151,22 @@ const defaultQueueCapacity = 256
 // It is not safe for concurrent use: all substrate code runs inside event
 // callbacks on a single goroutine.
 type Simulation struct {
-	now      time.Duration
+	now time.Duration
+	// buf holds the earliest pending queued events, latest first, so the next
+	// to fire is buf[nbuf-1]. Every buffered event orders before every
+	// element of queue, and nbuf is 0 only when queue is empty too.
+	buf      [bufCap]entry
+	nbuf     int
 	queue    []entry   // 4-ary min-heap ordered by (at, seq)
 	payloads []payload // indexed by the slot bits of a queue entry's key
 	free     uint64    // first released payload, slot + 1; 0: none
-	hidden   int       // series elements not yet in the heap
+	hidden   int       // series elements not yet queued
 	seq      uint64
 	stopped  bool
 	events   uint64 // total events executed (diagnostics / benchmarks)
 
 	// Same-instant batch lane: events scheduled at exactly now, drained FIFO
-	// after the heap's events for the same instant (see the package comment
+	// after the queued events for the same instant (see the package comment
 	// for the ordering argument). ring is a circular buffer.
 	ring     []call
 	ringHead int
@@ -206,9 +230,9 @@ func (s *Simulation) AfterArg(d time.Duration, fn func(uint64), arg uint64) {
 
 // AfterArgSeries schedules fn(arg+i) at Now + i·every for each i < n: the
 // events, order and sequence numbers of n consecutive AfterArg calls, held
-// as one batch-lane event and one heap element that advances in place each
-// time it fires (see the package comment). For every ≤ 0, or n < 3, where
-// sharing saves nothing, it is that AfterArg loop.
+// as one batch-lane event and one queue element that is queued again as its
+// successor each time it fires (see the package comment). For every ≤ 0, or
+// n < 3, where sharing saves nothing, it is that AfterArg loop.
 func (s *Simulation) AfterArgSeries(every time.Duration, n int, fn func(uint64), arg uint64) {
 	if every <= 0 || n < 3 {
 		for i := 0; i < n; i++ {
@@ -226,7 +250,7 @@ func (s *Simulation) AfterArgSeries(every time.Duration, n int, fn func(uint64),
 	s.notePending()
 }
 
-// schedule routes an event to the heap (future instants) or the same-instant
+// schedule routes an event to the queue (future instants) or the same-instant
 // ring (t == now, the batch lane). Scheduling in the past panics.
 func (s *Simulation) schedule(t time.Duration, c call) {
 	if t < s.now {
@@ -251,7 +275,7 @@ func (s *Simulation) reserve(n uint64) uint64 {
 	return first
 }
 
-// push adds a heap element that fires p at t with sequence number seq,
+// push queues an element that fires p at t with sequence number seq,
 // storing p in a released payload if there is one.
 func (s *Simulation) push(t time.Duration, seq uint64, p payload) {
 	var slot uint64
@@ -262,12 +286,54 @@ func (s *Simulation) push(t time.Duration, seq uint64, p payload) {
 	} else {
 		slot = uint64(len(s.payloads))
 		if slot > slotMask {
-			panic("sim: more than 2^24 events pending in the heap")
+			panic("sim: more than 2^24 events pending in the queue")
 		}
 		s.payloads = append(s.payloads, p)
 	}
-	s.queue = append(s.queue, entry{at: t, key: seq<<slotBits | slot})
+	s.insert(entry{at: t, key: seq<<slotBits | slot})
+}
+
+// insert queues e. An event that orders before the heap's minimum joins the
+// buffer, scanning from its earliest end, where most land; a full buffer
+// spills its latest event into the heap to make room, unless e is later
+// than that event, in which case e goes to the heap itself.
+func (s *Simulation) insert(e entry) {
+	if len(s.queue) > 0 && !e.before(s.queue[0]) {
+		s.heapPush(e)
+		return
+	}
+	n := s.nbuf
+	if n == bufCap {
+		if s.buf[0].before(e) {
+			s.heapPush(e)
+			return
+		}
+		s.heapPush(s.buf[0])
+		n--
+		copy(s.buf[:n], s.buf[1:])
+	}
+	i := n
+	for ; i > 0 && s.buf[i-1].before(e); i-- {
+		s.buf[i] = s.buf[i-1]
+	}
+	s.buf[i] = e
+	s.nbuf = n + 1
+}
+
+// heapPush adds e to the heap.
+func (s *Simulation) heapPush(e entry) {
+	s.queue = append(s.queue, e)
 	s.siftUp(len(s.queue) - 1)
+}
+
+// refill moves the heap's minimum into the empty buffer. It is kept out of
+// line, off the path of an event fired from a buffer that holds others.
+//
+//go:noinline
+func (s *Simulation) refill() {
+	s.buf[0] = s.queue[0]
+	s.nbuf = 1
+	s.pop()
 }
 
 // notePending raises the MaxPending watermark to the current depth.
@@ -306,7 +372,7 @@ func (s *Simulation) Stopped() bool { return s.stopped }
 
 // Run executes events until the queue drains or Stop is called.
 func (s *Simulation) Run() {
-	for (len(s.queue) > 0 || s.ringLen > 0) && !s.stopped {
+	for (s.nbuf > 0 || s.ringLen > 0) && !s.stopped {
 		s.step()
 	}
 }
@@ -315,7 +381,7 @@ func (s *Simulation) Run() {
 // and reports whether it fired one: Run one event at a time, for harnesses
 // that check state between events.
 func (s *Simulation) Step() bool {
-	if s.stopped || len(s.queue) == 0 && s.ringLen == 0 {
+	if s.stopped || s.nbuf == 0 && s.ringLen == 0 {
 		return false
 	}
 	s.step()
@@ -325,20 +391,9 @@ func (s *Simulation) Step() bool {
 // RunUntil executes all events scheduled at or before deadline (unless Stop
 // fires first) and then advances the clock to the deadline.
 func (s *Simulation) RunUntil(deadline time.Duration) {
-	for !s.stopped {
-		if s.ringLen > 0 && s.now <= deadline {
-			// Ring events are all due at now; run them unless the clock has
-			// already passed the deadline.
-			if len(s.queue) > 0 && s.queue[0].at == s.now {
-				s.step() // heap events at now precede the ring (smaller seq)
-				continue
-			}
-			s.step()
-			continue
-		}
-		if len(s.queue) == 0 || s.queue[0].at > deadline {
-			break
-		}
+	// Ring events are all due at now: they run unless the clock has already
+	// passed the deadline.
+	for !s.stopped && (s.ringLen > 0 && s.now <= deadline || s.nbuf > 0 && s.buf[s.nbuf-1].at <= deadline) {
 		s.step()
 	}
 	if !s.stopped && s.now < deadline {
@@ -348,51 +403,50 @@ func (s *Simulation) RunUntil(deadline time.Duration) {
 
 // Pending reports the number of queued events, counting every series
 // element not yet fired.
-func (s *Simulation) Pending() int { return len(s.queue) + s.ringLen + s.hidden }
+func (s *Simulation) Pending() int { return s.nbuf + len(s.queue) + s.ringLen + s.hidden }
 
 // MaxPending reports the high-watermark of Pending over the simulation's
 // lifetime — the measured steady-state queue depth that NewWithCapacity
 // hints should be sized to (the -scale artifact reports it per substrate).
 func (s *Simulation) MaxPending() int { return s.maxPending }
 
-// step fires the next event in (time, seq) order: heap events due at the
+// step fires the next event in (time, seq) order: queued events due at the
 // current instant precede the same-instant ring (their sequence numbers are
 // necessarily smaller — see the package comment), and the ring drains FIFO
-// before the clock may advance to a future heap event.
+// before the clock may advance to a future queued event.
 func (s *Simulation) step() {
-	if len(s.queue) > 0 && s.queue[0].at == s.now {
-		s.fireTop()
-		return
-	}
-	if s.ringLen > 0 {
+	n := s.nbuf - 1
+	if s.ringLen > 0 && (n < 0 || s.buf[n].at != s.now) {
 		c := s.ringPop()
 		s.events++
 		c.fire()
 		return
 	}
-	s.now = s.queue[0].at
-	s.fireTop()
+	s.fireHead(n)
 }
 
-// fireTop fires the heap's minimum. A series element with more hidden
-// behind it gives way in place to the next one; any other element leaves
-// the heap and releases its payload.
-func (s *Simulation) fireTop() {
-	top := &s.queue[0]
-	slot := top.key & slotMask
+// fireHead fires the earliest queued event, buf[n], n = nbuf−1. A series
+// element with more hidden behind it gives way to the next one, queued by
+// insert's rule; any other element releases its payload. An emptied buffer
+// refills from the heap before the callback runs.
+func (s *Simulation) fireHead(n int) {
+	e := s.buf[n]
+	s.nbuf = n
+	s.now = e.at
+	slot := e.key & slotMask
 	p := &s.payloads[slot]
 	c := p.call
 	if p.left > 0 {
 		p.left--
 		p.arg++
 		s.hidden--
-		top.at += p.every
-		top.key += 1 << slotBits
-		s.siftDown(0)
+		s.insert(entry{at: e.at + p.every, key: e.key + 1<<slotBits})
 	} else {
 		*p = payload{call: call{arg: s.free}}
 		s.free = slot + 1
-		s.pop()
+	}
+	if s.nbuf == 0 && len(s.queue) > 0 {
+		s.refill()
 	}
 	s.events++
 	c.fire()
@@ -455,22 +509,6 @@ func (s *Simulation) siftUp(i int) {
 		}
 		s.queue[i] = s.queue[p]
 		i = p
-	}
-	s.queue[i] = e
-}
-
-// siftDown restores the heap property from index i toward the leaves, for
-// an element that advanced in place. Children of i are 4i+1 … 4i+4.
-func (s *Simulation) siftDown(i int) {
-	n := len(s.queue)
-	e := s.queue[i]
-	for c := i<<2 + 1; c < n; c = i<<2 + 1 {
-		m := s.minChild(c, n)
-		if !s.queue[m].before(e) {
-			break
-		}
-		s.queue[i] = s.queue[m]
-		i = m
 	}
 	s.queue[i] = e
 }

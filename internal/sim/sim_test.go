@@ -563,7 +563,24 @@ func BenchmarkSimScheduleDeep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t += time.Millisecond
 		s.At(t, fn)
-		s.RunUntil(s.queue[0].at)
+		s.RunUntil(s.buf[s.nbuf-1].at) // the earliest pending instant
+	}
+}
+
+// BenchmarkSimScheduleHold is the shape of a per-admission control loop: nine
+// far-future events stay pending while each op schedules an event 1 µs
+// ahead, which fires next.
+func BenchmarkSimScheduleHold(b *testing.B) {
+	s := NewWithCapacity(16)
+	fn := func(uint64) {}
+	for i := 0; i < 9; i++ {
+		s.AtArg(time.Duration(1000+i)*time.Hour, fn, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.AfterArg(time.Microsecond, fn, uint64(i))
+		s.Step()
 	}
 }
 
