@@ -22,9 +22,8 @@ type gateInstance struct {
 	dead bool
 }
 
-func (g gateInstance) ID() int       { return g.id }
-func (g gateInstance) Alive() bool   { return !g.dead }
-func (g gateInstance) Load() float64 { return float64(g.id) }
+func (g gateInstance) ID() int     { return g.id }
+func (g gateInstance) Alive() bool { return !g.dead }
 
 // ReportLoad reports the instance's constant load once.
 func (g gateInstance) ReportLoad(total *int64) { *total += int64(g.id) }
@@ -36,9 +35,8 @@ type gateMember struct {
 	total           *int64
 }
 
-func (m *gateMember) ID() int       { return m.id }
-func (m *gateMember) Alive() bool   { return true }
-func (m *gateMember) Load() float64 { return float64(m.load) }
+func (m *gateMember) ID() int     { return m.id }
+func (m *gateMember) Alive() bool { return true }
 
 func (m *gateMember) ReportLoad(total *int64) {
 	*total += int64(m.load)
@@ -234,7 +232,7 @@ var gated = []struct {
 	{"smartconf/internal/cluster.BenchmarkRouterRoute", func(b *testing.B) {
 		r := cluster.NewRouter(cluster.KeyAffinity)
 		for i := 0; i < 16; i++ {
-			r.Add(gateInstance{id: i}, 1)
+			r.Add(gateInstance{id: i})
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -244,7 +242,7 @@ var gated = []struct {
 	{"smartconf/internal/cluster.BenchmarkFleetRouteWide", func(b *testing.B) {
 		r := cluster.NewRouter(cluster.KeyAffinity)
 		for i := 0; i < 256; i++ {
-			r.Add(gateInstance{id: i, dead: i%5 == 0}, 1)
+			r.Add(gateInstance{id: i, dead: i%5 == 0})
 		}
 		var tried cluster.TriedSet
 		for i := 0; i < 256; i += 7 {

@@ -44,22 +44,6 @@ func BenchmarkFleetRouteWide(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetRouteWideLeastLoaded measures the tournament-sample path: a
-// least-loaded decision over 256 members costs tournamentSamples Load()
-// calls plus the word-level candidate math, not a 256-member scan.
-func BenchmarkFleetRouteWideLeastLoaded(b *testing.B) {
-	fakes := newFakes(256)
-	for i := range fakes {
-		fakes[i].load = float64(i % 17)
-	}
-	r := routerOver(LeastLoaded, fakes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RouteExcluding(Request{Key: uint64(i), Cost: 1}, TriedSet{})
-	}
-}
-
 // boundedMember is a fleet member with a bounded backlog: offers fill it up
 // to bound, drain empties it one request at a time, and both report to the
 // fleet's running load total.
@@ -68,9 +52,8 @@ type boundedMember struct {
 	total           *int64
 }
 
-func (m *boundedMember) ID() int       { return m.id }
-func (m *boundedMember) Alive() bool   { return true }
-func (m *boundedMember) Load() float64 { return float64(m.load) }
+func (m *boundedMember) ID() int     { return m.id }
+func (m *boundedMember) Alive() bool { return true }
 
 func (m *boundedMember) ReportLoad(total *int64) {
 	*total += int64(m.load)

@@ -9,19 +9,17 @@
 // that scale-out needs without touching the control math:
 //
 //   - Instance: the router-facing surface every fleet member exposes —
-//     identity, liveness, and an instantaneous load signal that the member
-//     also reports, change by change, into its fleet's running total. The
-//     rpcserver, llmserve and kvstore substrates satisfy it structurally
-//     (plus Kill and Restart for instance-level chaos), so any of them can
-//     be fleeted.
-//   - Router: a pluggable routing policy over the member set — round-robin,
-//     least-loaded, weighted-scoring, key-affinity, and prefix-affinity
-//     (rendezvous hashing, stable under membership change). The decision
-//     path allocates nothing and is sub-O(N) where the policy allows it:
-//     precomputed rendezvous salts, a memoized rendezvous order per recent
-//     key, a lazily-maintained dead-member bitset scanned by word-level bit
-//     tricks, and tournament sampling for the load-scanning policies on
-//     fleets wider than 64.
+//     identity, liveness, and its load, which the member reports change by
+//     change into its fleet's running total. The rpcserver, llmserve and
+//     kvstore substrates satisfy it structurally (plus Kill and Restart for
+//     instance-level chaos), so any of them can be fleeted.
+//   - Router: one of two affinity policies over the member set —
+//     key-affinity or prefix-affinity, both rendezvous hashing, stable
+//     under membership change. The decision path allocates nothing and a
+//     repeated key skips the O(N) scan: precomputed rendezvous salts, a
+//     memoized rendezvous order per recent key, the full order of the last
+//     key that spilled past its memo, and a lazily-maintained dead-member
+//     bitset scanned by word-level bit tricks.
 //   - Fleet[R]: the front-end. It couples the router to typed per-member
 //     offer functions, retries rejected requests on the next-best member (a
 //     bitmask of tried members, no allocation), enforces the global
@@ -51,15 +49,13 @@ type Instance interface {
 	// Alive reports whether the member can accept work (false after an OOM
 	// crash or an injected instance loss).
 	Alive() bool
-	// Load is the member's instantaneous backlog in substrate units (queued
-	// calls, waiting+running sequences, occupancy bytes): always a whole
-	// number. Policies compare loads only within one fleet, so units need
-	// only be internally consistent.
-	Load() float64
 	// ReportLoad hands the member its fleet's running load total: the member
-	// moves its current Load() into *total at once and from then on adds
-	// every change of its Load() to *total as it happens, so the total is
-	// the fleet-wide load without a pass over the members.
+	// moves its current backlog in substrate units (queued calls,
+	// waiting+running sequences, occupancy bytes) into *total at once and
+	// from then on adds every change of it to *total as it happens, so the
+	// total is the fleet-wide load without a pass over the members. The
+	// admission gate compares it only within one fleet, so units need only
+	// be internally consistent.
 	ReportLoad(total *int64)
 }
 
@@ -73,8 +69,8 @@ type Request struct {
 	// prompt), coarser than Key, so requests that could reuse each other's
 	// KV state co-locate.
 	Prefix uint64
-	// Cost is the request's work estimate in the fleet's load units; the
-	// weighted-scoring policy adds it to the candidate's load.
+	// Cost is read by nothing: both policies place by rendezvous alone. It
+	// stays so that callers that set it still compile.
 	Cost float64
 }
 
@@ -90,7 +86,7 @@ type Fleet[R any] struct {
 	offers []func(R) bool
 
 	// load is the running fleet-wide load: every member adds each change of
-	// its Load() here (Instance.ReportLoad).
+	// its backlog here (Instance.ReportLoad).
 	load int64
 	// maxInFlight is the global admission knob: Dispatch refuses new work
 	// while the fleet-wide load is at or above it. math.MaxInt = unbounded
@@ -118,14 +114,15 @@ func NewFleet[R any](policy PolicyKind) *Fleet[R] {
 	return &Fleet[R]{router: NewRouter(policy), maxInFlight: math.MaxInt}
 }
 
-// Add registers a member with its routing weight (relative capacity; the
-// weighted-scoring policy divides by it) and its typed offer function.
-// Fleets are bounded at 256 members — four bitset words of retry state.
+// Add registers a member and its typed offer function. weight is read by
+// nothing: both policies place by rendezvous alone, and it stays so that
+// callers that pass it still compile. Fleets are bounded at 256 members —
+// four bitset words of retry state.
 func (f *Fleet[R]) Add(inst Instance, weight float64, offer func(R) bool) {
 	if len(f.offers) >= maxMembers {
 		panic("cluster: fleet exceeds 256 members")
 	}
-	f.router.Add(inst, weight)
+	f.router.Add(inst)
 	f.offers = append(f.offers, offer)
 	inst.ReportLoad(&f.load)
 }
@@ -142,8 +139,8 @@ func (f *Fleet[R]) Instance(i int) Instance { return f.router.members[i] }
 // TotalLoad returns the sum of every member's load — the global admission
 // knob's deputy variable — from the running total the members report into.
 // Dead members count their (usually zero) residual load. Loads are whole
-// numbers, so the value equals the in-order float sum of the members' Load()
-// exactly.
+// numbers, so the value equals the in-order float sum of the members'
+// backlogs exactly.
 func (f *Fleet[R]) TotalLoad() float64 { return float64(f.load) }
 
 // SetMaxInFlight sets the global admission knob. Values below zero clamp to

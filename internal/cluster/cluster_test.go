@@ -34,15 +34,26 @@ func newFleetOf(n, bound int, policy PolicyKind) (*Fleet[int], []*member) {
 }
 
 func TestFleetDispatchPlacesAndCounts(t *testing.T) {
-	f, ms := newFleetOf(3, 10, RoundRobin)
-	for i := 0; i < 6; i++ {
-		if !f.Dispatch(Request{}, i) {
-			t.Fatalf("dispatch %d refused with empty queues", i)
+	f, ms := newFleetOf(3, 10, KeyAffinity)
+	want := make([]int, len(ms))
+	for k := 0; k < 6; k++ {
+		owner, ownerHash := 0, rendezvous(uint64(k), 0)
+		for i := 1; i < len(ms); i++ {
+			if h := rendezvous(uint64(k), i); h > ownerHash {
+				owner, ownerHash = i, h
+			}
+		}
+		if !f.Dispatch(Request{Key: uint64(k)}, k) {
+			t.Fatalf("dispatch %d refused with empty queues", k)
+		}
+		want[owner]++
+		if q := ms[owner].queue; len(q) == 0 || q[len(q)-1] != k {
+			t.Fatalf("key %d not placed on its rendezvous owner %d", k, owner)
 		}
 	}
 	for i, m := range ms {
-		if len(m.queue) != 2 {
-			t.Fatalf("member %d holds %d, want 2 (round-robin spread)", i, len(m.queue))
+		if len(m.queue) != want[i] {
+			t.Fatalf("member %d holds %d, want the %d keys it owns", i, len(m.queue), want[i])
 		}
 	}
 	if f.Submitted() != 6 || f.Refused() != 0 {
@@ -79,7 +90,7 @@ func TestFleetRetrySpillsToNextMember(t *testing.T) {
 }
 
 func TestFleetRefusesWhenAllFull(t *testing.T) {
-	f, _ := newFleetOf(2, 1, LeastLoaded)
+	f, _ := newFleetOf(2, 1, KeyAffinity)
 	for i := 0; i < 2; i++ {
 		if !f.Dispatch(Request{}, i) {
 			t.Fatalf("dispatch %d refused below capacity", i)
@@ -94,7 +105,7 @@ func TestFleetRefusesWhenAllFull(t *testing.T) {
 }
 
 func TestFleetAdmissionGate(t *testing.T) {
-	f, _ := newFleetOf(2, 10, RoundRobin)
+	f, _ := newFleetOf(2, 10, KeyAffinity)
 	f.SetMaxInFlight(3)
 	accepted := 0
 	for i := 0; i < 10; i++ {
@@ -116,7 +127,7 @@ func TestFleetAdmissionGate(t *testing.T) {
 }
 
 func TestRedispatchBypassesAdmission(t *testing.T) {
-	f, ms := newFleetOf(2, 10, RoundRobin)
+	f, ms := newFleetOf(2, 10, KeyAffinity)
 	f.SetMaxInFlight(0) // admission closed
 	if f.Dispatch(Request{}, 1) {
 		t.Fatal("dispatch passed a closed admission gate")
@@ -133,7 +144,7 @@ func TestRedispatchBypassesAdmission(t *testing.T) {
 }
 
 func TestBeforeDispatchRunsFirst(t *testing.T) {
-	f, _ := newFleetOf(1, 10, RoundRobin)
+	f, _ := newFleetOf(1, 10, KeyAffinity)
 	f.SetMaxInFlight(0)
 	f.BeforeDispatch = func() { f.SetMaxInFlight(5) } // the controller reopens the knob
 	if !f.Dispatch(Request{}, 1) {
@@ -142,7 +153,7 @@ func TestBeforeDispatchRunsFirst(t *testing.T) {
 }
 
 func TestFleetAccessors(t *testing.T) {
-	f, ms := newFleetOf(3, 1, RoundRobin)
+	f, ms := newFleetOf(3, 1, KeyAffinity)
 	ms[1].alive = false
 	ms[0].setLoad(2)
 	ms[2].setLoad(3)
@@ -161,14 +172,14 @@ func TestFleetAccessors(t *testing.T) {
 }
 
 func TestFleetAddPanicsBeyondMask(t *testing.T) {
-	f := NewFleet[int](RoundRobin)
+	f := NewFleet[int](KeyAffinity)
 	for i := 0; i < maxMembers; i++ {
 		m := &member{fake: fake{id: i, alive: true}, bound: 1}
 		f.Add(m, 1, m.offer)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Add accepted a 65th member; retry masking needs one bitmask word")
+			t.Fatal("Add accepted a 257th member; retry masking covers 256 members in four bitset words")
 		}
 	}()
 	m := &member{fake: fake{id: maxMembers, alive: true}, bound: 1}

@@ -3,17 +3,16 @@ package cluster
 import "testing"
 
 // FuzzRouteExcluding drives RouteExcluding with fuzzer-chosen (width,
-// tried-set, alive-set, key) tuples and checks the routing contract that
-// every policy must honor at every width up to maxMembers:
+// tried-set, alive-set, key, policy) tuples and checks the routing contract
+// that both policies must honor at every width up to maxMembers:
 //
 //   - a returned member is in range, alive, and not in the tried set;
 //   - -1 is returned exactly when no member is alive-and-untried;
 //   - the decision is deterministic: re-routing the same request on a fresh
-//     identically-configured router picks the same member (the stateful
-//     round-robin policy is replayed on a fresh router pair instead).
+//     identically-configured router picks the same member.
 func FuzzRouteExcluding(f *testing.F) {
-	f.Add(uint16(4), uint64(1), uint64(0), uint64(0), uint64(0), ^uint64(0), uint64(0), uint64(0), uint64(0), uint64(7), byte(3))
-	f.Add(uint16(65), uint64(1)<<63, uint64(1), uint64(0), uint64(0), ^uint64(0), ^uint64(0), uint64(0), uint64(0), uint64(99), byte(4))
+	f.Add(uint16(4), uint64(1), uint64(0), uint64(0), uint64(0), ^uint64(0), uint64(0), uint64(0), uint64(0), uint64(7), byte(0))
+	f.Add(uint16(65), uint64(1)<<63, uint64(1), uint64(0), uint64(0), ^uint64(0), ^uint64(0), uint64(0), uint64(0), uint64(99), byte(1))
 	f.Add(uint16(256), uint64(0), uint64(0), uint64(0), uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), uint64(1), byte(1))
 	f.Fuzz(func(t *testing.T, width uint16,
 		t0, t1, t2, t3 uint64, // tried words
@@ -23,19 +22,19 @@ func FuzzRouteExcluding(f *testing.F) {
 		n := int(width%maxMembers) + 1
 		tried := TriedSet{t0, t1, t2, t3}
 		alive := TriedSet{a0, a1, a2, a3}
-		policy := PolicyKind(int(policyByte) % 5)
+		policy := PolicyKind(policyByte % 2)
 
 		build := func() ([]*fake, *Router) {
 			fakes := make([]*fake, n)
 			r := NewRouter(policy)
 			for i := range fakes {
-				fakes[i] = &fake{id: i, alive: alive.Has(i), load: float64(mix64(key+uint64(i)) % 1024)}
-				r.Add(fakes[i], float64(i%7+1))
+				fakes[i] = &fake{id: i, alive: alive.Has(i)}
+				r.Add(fakes[i])
 			}
 			return fakes, r
 		}
 		fakes, r := build()
-		req := Request{Key: key, Prefix: key >> 7, Cost: 2}
+		req := Request{Key: key, Prefix: key >> 7}
 		got := r.RouteExcluding(req, tried)
 
 		eligible := 0
@@ -70,24 +69,23 @@ func FuzzRouteExcluding(f *testing.F) {
 // FuzzRouterDifferential runs one long-lived Router and refRouter in lockstep
 // through a fuzzer-chosen sequence of steps and requires every decision to
 // match. Unlike FuzzRouteExcluding, the router lives across steps, so the
-// affinity memo sees hits, slot collisions, evictions, rank extensions and
-// membership growth, and placements that spill past the memo walk, resume
-// and restart the deep order; after every affinity route the key's memoized
-// order must also be a prefix of the reference's full rendezvous order, and
-// the deep order must equal the full order of its key.
+// memo sees hits, slot collisions, evictions, rank extensions and membership
+// growth, and placements that spill past the memo walk, resume and restart
+// the deep order; after every route the key's memoized order must also be a
+// prefix of the reference's full rendezvous order, and the deep order must
+// equal the full order of its key.
 //
-// The input is a four-byte header — policy, initial width (1–256), member
-// id modulus (0 keeps ids unique; otherwise ids repeat, so rendezvous hashes
-// tie), key pool — then two-byte steps (code mod 8, argument):
+// The input is a four-byte header — policy (mod 2), initial width (1–256),
+// member id modulus (0 keeps ids unique; otherwise ids repeat, so rendezvous
+// hashes tie), key pool — then two-byte steps (code mod 8, argument):
 //
-//	0, 1  route a pool key with nothing tried
-//	2     place a pool key the way Fleet.place does: re-route with every
-//	      refusing member added to the tried set until one accepts
-//	3     route a pool key with an arbitrary tried set
-//	4     kill a member
-//	5     revive a member
-//	6     add a member
-//	7     change a member's load
+//	0, 1, 7  route a pool key with nothing tried
+//	2        place a pool key the way Fleet.place does: re-route with every
+//	         refusing member added to the tried set until one accepts
+//	3        route a pool key with an arbitrary tried set
+//	4        kill a member
+//	5        revive a member
+//	6        add a member
 func FuzzRouterDifferential(f *testing.F) {
 	for _, s := range routerDiffSeeds {
 		f.Add(s)
@@ -97,17 +95,17 @@ func FuzzRouterDifferential(f *testing.F) {
 	})
 }
 
-// routerDiffSeeds cover every policy at narrow, tournament-wide and full
-// widths, with colliding pool keys, duplicate ids, kills, revivals, spills
-// and membership growth after keys were memoized.
+// routerDiffSeeds cover both policies at narrow, middling and full widths,
+// with colliding pool keys, duplicate ids, kills, revivals, spills and
+// membership growth after keys were memoized.
 var routerDiffSeeds = [][]byte{
-	{3, 255, 0, 7, 0, 1, 1, 2, 2, 3, 4, 1, 0, 1, 2, 9, 5, 1, 0, 1, 6, 0, 0, 1, 3, 0x55, 2, 4},
-	{4, 15, 3, 12, 0, 0, 2, 0xf0, 6, 1, 0, 0, 4, 0, 2, 0xff, 6, 2, 0, 1, 3, 0x11},
-	{3, 0, 0, 3, 0, 0, 6, 0, 0, 0, 6, 1, 0, 1, 6, 2, 0, 2, 2, 0xff},
+	{0, 255, 0, 7, 0, 1, 1, 2, 2, 3, 4, 1, 0, 1, 2, 9, 5, 1, 0, 1, 6, 0, 0, 1, 3, 0x55, 2, 4},
+	{1, 15, 3, 12, 0, 0, 2, 0xf0, 6, 1, 0, 0, 4, 0, 2, 0xff, 6, 2, 0, 1, 3, 0x11},
+	{0, 0, 0, 3, 0, 0, 6, 0, 0, 0, 6, 1, 0, 1, 6, 2, 0, 2, 2, 0xff},
 	{1, 200, 0, 5, 0, 0, 4, 3, 4, 9, 0, 1, 3, 0x77, 7, 40, 0, 2, 5, 3, 0, 3},
 	{2, 100, 0, 5, 0, 0, 4, 10, 7, 9, 3, 0x21, 2, 0x38, 5, 10, 0, 0},
 	{0, 70, 0, 2, 0, 0, 0, 1, 4, 1, 0, 0, 2, 0xf3, 5, 1, 0, 1},
-	{3, 127, 2, 15, 2, 0xff, 2, 0xfe, 4, 0, 4, 1, 2, 0xfd, 5, 0, 3, 0x42, 0, 5},
+	{0, 127, 2, 15, 2, 0xff, 2, 0xfe, 4, 0, 4, 1, 2, 0xfd, 5, 0, 3, 0x42, 0, 5},
 }
 
 // routerDiffPool returns the step keys for a header byte: up to 16 keys,
@@ -136,31 +134,31 @@ func runRouterDifferential(t *testing.T, data []byte) {
 	if len(data) < 4 {
 		return
 	}
-	policy := PolicyKind(data[0] % 5)
+	policy := PolicyKind(data[0] % 2)
 	idMod := int(data[2])
 	pool := routerDiffPool(data[3])
 	r, ref := NewRouter(policy), newRefRouter(policy)
 	var fakes []*fake
-	add := func(seed byte) {
+	add := func() {
 		i := len(fakes)
 		id := i
 		if idMod > 0 {
 			id = i % idMod
 		}
-		m := &fake{id: id, alive: true, load: float64(mix64(uint64(i)^uint64(seed)) % 32)}
+		m := &fake{id: id, alive: true}
 		fakes = append(fakes, m)
-		r.Add(m, float64(int(seed)%7+1))
-		ref.add(m, float64(int(seed)%7+1))
+		r.Add(m)
+		ref.add(m)
 	}
 	for i := 0; i <= int(data[1]); i++ {
-		add(byte(i))
+		add()
 	}
 	for step, ops := 0, data[4:]; step+1 < len(ops); step += 2 {
 		code, arg := ops[step]%8, ops[step+1]
 		key := pool[int(arg)%len(pool)]
-		req := Request{Key: key, Prefix: key ^ 0x5bd1e995, Cost: float64(arg % 5)}
+		req := Request{Key: key, Prefix: key ^ 0x5bd1e995}
 		switch code {
-		case 0, 1:
+		case 0, 1, 7:
 			routeBoth(t, step/2, r, ref, req, TriedSet{})
 		case 2:
 			var tried TriedSet
@@ -183,17 +181,15 @@ func runRouterDifferential(t *testing.T, data []byte) {
 			fakes[int(arg)%len(fakes)].alive = true
 		case 6:
 			if len(fakes) < maxMembers {
-				add(arg)
+				add()
 			}
-		case 7:
-			fakes[int(arg)%len(fakes)].load = float64(mix64(uint64(arg)) % 32)
 		}
 	}
 }
 
 // routeBoth routes req on both routers and fails on any disagreement: the
-// decision, the all-members-liveness decision for deterministic policies,
-// and the memoized order of an affinity key.
+// decision, the all-members-liveness decision, the key's memoized order and
+// the deep order.
 func routeBoth(t *testing.T, step int, r *Router, ref *refRouter, req Request, tried TriedSet) int {
 	t.Helper()
 	triedMap := map[int]bool{}
@@ -202,36 +198,31 @@ func routeBoth(t *testing.T, step int, r *Router, ref *refRouter, req Request, t
 			triedMap[i] = true
 		}
 	}
-	byAlive := -2
-	if ref.deterministic() {
-		byAlive = ref.routeByAlive(req, triedMap)
-	}
+	byAlive := ref.routeByAlive(req, triedMap)
 	want := ref.route(req, triedMap)
 	got := r.RouteExcluding(req, tried)
 	if got != want {
 		t.Fatalf("step %d, %s over %d members: router picked %d, reference %d (req %+v, tried %v)",
 			step, r.policy, len(ref.members), got, want, req, tried)
 	}
-	if byAlive != -2 && byAlive != want {
+	if byAlive != want {
 		t.Fatalf("step %d, %s: reference picked %d, but the best live untried member is %d", step, r.policy, want, byAlive)
 	}
-	if r.policy == KeyAffinity || r.policy == PrefixAffinity {
-		key := req.Key
-		if r.policy == PrefixAffinity {
-			key = req.Prefix
-		}
-		s := r.memo[memoIndex(key)]
-		if s.key == key && s.gen == r.gen {
-			order := ref.order(key)
-			for k, i := range s.rank[:s.n] {
-				if int(i) != order[k] {
-					t.Fatalf("step %d, %s: memoized order of key %#x is %v, reference order starts %v",
-						step, r.policy, key, s.rank[:s.n], order[:s.n])
-				}
+	key := req.Key
+	if r.policy == PrefixAffinity {
+		key = req.Prefix
+	}
+	s := r.memo[memoIndex(key)]
+	if s.key == key && s.gen == r.gen {
+		order := ref.order(key)
+		for k, i := range s.rank[:s.n] {
+			if int(i) != order[k] {
+				t.Fatalf("step %d, %s: memoized order of key %#x is %v, reference order starts %v",
+					step, r.policy, key, s.rank[:s.n], order[:s.n])
 			}
 		}
-		checkDeepOrder(t, step, r, ref)
 	}
+	checkDeepOrder(t, step, r, ref)
 	return got
 }
 

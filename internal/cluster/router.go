@@ -9,21 +9,10 @@ import (
 type PolicyKind int
 
 const (
-	// RoundRobin rotates through live members in ID order.
-	RoundRobin PolicyKind = iota
-	// LeastLoaded picks the live member with the smallest Load(); ties go to
-	// the lowest index, so the choice is deterministic. On fleets wider than
-	// tournamentWidth it samples tournamentSamples candidates instead of
-	// scanning every member (power-of-d-choices, deterministic draw).
-	LeastLoaded
-	// WeightedScore picks the live member minimizing (Load()+Cost)/weight —
-	// least-loaded generalized to heterogeneous capacities. Wide fleets use
-	// the same tournament-sample path as LeastLoaded.
-	WeightedScore
 	// KeyAffinity picks by rendezvous (highest-random-weight) hashing over
 	// Key and member ID: the same key always lands on the same live member,
 	// and when a member dies only its keys move.
-	KeyAffinity
+	KeyAffinity PolicyKind = iota
 	// PrefixAffinity picks by rendezvous hashing over the request's Prefix
 	// key instead of its full Key: requests sharing a prompt prefix (a chat
 	// template, a system prompt, a tenant) land on the same member, so an
@@ -34,12 +23,6 @@ const (
 // String returns the policy's stable name (used in cache keys and renders).
 func (k PolicyKind) String() string {
 	switch k {
-	case RoundRobin:
-		return "round-robin"
-	case LeastLoaded:
-		return "least-loaded"
-	case WeightedScore:
-		return "weighted-score"
 	case KeyAffinity:
 		return "key-affinity"
 	case PrefixAffinity:
@@ -61,20 +44,6 @@ func (t *TriedSet) Set(i int) { t[i>>6] |= 1 << uint(i&63) }
 
 // Has reports whether member i is marked.
 func (t *TriedSet) Has(i int) bool { return t[i>>6]&(1<<uint(i&63)) != 0 }
-
-const (
-	// tournamentWidth is the eligible-set size above which the load-scanning
-	// policies (least-loaded, weighted-scoring) stop evaluating every
-	// candidate and sample instead: below it an exhaustive scan is cheaper
-	// than the bookkeeping, and keeping it at 64 pins every pre-wide fleet
-	// (and artifact) to the exact exhaustive-scan behavior.
-	tournamentWidth = 64
-	// tournamentSamples is the tournament size: d independent draws from the
-	// eligible set, best-of-d by the policy's score. d=8 keeps the max-load
-	// overshoot of power-of-d-choices negligible while cutting a 256-member
-	// scan to 8 Load() calls.
-	tournamentSamples = 8
-)
 
 const (
 	// memoBits sizes the affinity policies' rendezvous-order memo: 1<<memoBits
@@ -152,7 +121,6 @@ func byRank(a, b deepPlace) int {
 type Router struct {
 	policy  PolicyKind
 	members []Instance
-	weights []float64
 	// salts holds each member's precomputed rendezvous salt
 	// (mix64(id+goldenGamma)): Add-time work that halves the per-route hash
 	// cost of the affinity policies.
@@ -162,14 +130,9 @@ type Router struct {
 	all       TriedSet
 	dead      TriedSet
 	deadCount int
-	rr        int
-	// tick seeds the tournament sample draws: a deterministic sequence, so
-	// replayed runs sample identically.
-	tick uint64
-	// memo caches each recent key's rendezvous order for the affinity
-	// policies (nil for the others); a slot is valid only while its gen
-	// equals gen, which Add bumps. deep holds the full order of the last key
-	// that spilled past its slot (nil for the other policies).
+	// memo caches each recent key's rendezvous order; a slot is valid only
+	// while its gen equals gen, which Add bumps. deep holds the full order of
+	// the last key that spilled past its slot.
 	memo []memoSlot
 	deep *deepOrder
 	gen  uint32
@@ -177,27 +140,17 @@ type Router struct {
 
 // NewRouter returns an empty router with the given policy.
 func NewRouter(policy PolicyKind) *Router {
-	r := &Router{policy: policy}
-	if policy == KeyAffinity || policy == PrefixAffinity {
-		r.memo = make([]memoSlot, 1<<memoBits)
-		r.deep = &deepOrder{}
-	}
-	return r
+	return &Router{policy: policy, memo: make([]memoSlot, 1<<memoBits), deep: &deepOrder{}}
 }
 
-// Add registers a member with its weight (relative capacity for the
-// weighted-scoring policy; non-positive weights are treated as 1). Routers
-// are bounded at maxMembers members — the fixed width of the retry bitset.
-func (r *Router) Add(inst Instance, weight float64) {
+// Add registers a member. Routers are bounded at maxMembers members — the
+// fixed width of the retry bitset.
+func (r *Router) Add(inst Instance) {
 	if len(r.members) >= maxMembers {
 		panic("cluster: router exceeds 256 members")
 	}
-	if weight <= 0 {
-		weight = 1
-	}
 	r.all.Set(len(r.members))
 	r.members = append(r.members, inst)
-	r.weights = append(r.weights, weight)
 	r.salts = append(r.salts, mix64(uint64(inst.ID())+goldenGamma))
 	r.gen++ // every memoized order predates this member
 }
@@ -221,9 +174,12 @@ func (r *Router) Route(req Request) int { return r.RouteExcluding(req, TriedSet{
 //
 //smartconf:hotpath
 func (r *Router) RouteExcluding(req Request, tried TriedSet) int {
-	n := len(r.members)
-	if n == 0 {
+	if len(r.members) == 0 {
 		return -1
+	}
+	key := req.Key
+	if r.policy == PrefixAffinity {
+		key = req.Prefix
 	}
 	r.reviveDead()
 	for {
@@ -237,19 +193,10 @@ func (r *Router) RouteExcluding(req Request, tried TriedSet) int {
 		if !any {
 			return -1
 		}
-		i := r.pick(req, &cand)
-		if i < 0 {
-			return -1
-		}
+		i := r.pickRendezvous(key, &cand)
 		// One Alive() call per decision: the winner is verified, and a stale
 		// winner joins the dead cache so the rescan skips it by bit math.
 		if r.members[i].Alive() {
-			if r.policy == RoundRobin {
-				r.rr = i + 1
-				if r.rr >= n {
-					r.rr = 0
-				}
-			}
 			return i
 		}
 		r.dead.Set(i)
@@ -275,107 +222,6 @@ func (r *Router) reviveDead() {
 			m &= m - 1
 		}
 	}
-}
-
-// pick applies the routing policy over the candidate bitset and returns the
-// chosen index (a set bit of cand), or -1 if cand is empty.
-func (r *Router) pick(req Request, cand *TriedSet) int {
-	switch r.policy {
-	case RoundRobin:
-		return pickFrom(cand, r.rr)
-	case LeastLoaded:
-		if wide, count := r.wideEligible(cand); wide {
-			return r.pickTournament(req, cand, count, false)
-		}
-		return r.scanLoad(req, cand, false)
-	case WeightedScore:
-		if wide, count := r.wideEligible(cand); wide {
-			return r.pickTournament(req, cand, count, true)
-		}
-		return r.scanLoad(req, cand, true)
-	case KeyAffinity:
-		return r.pickRendezvous(req.Key, cand)
-	case PrefixAffinity:
-		return r.pickRendezvous(req.Prefix, cand)
-	}
-	return -1
-}
-
-// wideEligible reports whether the eligible set is past the tournament
-// threshold, returning its population count when it is.
-func (r *Router) wideEligible(cand *TriedSet) (bool, int) {
-	if len(r.members) <= tournamentWidth {
-		return false, 0
-	}
-	count := 0
-	for w := 0; w < triedWords; w++ {
-		count += bits.OnesCount64(cand[w])
-	}
-	return count > tournamentWidth, count
-}
-
-// scanLoad is the exhaustive load scan: every eligible bit evaluated,
-// strict-less ascending so ties go to the lowest index.
-func (r *Router) scanLoad(req Request, cand *TriedSet, weighted bool) int {
-	best := -1
-	bestScore := 0.0
-	for w := 0; w < triedWords; w++ {
-		m := cand[w]
-		for m != 0 {
-			i := w*64 + bits.TrailingZeros64(m)
-			m &= m - 1
-			s := r.members[i].Load()
-			if weighted {
-				s = (s + req.Cost) / r.weights[i]
-			}
-			if best < 0 || s < bestScore {
-				best, bestScore = i, s
-			}
-		}
-	}
-	return best
-}
-
-// pickTournament is the wide-fleet sampling path: tournamentSamples
-// deterministic draws from the eligible set, scored like scanLoad. Sampled
-// indices are insertion-sorted ascending before scoring so the tie rule
-// (lowest index wins) matches the exhaustive scan's.
-func (r *Router) pickTournament(req Request, cand *TriedSet, count int, weighted bool) int {
-	r.tick++
-	var sample [tournamentSamples]int
-	ns := 0
-	for k := 0; k < tournamentSamples; k++ {
-		j := int(mix64(r.tick*goldenGamma+uint64(k)) % uint64(count))
-		i := selectBit(cand, j)
-		// Insertion sort, dropping duplicates: d draws with replacement.
-		pos := ns
-		for pos > 0 && sample[pos-1] >= i {
-			if sample[pos-1] == i {
-				pos = -1
-				break
-			}
-			pos--
-		}
-		if pos < 0 {
-			continue
-		}
-		copy(sample[pos+1:ns+1], sample[pos:ns])
-		sample[pos] = i
-		ns++
-	}
-	best := -1
-	bestScore := 0.0
-	for k := 0; k < ns; k++ {
-		i := sample[k]
-		s := r.members[i].Load()
-		if weighted {
-			s = (s + req.Cost) / r.weights[i]
-		}
-		if best < 0 || s < bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
 }
 
 // pickRendezvous is the affinity pick: the rendezvous argmax over cand, read
@@ -491,51 +337,6 @@ func (r *Router) scanRendezvous(key uint64, cand *TriedSet) int {
 		}
 	}
 	return best
-}
-
-// pickFrom returns the first set bit at index >= from, wrapping — the
-// round-robin successor found by word-level bit tricks instead of a scan.
-func pickFrom(cand *TriedSet, from int) int {
-	w := from >> 6
-	if w >= triedWords {
-		w, from = 0, 0
-	}
-	off := uint(from & 63)
-	if m := cand[w] &^ ((1 << off) - 1); m != 0 {
-		return w*64 + bits.TrailingZeros64(m)
-	}
-	for wi := w + 1; wi < triedWords; wi++ {
-		if cand[wi] != 0 {
-			return wi*64 + bits.TrailingZeros64(cand[wi])
-		}
-	}
-	for wi := 0; wi < w; wi++ {
-		if cand[wi] != 0 {
-			return wi*64 + bits.TrailingZeros64(cand[wi])
-		}
-	}
-	if m := cand[w] & ((1 << off) - 1); m != 0 {
-		return w*64 + bits.TrailingZeros64(m)
-	}
-	return -1
-}
-
-// selectBit returns the index of the j-th (0-based) set bit of the bitset,
-// or -1 when fewer than j+1 bits are set.
-func selectBit(t *TriedSet, j int) int {
-	for w := 0; w < triedWords; w++ {
-		c := bits.OnesCount64(t[w])
-		if j >= c {
-			j -= c
-			continue
-		}
-		x := t[w]
-		for ; j > 0; j-- {
-			x &= x - 1
-		}
-		return w*64 + bits.TrailingZeros64(x)
-	}
-	return -1
 }
 
 // goldenGamma is the splitmix64 increment: the odd constant salting each

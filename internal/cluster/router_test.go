@@ -2,9 +2,9 @@ package cluster
 
 import "testing"
 
-// fake is a minimal Instance for router and fleet tests. Router-only tests
-// set load directly; a fake in a fleet changes it through setLoad, which
-// reports the change into the fleet's running total like a substrate does.
+// fake is a minimal Instance for router and fleet tests. A fake in a fleet
+// changes its load through setLoad, which reports the change into the
+// fleet's running total like a substrate does.
 type fake struct {
 	id    int
 	alive bool
@@ -12,9 +12,8 @@ type fake struct {
 	total *int64
 }
 
-func (f *fake) ID() int       { return f.id }
-func (f *fake) Alive() bool   { return f.alive }
-func (f *fake) Load() float64 { return f.load }
+func (f *fake) ID() int     { return f.id }
+func (f *fake) Alive() bool { return f.alive }
 
 func (f *fake) ReportLoad(total *int64) {
 	*total += int64(f.load)
@@ -37,62 +36,9 @@ func newFakes(n int) []*fake {
 func routerOver(policy PolicyKind, fakes []*fake) *Router {
 	r := NewRouter(policy)
 	for _, f := range fakes {
-		r.Add(f, 1)
+		r.Add(f)
 	}
 	return r
-}
-
-func TestRoundRobinRotates(t *testing.T) {
-	fakes := newFakes(3)
-	r := routerOver(RoundRobin, fakes)
-	var got []int
-	for i := 0; i < 6; i++ {
-		got = append(got, r.Route(Request{}))
-	}
-	want := []int{0, 1, 2, 0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rotation %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRoundRobinSkipsDead(t *testing.T) {
-	fakes := newFakes(3)
-	fakes[1].alive = false
-	r := routerOver(RoundRobin, fakes)
-	for i, want := range []int{0, 2, 0, 2} {
-		if got := r.Route(Request{}); got != want {
-			t.Fatalf("pick %d: got %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestLeastLoadedPicksMinTieLowestIndex(t *testing.T) {
-	fakes := newFakes(3)
-	fakes[0].load = 5
-	fakes[1].load = 2
-	fakes[2].load = 2
-	r := routerOver(LeastLoaded, fakes)
-	if got := r.Route(Request{}); got != 1 {
-		t.Fatalf("got %d, want 1 (min load, lowest index on tie)", got)
-	}
-	fakes[1].load = 9
-	if got := r.Route(Request{}); got != 2 {
-		t.Fatalf("got %d, want 2", got)
-	}
-}
-
-func TestWeightedScoreDividesByWeight(t *testing.T) {
-	fakes := newFakes(2)
-	fakes[0].load = 10
-	fakes[1].load = 10
-	r := NewRouter(WeightedScore)
-	r.Add(fakes[0], 1)
-	r.Add(fakes[1], 4) // 4x the capacity: score (10+2)/4 < (10+2)/1
-	if got := r.Route(Request{Cost: 2}); got != 1 {
-		t.Fatalf("got %d, want the higher-capacity member", got)
-	}
 }
 
 func TestKeyAffinityStableAndMinimal(t *testing.T) {
@@ -138,10 +84,10 @@ func TestAffinityRefusedByAllThenPlacedAgain(t *testing.T) {
 	fakes := newFakes(maxMembers)
 	r, ref := NewRouter(KeyAffinity), newRefRouter(KeyAffinity)
 	for _, f := range fakes[:maxMembers-1] {
-		r.Add(f, 1)
-		ref.add(f, 1)
+		r.Add(f)
+		ref.add(f)
 	}
-	req := Request{Key: 0xdecaf, Cost: 1}
+	req := Request{Key: 0xdecaf}
 	order := ref.order(req.Key)
 	place := func(step, refusals int) {
 		t.Helper()
@@ -183,8 +129,8 @@ func TestAffinityRefusedByAllThenPlacedAgain(t *testing.T) {
 		t.Fatalf("routed to %d after place %d revived, want %d", got, memoRanks, order[memoRanks])
 	}
 	// Growing the fleet invalidates the order.
-	r.Add(fakes[maxMembers-1], 1)
-	ref.add(fakes[maxMembers-1], 1)
+	r.Add(fakes[maxMembers-1])
+	ref.add(fakes[maxMembers-1])
 	order = ref.order(req.Key)
 	place(4, len(order))
 }
@@ -214,17 +160,19 @@ func triedOf(indices ...int) TriedSet {
 
 func TestRouteExcludingHonorsMask(t *testing.T) {
 	fakes := newFakes(3)
-	fakes[0].load = 0
-	fakes[1].load = 1
-	fakes[2].load = 2
-	r := routerOver(LeastLoaded, fakes)
-	if got := r.RouteExcluding(Request{}, triedOf(0)); got != 1 {
-		t.Fatalf("got %d, want 1 with member 0 masked", got)
+	r, ref := routerOver(KeyAffinity, fakes), newRefRouter(KeyAffinity)
+	for _, f := range fakes {
+		ref.add(f)
 	}
-	if got := r.RouteExcluding(Request{}, triedOf(0, 1)); got != 2 {
-		t.Fatalf("got %d, want 2 with members 0,1 masked", got)
+	req := Request{Key: 7}
+	order := ref.order(req.Key)
+	if got := r.RouteExcluding(req, triedOf(order[0])); got != order[1] {
+		t.Fatalf("got %d, want %d with the key's owner %d masked", got, order[1], order[0])
 	}
-	if got := r.RouteExcluding(Request{}, triedOf(0, 1, 2)); got != -1 {
+	if got := r.RouteExcluding(req, triedOf(order[0], order[1])); got != order[2] {
+		t.Fatalf("got %d, want %d with its first two places masked", got, order[2])
+	}
+	if got := r.RouteExcluding(req, triedOf(0, 1, 2)); got != -1 {
 		t.Fatalf("got %d, want -1 with every member masked", got)
 	}
 }
@@ -236,7 +184,7 @@ func TestRouteExcludingHonorsMask(t *testing.T) {
 func TestRouteExcludingAtWordBoundaries(t *testing.T) {
 	for _, width := range []int{63, 64, 65, 256} {
 		fakes := newFakes(width)
-		r := routerOver(RoundRobin, fakes)
+		r := routerOver(KeyAffinity, fakes)
 		for excl := 0; excl < width; excl++ {
 			got := r.RouteExcluding(Request{}, triedOf(excl))
 			if got == excl {
@@ -255,7 +203,7 @@ func TestRouteExcludingAtWordBoundaries(t *testing.T) {
 					tried.Set(i)
 				}
 			}
-			for _, p := range []PolicyKind{RoundRobin, LeastLoaded, WeightedScore, KeyAffinity, PrefixAffinity} {
+			for _, p := range []PolicyKind{KeyAffinity, PrefixAffinity} {
 				if got := routerOver(p, fakes).RouteExcluding(Request{Key: 7, Prefix: 9}, tried); got != keep {
 					t.Fatalf("width %d, %s: got %d, want sole unmasked member %d", width, p, got, keep)
 				}
@@ -361,58 +309,19 @@ func TestAffinitySpreadWideFleet(t *testing.T) {
 	}
 }
 
-// TestTournamentSamplingWideLeastLoaded exercises the wide-fleet sampling
-// path: on 256 members the pick must be deterministic across identically
-// replayed routers, always eligible, and load-sensitive (a near-idle fleet
-// member beats the loaded majority most of the time).
-func TestTournamentSamplingWideLeastLoaded(t *testing.T) {
-	const width = 256
-	build := func() ([]*fake, *Router) {
-		fakes := newFakes(width)
-		for i := range fakes {
-			fakes[i].load = 100
-		}
-		fakes[37].load = 1 // the one near-idle member
-		return fakes, routerOver(LeastLoaded, fakes)
-	}
-	_, ra := build()
-	fakesB, rb := build()
-	hits := 0
-	for k := 0; k < 512; k++ {
-		a := ra.RouteExcluding(Request{Key: uint64(k)}, TriedSet{})
-		b := rb.RouteExcluding(Request{Key: uint64(k)}, TriedSet{})
-		if a != b {
-			t.Fatalf("route %d: tournament diverged across identical replays: %d vs %d", k, a, b)
-		}
-		if !fakesB[a].alive {
-			t.Fatalf("route %d: picked dead member %d", k, a)
-		}
-		if a == 37 {
-			hits++
-		}
-	}
-	// P(miss) per route = (1 - 1/256)^8 ≈ 0.969 per draw set; with 8 draws
-	// the idle member is sampled in ~3% of routes by chance alone — but once
-	// sampled it always wins. Require it to win clearly more often than a
-	// uniform single pick would (512/256 = 2).
-	if hits < 8 {
-		t.Errorf("idle member won %d of 512 tournament routes; sampling is not load-sensitive", hits)
-	}
-}
-
 // TestWideRouterSkipsDeadByBitset kills a scattered third of a 256-member
-// fleet and checks every policy routes only to live members, then restarts
+// fleet and checks both policies route only to live members, then restarts
 // them and checks they are eligible again on the next decision.
 func TestWideRouterSkipsDeadByBitset(t *testing.T) {
 	const width = 256
-	for _, p := range []PolicyKind{RoundRobin, LeastLoaded, WeightedScore, KeyAffinity, PrefixAffinity} {
+	for _, p := range []PolicyKind{KeyAffinity, PrefixAffinity} {
 		fakes := newFakes(width)
 		r := routerOver(p, fakes)
 		for i := 0; i < width; i += 3 {
 			fakes[i].alive = false
 		}
 		for k := 0; k < 1024; k++ {
-			got := r.Route(Request{Key: uint64(k), Prefix: uint64(k >> 4), Cost: 1})
+			got := r.Route(Request{Key: uint64(k), Prefix: uint64(k >> 4)})
 			if got < 0 {
 				t.Fatalf("%s: no member for key %d with two thirds alive", p, k)
 			}
@@ -425,7 +334,7 @@ func TestWideRouterSkipsDeadByBitset(t *testing.T) {
 		}
 		revived := false
 		for k := 0; k < 1024 && !revived; k++ {
-			revived = r.Route(Request{Key: uint64(k), Prefix: uint64(k >> 4), Cost: 1})%3 == 0
+			revived = r.Route(Request{Key: uint64(k), Prefix: uint64(k >> 4)})%3 == 0
 		}
 		if !revived {
 			t.Errorf("%s: no restarted member was routed to across 1024 decisions", p)
@@ -434,14 +343,14 @@ func TestWideRouterSkipsDeadByBitset(t *testing.T) {
 }
 
 func TestRouteEmptyAndAllDead(t *testing.T) {
-	r := NewRouter(RoundRobin)
+	r := NewRouter(KeyAffinity)
 	if got := r.Route(Request{}); got != -1 {
 		t.Fatalf("empty router routed to %d", got)
 	}
 	fakes := newFakes(2)
 	fakes[0].alive = false
 	fakes[1].alive = false
-	for _, p := range []PolicyKind{RoundRobin, LeastLoaded, WeightedScore, KeyAffinity, PrefixAffinity} {
+	for _, p := range []PolicyKind{KeyAffinity, PrefixAffinity} {
 		if got := routerOver(p, fakes).Route(Request{Key: 7}); got != -1 {
 			t.Fatalf("%s routed to %d with every member dead", p, got)
 		}
@@ -450,9 +359,6 @@ func TestRouteEmptyAndAllDead(t *testing.T) {
 
 func TestPolicyKindStrings(t *testing.T) {
 	want := map[PolicyKind]string{
-		RoundRobin:     "round-robin",
-		LeastLoaded:    "least-loaded",
-		WeightedScore:  "weighted-score",
 		KeyAffinity:    "key-affinity",
 		PrefixAffinity: "prefix-affinity",
 		PolicyKind(99): "unknown",
@@ -465,17 +371,17 @@ func TestPolicyKindStrings(t *testing.T) {
 }
 
 // TestRouteZeroAllocs pins the routing hot path at zero allocations per
-// decision for every policy — the contract BENCH_engine.json gates — at both
-// the narrow (exhaustive-scan) and wide (bitset + tournament) widths.
+// decision for both policies — the contract BENCH_engine.json gates — at a
+// narrow and at the widest width.
 func TestRouteZeroAllocs(t *testing.T) {
 	for _, width := range []int{16, 256} {
 		fakes := newFakes(width)
-		for _, p := range []PolicyKind{RoundRobin, LeastLoaded, WeightedScore, KeyAffinity, PrefixAffinity} {
+		for _, p := range []PolicyKind{KeyAffinity, PrefixAffinity} {
 			r := routerOver(p, fakes)
 			key := uint64(0)
 			got := testing.AllocsPerRun(1000, func() {
 				key++
-				r.RouteExcluding(Request{Key: key, Prefix: key >> 4, Cost: 1}, TriedSet{})
+				r.RouteExcluding(Request{Key: key, Prefix: key >> 4}, TriedSet{})
 			})
 			if got != 0 {
 				t.Errorf("width %d, %s: %.1f allocs per route, want 0", width, p, got)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -107,12 +108,8 @@ func RunCA6059(p Policy) Result {
 			ic.SetPerf(float64(heap.Used()), float64(st.MemtableBytes())) //sc:CA6059:sensor
 			st.SetThreshold(int64(ic.Value()))                            //sc:CA6059:invoke
 		}
-	case SinglePolePolicy, NoVirtualGoalPolicy:
-		ctrl := mustSynth(ablationController(p.Kind, ProfileCA6059(), float64(ca6059Goal), p.FixedPole))
-		st.BeforeWrite = func() {
-			ctrl.SetConf(float64(st.MemtableBytes()))
-			st.SetThreshold(int64(ctrl.Update(float64(heap.Used()))))
-		}
+	default:
+		panic(fmt.Sprintf("CA6059: unsupported policy %v", p))
 	}
 
 	heapNoise(s, heap, rng, rpcNoiseMax, ca6059RunTime)

@@ -394,7 +394,7 @@ func addRPCMember(s *sim.Simulation, fleet *cluster.Fleet[workload.Op], heap *me
 	sv := rpcserver.New(s, heap, rpcConfig())
 	sv.SetID(i)
 	sv.SetMaxQueue(maxQueue)
-	sv.OnEvacuate = func(op workload.Op) { fleet.Redispatch(opRequest(op), op) }
+	sv.OnEvacuate = func(op workload.Op) { fleet.Redispatch(cluster.Request{Key: op.Key}, op) }
 	fleet.Add(sv, 1, sv.Offer)
 	return sv
 }
@@ -409,12 +409,7 @@ func driveRPCFleet(s *sim.Simulation, fleet *cluster.Fleet[workload.Op], genSeed
 		spacing:    hb3813Spacing,
 		phases:     []workload.YCSBPhase{{Name: "steady", WriteRatio: 1, RequestBytes: 1 * mb}},
 	}
-	w.run(s, until, rng, func(op workload.Op) { fleet.Dispatch(opRequest(op), op) })
-}
-
-// opRequest is a YCSB operation's routing request: its key, costed in bytes.
-func opRequest(op workload.Op) cluster.Request {
-	return cluster.Request{Key: op.Key, Cost: float64(op.Bytes)}
+	w.run(s, until, rng, func(op workload.Op) { fleet.Dispatch(cluster.Request{Key: op.Key}, op) })
 }
 
 // armLossRestart arms a seeded plan that kills one member at lossAt and

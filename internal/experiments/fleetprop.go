@@ -62,7 +62,7 @@ var fleetPropRegistry = []struct {
 			gen := workload.NewYCSB(seed+1, 128, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb, OpsPerSec: 20})
 			poissonLoad(s, until, gen.NextInterarrival, func() {
 				op := gen.NextOp()
-				f.Dispatch(opRequest(op), op)
+				f.Dispatch(cluster.Request{Key: op.Key}, op)
 			})
 		},
 	}.run},
@@ -161,7 +161,7 @@ func fleetPropLLM(templates int) fleetProp[workload.LLMRequest] {
 			// re-enters under a session key (and template) derived from its
 			// shape: the substrate's request type carries neither.
 			sv.OnEvacuate = func(req workload.LLMRequest) {
-				r := cluster.Request{Key: uint64(req.Prompt*131 + req.Output), Cost: float64(req.Tokens())}
+				r := cluster.Request{Key: uint64(req.Prompt*131 + req.Output)}
 				if templates > 0 {
 					r.Prefix = uint64(req.Prompt % templates)
 				}
@@ -176,7 +176,7 @@ func fleetPropLLM(templates int) fleetProp[workload.LLMRequest] {
 			})
 			poissonLoad(s, until, gen.NextInterarrival, func() {
 				req := gen.NextRequest()
-				r := cluster.Request{Key: uint64(rng.Intn(64)), Cost: float64(req.Tokens())}
+				r := cluster.Request{Key: uint64(rng.Intn(64))}
 				if templates > 0 {
 					r.Prefix = uint64(rng.Intn(templates)) // drawn after the session key
 				}

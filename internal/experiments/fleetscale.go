@@ -92,7 +92,7 @@ func (r *fleetRPCScaleRunner) RunTo(n int64) {
 		r.now += r.gen.NextInterarrival()
 		r.s.RunUntil(r.now)
 		op := r.gen.NextOp()
-		r.fleet.Dispatch(opRequest(op), op)
+		r.fleet.Dispatch(cluster.Request{Key: op.Key}, op)
 		r.offered++
 	}
 }
@@ -161,7 +161,6 @@ func (r *fleetLLMScaleRunner) RunTo(n int64) {
 		r.fleet.Dispatch(cluster.Request{
 			Key:    uint64(r.offered),
 			Prefix: uint64(r.offered) % fleetScalePrefixes,
-			Cost:   float64(req.Tokens()),
 		}, req)
 		r.offered++
 	}

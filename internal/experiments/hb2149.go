@@ -144,10 +144,8 @@ func RunHB2149(p Policy) Result {
 			st.SetFlushFraction(sc.Value()) //sc:HB2149:invoke
 		})
 		setGoal = sc.SetGoal
-	case SinglePolePolicy, NoVirtualGoalPolicy:
-		// The Figure 7 ablations target hard memory goals; for this soft
-		// scenario they behave like SmartConf and are not studied.
-		return runCached(HB2149Scenario(), SmartConf())
+	default:
+		panic(fmt.Sprintf("HB2149: unsupported policy %v", p))
 	}
 
 	blockS := Series{Name: "block_time", Unit: "s"}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -133,18 +134,8 @@ func RunHB6728(p Policy) Result {
 			sv.SetMaxRespBytes(int64(ic.Value()))                     //sc:HB6728:invoke
 		}
 		setGoal = ic.SetGoal //sc:HB6728:invoke
-	case SinglePolePolicy, NoVirtualGoalPolicy:
-		ctrl := mustSynth(ablationController(p.Kind, ProfileHB6728(), float64(rpcMemoryGoal), p.FixedPole))
-		sv.BeforeRespond = func() {
-			ctrl.SetConf(float64(sv.RespBytes()))
-			sv.SetMaxRespBytes(int64(ctrl.Update(float64(heap.Used()))))
-		}
-		setGoal = func(g float64) {
-			if p.Kind == SinglePolePolicy {
-				g = core.VirtualGoal(g, ProfileHB6728().Lambda(), core.UpperBound)
-			}
-			ctrl.SetGoal(g)
-		}
+	default:
+		panic(fmt.Sprintf("HB6728: unsupported policy %v", p))
 	}
 
 	heapNoise(s, heap, rng, rpcNoiseMax, hb6728RunTime)

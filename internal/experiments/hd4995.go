@@ -142,8 +142,8 @@ func RunHD4995(p Policy) Result {
 			nn.SetLimit(ic.Conf())         //sc:HD4995:invoke
 		})
 		setGoal = ic.SetGoal
-	case SinglePolePolicy, NoVirtualGoalPolicy:
-		return runCached(HD4995Scenario(), SmartConf()) // ablations target hard memory goals
+	default:
+		panic(fmt.Sprintf("HD4995: unsupported policy %v", p))
 	}
 
 	holdS := Series{Name: "lock_hold", Unit: "s"}

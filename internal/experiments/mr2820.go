@@ -208,11 +208,8 @@ func runMR2820Seed(p Policy, seed int64) Result {
 			sc.SetPerf(mr2820Occupancy(w, next))  //sc:MR2820:sensor
 			c.SetMinSpaceStart(int64(sc.Value())) //sc:MR2820:other
 		}
-	case SinglePolePolicy, NoVirtualGoalPolicy:
-		ctrl := mustSynth(ablationController(p.Kind, ProfileMR2820(), float64(mr2820DiskGoal), p.FixedPole))
-		c.BeforeSchedule = func(w *mapred.Worker, next int64) {
-			c.SetMinSpaceStart(int64(ctrl.Update(mr2820Occupancy(w, next))))
-		}
+	default:
+		panic(fmt.Sprintf("MR2820: unsupported policy %v", p))
 	}
 
 	mr2820CoTenant(s, c, rng, 550*mb, 740*mb, 40*mb, nil, func() bool { return s.Now() < time.Hour })

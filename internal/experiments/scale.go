@@ -122,9 +122,8 @@ const scaleSeed = 97
 
 // scaleQueueHint pre-sizes every runner's event queue. The PeakPending
 // watermarks of recorded 10M-request runs stay under 16 on all five
-// substrates (same-instant cascades ride the batch ring, and in-flight
-// completion timers are bounded by worker counts), so 64 slots cover steady
-// state without ever growing the heap array.
+// substrates (in-flight completion timers are bounded by worker counts), so
+// 64 slots cover steady state without ever growing the heap array.
 const scaleQueueHint = 64
 
 // NewScaleRunner returns the named substrate's runner. Unknown names panic:

@@ -241,8 +241,8 @@ func (st *Memstore) Alive() bool { return !st.crashed && !st.down }
 // Down reports whether the store is killed but restartable.
 func (st *Memstore) Down() bool { return st.down }
 
-// Load returns the store's occupancy in bytes — the signal load-aware
-// routing policies compare.
+// Load returns the store's occupancy in bytes — the amount ReportLoad keeps
+// in its fleet's running load total.
 func (st *Memstore) Load() float64 { return float64(st.bytes) }
 
 // ReportLoad moves the store's load into total and makes total the target of

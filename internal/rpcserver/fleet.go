@@ -25,7 +25,7 @@ func (sv *Server) Alive() bool { return !sv.crashed && !sv.down }
 func (sv *Server) Down() bool { return sv.down }
 
 // Load returns the server's backlog — queued plus in-flight calls — the
-// signal load-aware routing policies compare.
+// amount ReportLoad keeps in its fleet's running load total.
 func (sv *Server) Load() float64 { return float64(sv.QueueLen() + sv.inflightCalls) }
 
 // ReportLoad moves the server's load into total and makes total the target

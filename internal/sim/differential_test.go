@@ -110,11 +110,11 @@ func (w *diffWorld) take(n int) (id uint64, ok bool) {
 
 // react applies one scheduling op. Delays are 0–15 ns and series spacings
 // 0, 1 or 2–15 ns, so events collide on instants constantly, with series
-// elements, heap events at now and ring events among them.
+// elements, events queued for now and events scheduled at now among them.
 func (w *diffWorld) react(op byte) {
 	now := w.s.Now()
 	switch op % 16 {
-	case 6, 7, 8: // AtArg, d = 0 taking the same-instant ring
+	case 6, 7, 8: // AtArg, d = 0 due now
 		d := time.Duration(w.next() % 16)
 		if id, ok := w.take(1); ok {
 			w.s.AtArg(now+d, w.onArg, id)
@@ -232,10 +232,11 @@ func runSimDifferential(t *testing.T, prog []byte) {
 	}
 }
 
-// FuzzSimDifferential checks the simulator's queue — packed heap keys, the
-// payload table and its free list, the same-instant ring and shared series
-// elements — against refSim's container/heap on fuzzer-chosen programs of
-// At, AtArg, AfterArgSeries, cascades, Every, Stop, Step and RunUntil.
+// FuzzSimDifferential checks the simulator's queue — the sorted buffer in
+// front of the heap, packed heap keys, the payload table and its free list,
+// and shared series elements — against refSim's container/heap on
+// fuzzer-chosen programs of At, AtArg, AfterArgSeries, cascades, Every,
+// Stop, Step and RunUntil.
 func FuzzSimDifferential(f *testing.F) {
 	for _, prog := range simDiffSeeds {
 		f.Add(prog)
@@ -244,13 +245,15 @@ func FuzzSimDifferential(f *testing.F) {
 }
 
 // simDiffSeeds are general mixes; the targeted programs, one per ordering
-// rule a mutant breaks, live in testdata/fuzz/FuzzSimDifferential.
+// rule a mutant breaks, live in testdata/fuzz/FuzzSimDifferential. Among
+// them, ring-event-before-series schedules an event due now and then a
+// series starting now, whose element 0 fires after it.
 var simDiffSeeds = [][]byte{
 	// a series 1 ns apart, then events at now and on its instants; steps.
 	{3 | 10<<2, 1, 0, 5, 3 | 6<<2, 2, 3 | 6<<2, 0, 0, 0, 0, 0, 2 | 3<<2, 0, 1, 0},
 	// a 300-element series 5 ns apart, Every ticks 3 ns apart, RunUntil.
 	{3 | 10<<2, 11, 1, 44, 3 | 13<<2, 0x15, 3, 2 | 7<<2, 0, 9, 2 | 30<<2, 12, 0, 1},
-	// a cascade and a zero-spacing series at now, sharing the ring.
+	// a cascade and a zero-spacing series at now, sharing the instant.
 	{3 | 12<<2, 4, 3 | 10<<2, 0, 0, 6, 0, 14, 0xff, 0, 0, 1, 1},
 	// a handler schedules a series whose handlers schedule closures and
 	// events; RunUntil deadlines fall between its elements.
@@ -311,10 +314,10 @@ func TestSimMatchesReferenceOnOrderingCases(t *testing.T) {
 		},
 		want: []string{"s:0@0", "s:1@1", "tick:1@2", "s:2@2", "s:3@3", "s:4@4", "tick:2@4", "s:5@5", "s:6@6", "tick:3@6"},
 	}, {
-		// Element 0 of a series scheduled at 5 queues behind the heap
-		// event B already due at 5 and the ring event R scheduled just
-		// before it; pushing element 0 into the heap would fire it ahead
-		// of R.
+		// Element 0 of a series started at 5 is due now: it queues behind
+		// B, queued for 5 before 5, and R, scheduled at 5 just before the
+		// series. Queuing element 0 at the buffer's earliest end would fire
+		// it ahead of both.
 		name: "series-element-0-behind-heap-events-at-now",
 		script: func(s scheduler, rec func(string) func(uint64)) {
 			a, b, r, ser := rec("a"), rec("b"), rec("r"), rec("s")
@@ -344,6 +347,37 @@ func TestSimMatchesReferenceOnOrderingCases(t *testing.T) {
 			})
 		},
 		want: []string{"p:0@1", "p:1@2", "s:0@2", "s:1@3", "s:2@4", "x:0@4"},
+	}, {
+		// A two-element series, the shortest that shares one queue element:
+		// P, scheduled before it, and X, after it, tie element 1's instant.
+		name: "series-of-two",
+		script: func(s scheduler, rec func(string) func(uint64)) {
+			s.AtArg(3, rec("p"), 0)
+			s.AfterArgSeries(3, 2, rec("s"), 0)
+			s.AtArg(3, rec("x"), 0)
+		},
+		want: []string{"s:0@0", "p:0@3", "s:1@3", "x:0@3"},
+	}, {
+		// H at 1 schedules twenty events at 1 while E, queued for 1 before
+		// H fired, and L at 5 are pending. The events due now queue behind
+		// E; the buffer fills and spills L into the heap, the last five due
+		// now go to the heap directly, and they come back through refills,
+		// in scheduling order and before L.
+		name: "same-instant-events-overflow-and-refill",
+		script: func(s scheduler, rec func(string) func(uint64)) {
+			h, a := rec("h"), rec("a")
+			s.At(1, func() {
+				h(0)
+				for i := range 20 {
+					s.AtArg(s.Now(), a, uint64(i))
+				}
+			})
+			s.AtArg(1, rec("e"), 0)
+			s.AtArg(5, rec("l"), 0)
+		},
+		want: []string{"h:0@1", "e:0@1", "a:0@1", "a:1@1", "a:2@1", "a:3@1", "a:4@1", "a:5@1", "a:6@1", "a:7@1",
+			"a:8@1", "a:9@1", "a:10@1", "a:11@1", "a:12@1", "a:13@1", "a:14@1", "a:15@1", "a:16@1", "a:17@1",
+			"a:18@1", "a:19@1", "l:0@5"},
 	}, {
 		// Stop inside a series handler: the elements not yet fired stay
 		// pending (Pending counts the hidden ones), and nothing more fires.

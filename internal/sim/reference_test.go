@@ -8,7 +8,7 @@ import (
 
 // refSim is the plain model the simulator is checked against: every event,
 // each element of a series included, is its own entry in a container/heap
-// ordered by (time, seq). It has no same-instant ring, no packed keys, no
+// ordered by (time, seq). It has no sorted buffer, no packed keys, no
 // payload table and no shared series element, so its firing order is the
 // (time, seq) rule by construction.
 type refSim struct {

@@ -10,7 +10,9 @@
 // Events scheduled for the same instant fire in scheduling order (a strict
 // total order over (time, sequence)), which keeps every experiment
 // reproducible regardless of map iteration or goroutine scheduling — the
-// simulator is single-goroutine by design.
+// simulator is single-goroutine by design. An event scheduled for the
+// current instant is queued like any other: its sequence number, larger than
+// every queued event's, puts it after the events already due now.
 //
 // The event queue holds 16-byte keys with no pointers: each element is its
 // instant plus seq<<24 | slot, where slot indexes a payload table holding
@@ -39,34 +41,24 @@
 // branch-free tournament (lessBit), since which child wins is a coin toss
 // to the branch predictor on a deep queue.
 //
-// Three raw-speed facilities serve 10M-request runs and the figure
-// workloads (see DESIGN.md):
+// Two raw-speed facilities serve 10M-request runs and the figure workloads
+// (see DESIGN.md):
 //
 //   - AtArg/AfterArg schedule a monomorphic event — a func(uint64) plus its
 //     argument — so the per-request schedule→fire cycle allocates no
 //     closure. Substrates bind a method value once at construction and pass
 //     the stored field; creating the method value at the call site would
 //     allocate.
-//   - A same-instant batch lane: an event scheduled for exactly the current
-//     instant (t == Now) bypasses the queue into a FIFO ring and is popped
-//     in O(1) with no sifting. The (time, seq) order is preserved exactly:
-//     any queued event with at == Now was necessarily scheduled at an
-//     earlier instant (queueing requires t > Now), hence carries a smaller
-//     sequence number than every ring event, so draining queued events at
-//     Now before the ring replays the queue-only order bit for bit.
 //   - AfterArgSeries schedules a burst — fn(arg+i) at Now + i·every for
 //     i < n — as the events, order and sequence numbers of n consecutive
-//     AfterArg calls, in two queue entries. Element 0 takes the batch lane.
-//     Elements 1…n−1 reserve the next n−1 sequence numbers and share one
-//     queue element and payload. Each time the element fires it is queued
-//     again as its successor (at += every, seq += 1), by the same rule as a
-//     new event. Element i+1 orders strictly after element i, so it cannot
-//     be the queue's minimum before element i has fired: keeping only the
-//     earliest unfired element queued leaves every minimum, and with it the
-//     firing order, exactly that of the n-event queue. The batch-lane
-//     argument still holds: an element due at T reserved its sequence
-//     number before T, and it is queued by T, because its predecessor fired
-//     at T − every.
+//     AfterArg calls, in one queue element and payload. The element starts
+//     as element 0, due now, and reserves all n sequence numbers. Each time
+//     it fires it is queued again as its successor (at += every, seq += 1),
+//     by the same rule as a new event. Element i+1 orders strictly after
+//     element i, so it cannot be the queue's minimum before element i has
+//     fired: keeping only the earliest unfired element queued leaves every
+//     minimum, and with it the firing order, exactly that of the n-event
+//     queue.
 package sim
 
 import (
@@ -165,13 +157,6 @@ type Simulation struct {
 	stopped  bool
 	events   uint64 // total events executed (diagnostics / benchmarks)
 
-	// Same-instant batch lane: events scheduled at exactly now, drained FIFO
-	// after the queued events for the same instant (see the package comment
-	// for the ordering argument). ring is a circular buffer.
-	ring     []call
-	ringHead int
-	ringLen  int
-
 	maxPending int // high-watermark of Pending() (diagnostics / pre-sizing)
 }
 
@@ -230,11 +215,11 @@ func (s *Simulation) AfterArg(d time.Duration, fn func(uint64), arg uint64) {
 
 // AfterArgSeries schedules fn(arg+i) at Now + i·every for each i < n: the
 // events, order and sequence numbers of n consecutive AfterArg calls, held
-// as one batch-lane event and one queue element that is queued again as its
-// successor each time it fires (see the package comment). For every ≤ 0, or
-// n < 3, where sharing saves nothing, it is that AfterArg loop.
+// as one queue element that is queued again as its successor each time it
+// fires (see the package comment). For every ≤ 0, or n < 2, where sharing
+// saves nothing, it is that AfterArg loop.
 func (s *Simulation) AfterArgSeries(every time.Duration, n int, fn func(uint64), arg uint64) {
-	if every <= 0 || n < 3 {
+	if every <= 0 || n < 2 {
 		for i := 0; i < n; i++ {
 			s.AfterArg(time.Duration(i)*every, fn, arg+uint64(i))
 		}
@@ -244,24 +229,17 @@ func (s *Simulation) AfterArgSeries(every time.Duration, n int, fn func(uint64),
 		panic("sim: nil event callback")
 	}
 	seq := s.reserve(uint64(n)) // element i takes seq+i
-	s.ringPush(call{argFn: fn, arg: arg})
-	s.hidden += n - 2
-	s.push(s.now+every, seq+1, payload{call: call{argFn: fn, arg: arg + 1}, every: every, left: n - 2})
+	s.hidden += n - 1
+	s.push(s.now, seq, payload{call: call{argFn: fn, arg: arg}, every: every, left: n - 1})
 	s.notePending()
 }
 
-// schedule routes an event to the queue (future instants) or the same-instant
-// ring (t == now, the batch lane). Scheduling in the past panics.
+// schedule queues an event. Scheduling in the past panics.
 func (s *Simulation) schedule(t time.Duration, c call) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
-	seq := s.reserve(1)
-	if t == s.now {
-		s.ringPush(c)
-	} else {
-		s.push(t, seq, payload{call: c})
-	}
+	s.push(t, s.reserve(1), payload{call: c})
 	s.notePending()
 }
 
@@ -372,7 +350,7 @@ func (s *Simulation) Stopped() bool { return s.stopped }
 
 // Run executes events until the queue drains or Stop is called.
 func (s *Simulation) Run() {
-	for (s.nbuf > 0 || s.ringLen > 0) && !s.stopped {
+	for s.nbuf > 0 && !s.stopped {
 		s.step()
 	}
 }
@@ -381,7 +359,7 @@ func (s *Simulation) Run() {
 // and reports whether it fired one: Run one event at a time, for harnesses
 // that check state between events.
 func (s *Simulation) Step() bool {
-	if s.stopped || s.nbuf == 0 && s.ringLen == 0 {
+	if s.stopped || s.nbuf == 0 {
 		return false
 	}
 	s.step()
@@ -391,9 +369,7 @@ func (s *Simulation) Step() bool {
 // RunUntil executes all events scheduled at or before deadline (unless Stop
 // fires first) and then advances the clock to the deadline.
 func (s *Simulation) RunUntil(deadline time.Duration) {
-	// Ring events are all due at now: they run unless the clock has already
-	// passed the deadline.
-	for !s.stopped && (s.ringLen > 0 && s.now <= deadline || s.nbuf > 0 && s.buf[s.nbuf-1].at <= deadline) {
+	for !s.stopped && s.nbuf > 0 && s.buf[s.nbuf-1].at <= deadline {
 		s.step()
 	}
 	if !s.stopped && s.now < deadline {
@@ -403,33 +379,19 @@ func (s *Simulation) RunUntil(deadline time.Duration) {
 
 // Pending reports the number of queued events, counting every series
 // element not yet fired.
-func (s *Simulation) Pending() int { return s.nbuf + len(s.queue) + s.ringLen + s.hidden }
+func (s *Simulation) Pending() int { return s.nbuf + len(s.queue) + s.hidden }
 
 // MaxPending reports the high-watermark of Pending over the simulation's
 // lifetime — the measured steady-state queue depth that NewWithCapacity
 // hints should be sized to (the -scale artifact reports it per substrate).
 func (s *Simulation) MaxPending() int { return s.maxPending }
 
-// step fires the next event in (time, seq) order: queued events due at the
-// current instant precede the same-instant ring (their sequence numbers are
-// necessarily smaller — see the package comment), and the ring drains FIFO
-// before the clock may advance to a future queued event.
+// step fires the earliest queued event, the buffer's last entry; the buffer
+// must not be empty. A series element with more hidden behind it gives way
+// to the next one, queued by insert's rule; any other element releases its
+// payload. An emptied buffer refills from the heap before the callback runs.
 func (s *Simulation) step() {
 	n := s.nbuf - 1
-	if s.ringLen > 0 && (n < 0 || s.buf[n].at != s.now) {
-		c := s.ringPop()
-		s.events++
-		c.fire()
-		return
-	}
-	s.fireHead(n)
-}
-
-// fireHead fires the earliest queued event, buf[n], n = nbuf−1. A series
-// element with more hidden behind it gives way to the next one, queued by
-// insert's rule; any other element releases its payload. An emptied buffer
-// refills from the heap before the callback runs.
-func (s *Simulation) fireHead(n int) {
 	e := s.buf[n]
 	s.nbuf = n
 	s.now = e.at
@@ -450,31 +412,6 @@ func (s *Simulation) fireHead(n int) {
 	}
 	s.events++
 	c.fire()
-}
-
-// ringPush appends to the same-instant FIFO, growing the circular buffer by
-// doubling when full.
-func (s *Simulation) ringPush(c call) {
-	if s.ringLen == len(s.ring) {
-		grown := make([]call, max(4, 2*len(s.ring)))
-		for i := 0; i < s.ringLen; i++ {
-			grown[i] = s.ring[(s.ringHead+i)%len(s.ring)]
-		}
-		s.ring = grown
-		s.ringHead = 0
-	}
-	s.ring[(s.ringHead+s.ringLen)%len(s.ring)] = c
-	s.ringLen++
-}
-
-// ringPop removes the FIFO head in O(1) — the batch-dispatch path: no
-// sifting for same-instant cascades.
-func (s *Simulation) ringPop() call {
-	c := s.ring[s.ringHead]
-	s.ring[s.ringHead] = call{} // release the callbacks for GC
-	s.ringHead = (s.ringHead + 1) % len(s.ring)
-	s.ringLen--
-	return c
 }
 
 // pop removes the minimum element from the heap bottom-up: the hole left

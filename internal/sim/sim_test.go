@@ -31,7 +31,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 }
 
 // TestStepFiresOneEventAtATime pins Step to Run's order, one event per call,
-// including same-instant ring events, and to Stop.
+// including an event scheduled for the current instant, and to Stop.
 func TestStepFiresOneEventAtATime(t *testing.T) {
 	s := New()
 	var order []int
@@ -356,29 +356,29 @@ func TestAtArgOrderMatchesAt(t *testing.T) {
 	}
 }
 
-// TestSameInstantHeapBeforeRing pins the batch lane's ordering invariant:
-// events already in the heap for instant T (scheduled before T, smaller seq)
-// fire before events scheduled AT instant T (the ring), and ring events keep
-// FIFO order — exactly the (time, seq) total order of a heap-only queue.
+// TestSameInstantHeapBeforeRing pins the order of events due at the current
+// instant: events queued for instant T before T (smaller seq) fire before
+// events scheduled AT instant T, which fire in scheduling order — exactly
+// the (time, seq) total order. Both kinds go through the same queue.
 func TestSameInstantHeapBeforeRing(t *testing.T) {
 	s := New()
 	var order []string
 	record := func(tag string) { order = append(order, tag) }
 	const T = time.Second
 	s.At(T, func() {
-		record("heap-a")
-		// Scheduled at now == T: batch lane, must fire after heap-b.
+		record("queued-a")
+		// Scheduled at now == T: must fire after queued-b.
 		s.At(T, func() {
-			record("ring-c")
-			s.After(0, func() { record("ring-e") })
+			record("now-c")
+			s.After(0, func() { record("now-e") })
 		})
 	})
 	s.At(T, func() {
-		record("heap-b")
-		s.After(0, func() { record("ring-d") })
+		record("queued-b")
+		s.After(0, func() { record("now-d") })
 	})
 	s.Run()
-	want := []string{"heap-a", "heap-b", "ring-c", "ring-d", "ring-e"}
+	want := []string{"queued-a", "queued-b", "now-c", "now-d", "now-e"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -389,9 +389,10 @@ func TestSameInstantHeapBeforeRing(t *testing.T) {
 	}
 }
 
-// TestSameInstantCascadeGrowsRing forces ring growth and wraparound: a
-// cascade where each event schedules the next at the same instant, repeated
-// across instants so the head index wraps.
+// TestSameInstantCascadeGrowsRing runs a cascade where each event schedules
+// the next at the same instant, repeated across four instants queued up
+// front: each link is queued at the buffer's earliest end, ahead of the
+// later instants' first links, and every link fires.
 func TestSameInstantCascadeGrowsRing(t *testing.T) {
 	s := New()
 	fired := 0
@@ -416,7 +417,7 @@ func TestSameInstantCascadeGrowsRing(t *testing.T) {
 
 // TestRunUntilDrainsSameInstantAtDeadline: an event at the deadline that
 // schedules another at the same instant must see both fire before the clock
-// parks at the deadline (the pre-ring semantics).
+// parks at the deadline.
 func TestRunUntilDrainsSameInstantAtDeadline(t *testing.T) {
 	s := New()
 	fired := 0
@@ -437,14 +438,14 @@ func TestRunUntilDrainsSameInstantAtDeadline(t *testing.T) {
 	}
 }
 
-// TestMaxPendingWatermark: MaxPending records the peak queue depth across
-// both the heap and the same-instant ring, and survives the drain.
+// TestMaxPendingWatermark: MaxPending records the peak queue depth, events
+// scheduled for the current instant included, and survives the drain.
 func TestMaxPendingWatermark(t *testing.T) {
 	s := New()
 	noop := func(uint64) {}
 	s.At(time.Second, func() {
 		for i := 0; i < 3; i++ {
-			s.AfterArg(0, noop, 0) // ring occupancy counts toward the peak
+			s.AfterArg(0, noop, 0) // events due now count toward the peak
 		}
 	})
 	for i := 1; i <= 4; i++ {
@@ -452,7 +453,7 @@ func TestMaxPendingWatermark(t *testing.T) {
 	}
 	s.Run()
 	// Peak: 4 AtArg timers + the At(1s) event = 5 before run; during the 1s
-	// event 3 ring events join while all 4 AtArg timers are still queued = 7.
+	// event 3 events due now join while all 4 AtArg timers are still queued = 7.
 	if got := s.MaxPending(); got != 7 {
 		t.Errorf("MaxPending = %d, want 7", got)
 	}
@@ -477,7 +478,7 @@ func TestAtArgZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("AtArg schedule+dispatch allocates %.1f/op, want 0", allocs)
 	}
 
-	// Same-instant batch dispatch through the ring, warm.
+	// A same-instant cascade through the buffer, warm.
 	var cascade func(uint64)
 	cascade = func(remaining uint64) {
 		sum++
@@ -486,7 +487,7 @@ func TestAtArgZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 	s.AfterArg(time.Millisecond, cascade, 32)
-	s.Run() // warms the ring buffer
+	s.Run() // warms the payload table
 	if allocs := testing.AllocsPerRun(100, func() {
 		s.AfterArg(time.Millisecond, cascade, 32)
 		s.Run()
@@ -600,9 +601,10 @@ func BenchmarkSimScheduleArg(b *testing.B) {
 	}
 }
 
-// BenchmarkSimBatchDispatch measures the same-instant batch lane: one timer
-// fans out into a 64-event same-instant cascade popped from the FIFO ring
-// with no sifting. ns/op is per 64-event batch.
+// BenchmarkSimBatchDispatch measures a same-instant cascade: one timer
+// starts a 64-event cascade at its instant, each link scheduled at now,
+// queued at the buffer's earliest end and fired from it. ns/op is per
+// 64-event batch.
 func BenchmarkSimBatchDispatch(b *testing.B) {
 	s := NewWithCapacity(4)
 	var cascade func(uint64)
