@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"smartconf"
+	"smartconf/internal/declog"
 	"smartconf/internal/experiments"
 	"smartconf/internal/experiments/engine"
 	"smartconf/internal/study"
@@ -249,6 +250,29 @@ func BenchmarkIndirectUpdate(b *testing.B) {
 	ic, err := smartconf.NewIndirect(smartconf.Spec{
 		Name: "bench", Metric: "m", Goal: 500, Hard: true, Max: 1e9,
 	}, profile, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ic.SetPerf(float64(200+i%100), float64(i%80))
+		_ = ic.Conf()
+	}
+}
+
+// BenchmarkIndirectUpdateLogged is BenchmarkIndirectUpdate with a 4096-record
+// decision log attached, the shape of a logged admission: the decision and
+// its record share the log's critical section.
+func BenchmarkIndirectUpdateLogged(b *testing.B) {
+	profile := smartconf.NewProfile()
+	for _, s := range []float64{40, 80, 120, 160} {
+		for i := 0; i < 10; i++ {
+			profile.Add(s, 2*s+100+float64(i%5))
+		}
+	}
+	ic, err := smartconf.NewIndirect(smartconf.Spec{
+		Name: "bench", Metric: "m", Goal: 500, Hard: true, Max: 1e9,
+	}, profile, nil, smartconf.WithDecisionLog(declog.New(4096)))
 	if err != nil {
 		b.Fatal(err)
 	}

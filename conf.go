@@ -97,24 +97,30 @@ type AlertFunc func(Alert)
 //
 // All methods are safe for concurrent use.
 type Conf struct {
-	mu   sync.Mutex
+	// mu points at own, or, for a Conf built WithDecisionLog, at the log's
+	// mutex: a decision and its record then take one critical section.
+	mu   *sync.Mutex
+	own  sync.Mutex
 	name string
 	ctrl *core.Controller // guardedby: mu
 
-	pending    float64 // guardedby: mu — latest measurement, consumed by Conf()
-	hasPending bool    // guardedby: mu
-	lastValue  float64 // guardedby: mu — clampedby: sanitizeKnob
+	pending   float64 // guardedby: mu — latest measurement, consumed by Conf()
+	lastValue float64 // guardedby: mu — clampedby: sanitizeKnob
+
+	// The flags sit together so that a Conf packs into 104 bytes, inside the
+	// allocator's 112-byte size class; a larger class costs the fleets'
+	// control ticks cache misses.
+	hasPending      bool // guardedby: mu
+	alertFired      bool // guardedby: mu
+	adaptiveEnabled bool
+	profiling       bool
 
 	alert          AlertFunc
 	alertThreshold int
-	alertFired     bool // guardedby: mu
 
 	trace    TraceFunc
 	traceSeq int // guardedby: mu
 
-	adaptiveEnabled bool
-
-	profiling bool
 	collector *core.Collector // guardedby: mu
 }
 
@@ -168,13 +174,18 @@ func newConf(spec Spec, ctrl *core.Controller, o options) *Conf {
 		alertThreshold: o.alertThreshold,
 		trace:          o.trace,
 	}
+	c.mu = &c.own
+	if o.declog != nil {
+		// ctrl records with the log's held-lock forms (see AttachLog).
+		c.mu = o.declog.Mutex()
+	}
 	return c
 }
 
 // newProfilingConf builds a Conf in profiling mode: no controller, the value
 // is pinned externally (PinValue) and every SetPerf records a sample.
 func newProfilingConf(spec Spec, o options) *Conf {
-	return &Conf{
+	c := &Conf{
 		name:           spec.Name,
 		lastValue:      sanitizeKnob(0, spec.Initial),
 		alert:          o.alert,
@@ -182,6 +193,8 @@ func newProfilingConf(spec Spec, o options) *Conf {
 		profiling:      true,
 		collector:      core.NewCollector(),
 	}
+	c.mu = &c.own
+	return c
 }
 
 // Name returns the configuration's name.
@@ -190,6 +203,8 @@ func (c *Conf) Name() string { return c.name }
 // SetPerf feeds the latest measurement of the configuration's performance
 // metric (obtained from the developer's sensor). The next Conf call uses it
 // to adjust the setting.
+//
+//smartconf:hotpath
 func (c *Conf) SetPerf(actual float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -210,6 +225,8 @@ func (c *Conf) Conf() int {
 // Value computes and returns the adjusted configuration setting as a float.
 // If no new measurement arrived since the last call, the previous setting is
 // returned unchanged (the controller only acts on fresh information).
+//
+//smartconf:hotpath
 func (c *Conf) Value() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -71,6 +71,8 @@ func (ic *IndirectConf) Name() string { return ic.conf.name }
 
 // SetPerf feeds the latest performance measurement together with the current
 // value of the deputy variable (e.g. the queue's actual size right now).
+//
+//smartconf:hotpath
 func (ic *IndirectConf) SetPerf(actual float64, deputy float64) {
 	c := ic.conf
 	c.mu.Lock()
@@ -94,6 +96,8 @@ func (ic *IndirectConf) Conf() int {
 
 // Value computes and returns the adjusted threshold setting: the controller
 // derives the desired next deputy value and the transducer converts it.
+//
+//smartconf:hotpath
 func (ic *IndirectConf) Value() float64 {
 	c := ic.conf
 	c.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"smartconf"
 	"smartconf/internal/cluster"
 	"smartconf/internal/declog"
 	"smartconf/internal/llmserve"
@@ -218,6 +219,25 @@ var gated = []struct {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			l.Append(declog.Record{Source: src, Period: uint32(i + 1), Sensed: float64(i), Err: 1, Pole: 0.5, Raw: 2, Applied: 2})
+		}
+	}},
+	{"smartconf.BenchmarkIndirectUpdateLogged", func(b *testing.B) {
+		profile := smartconf.NewProfile()
+		for _, s := range []float64{40, 80, 120, 160} {
+			for i := 0; i < 10; i++ {
+				profile.Add(s, 2*s+100+float64(i%5))
+			}
+		}
+		ic, err := smartconf.NewIndirect(smartconf.Spec{
+			Name: "bench", Metric: "m", Goal: 500, Hard: true, Max: 1e9,
+		}, profile, nil, smartconf.WithDecisionLog(declog.New(4096)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ic.SetPerf(float64(200+i%100), float64(i%80))
+			_ = ic.Conf()
 		}
 	}},
 	{"smartconf/internal/llmserve.BenchmarkLLMStepDeep", func(b *testing.B) {

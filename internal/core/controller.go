@@ -60,7 +60,9 @@ type Options struct {
 // goal, two-pole switching, interaction factor, actuator clamping).
 //
 // Controller is not safe for concurrent use; the public smartconf package
-// adds locking.
+// adds locking. With a decision log attached, Update and SetGoal record
+// through the log's held-lock forms, so they must run inside the log's
+// critical section (see AttachLog).
 type Controller struct {
 	model       Model
 	pole        float64
@@ -162,6 +164,8 @@ func (c *Controller) recomputeVirtualGoal() {
 // Update feeds the latest performance measurement and returns the adjusted
 // configuration value (Eq. 2 with the §5.2/§5.4 extensions). This is the
 // engine behind the public API's setPerf→getConf pair.
+//
+//smartconf:hotpath
 func (c *Controller) Update(measured float64) float64 {
 	// Online model refinement (§7 extension): the pair (current conf,
 	// measured) is exactly one plant observation.
@@ -234,7 +238,7 @@ func (c *Controller) Update(measured float64) float64 {
 	c.lastPole = pole
 	c.updates++
 	if c.log != nil {
-		c.log.Append(declog.Record{
+		c.log.AppendLocked(declog.Record{
 			Source:  c.logSrc,
 			Period:  uint32(c.updates),
 			Clamp:   reason,
@@ -269,13 +273,18 @@ func (c *Controller) SetGoal(target float64) {
 	c.goal.Target = target
 	c.recomputeVirtualGoal()
 	if c.log != nil {
-		c.log.BumpEpoch()
+		c.log.BumpEpochLocked()
 	}
 }
 
 // AttachLog makes the controller record every Update into l under the given
 // producer name. Registration is idempotent by name, so a controller
 // resynthesized after a crash reattaches to its pre-crash source id.
+//
+// From then on Update and SetGoal record with l's held-lock forms: their
+// caller must hold l.Mutex(), so that a decision and its record are one
+// critical section. The public smartconf package locks that mutex in place
+// of the configuration's own.
 func (c *Controller) AttachLog(l *declog.Log, name string) {
 	c.log = l
 	c.logSrc = l.Register(name)

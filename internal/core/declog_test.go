@@ -36,6 +36,15 @@ func TestClassifyClamp(t *testing.T) {
 	}
 }
 
+// underLog runs f inside l's critical section, as a logged controller's
+// Update and SetGoal require.
+func underLog(l *declog.Log, f func()) {
+	mu := l.Mutex()
+	mu.Lock()
+	defer mu.Unlock()
+	f()
+}
+
 // Every Update lands one record: 1-based period, the sensed value, the error,
 // the pole actually used, the raw Eq. 2 output, and the clamp classification.
 func TestControllerAppendsDecisionRecords(t *testing.T) {
@@ -43,8 +52,10 @@ func TestControllerAppendsDecisionRecords(t *testing.T) {
 	ctrl := mustController(t, Model{Alpha: 1}, 0.5, 0, Goal{Target: 100}, Options{Initial: 0, Min: 0, Max: 40})
 	ctrl.AttachLog(log, "knob")
 
-	ctrl.Update(20) // error 80, raw 0+0.5*80=40: exactly at Max, no clamp
-	ctrl.Update(20) // raw 40+40=80 > Max: clamped to 40
+	underLog(log, func() {
+		ctrl.Update(20) // error 80, raw 0+0.5*80=40: exactly at Max, no clamp
+		ctrl.Update(20) // raw 40+40=80 > Max: clamped to 40
+	})
 	recs := log.Snapshot()
 	if len(recs) != 2 {
 		t.Fatalf("%d records, want 2", len(recs))
@@ -74,8 +85,10 @@ func TestLoggedPoleReflectsTwoPoleSwitch(t *testing.T) {
 	goal := Goal{Target: 100, Hard: true}
 	ctrl := mustController(t, Model{Alpha: -1}, 0.9, 0.2, goal, Options{Initial: 50, Max: 1e6})
 	ctrl.AttachLog(log, "knob")
-	ctrl.Update(ctrl.VirtualTarget() - 1) // safe region
-	ctrl.Update(150)                      // past the virtual goal: pole 0
+	underLog(log, func() {
+		ctrl.Update(ctrl.VirtualTarget() - 1) // safe region
+		ctrl.Update(150)                      // past the virtual goal: pole 0
+	})
 	recs := log.Snapshot()
 	if recs[0].Pole != 0.9 {
 		t.Errorf("safe-region record pole %v, want 0.9", recs[0].Pole)
@@ -92,9 +105,11 @@ func TestSetGoalBumpsEpochOnlyWhenLogged(t *testing.T) {
 	log := declog.New(8)
 	ctrl := mustController(t, Model{Alpha: 1}, 0, 0, Goal{Target: 100}, Options{Max: 1e6})
 	ctrl.AttachLog(log, "knob")
-	ctrl.Update(10)
-	ctrl.SetGoal(200)
-	ctrl.Update(10)
+	underLog(log, func() {
+		ctrl.Update(10)
+		ctrl.SetGoal(200)
+		ctrl.Update(10)
+	})
 	recs := log.Snapshot()
 	if log.Epoch() != 1 {
 		t.Fatalf("epoch = %d after SetGoal, want 1", log.Epoch())

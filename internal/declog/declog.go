@@ -6,10 +6,19 @@
 //
 // Every internal/core controller (direct, indirect, adaptive) appends one
 // Record per Update, and internal/cluster coordinators append their layered
-// bound decisions. Append takes a value-typed Record into a pre-allocated
-// ring under a mutex — no heap allocation on any path (benchgate-gated at
-// 0 allocs/op, and the whole-run gate keeps the steady-state request windows
-// allocation-free with logging enabled).
+// bound decisions. A record is a value-typed Record copied into a
+// pre-allocated ring under the log's mutex — no heap allocation on any path
+// (benchgate-gated at 0 allocs/op, and the whole-run gate keeps the
+// steady-state request windows allocation-free with logging enabled).
+//
+// Each mutating method has two forms. Append and BumpEpoch take the mutex
+// themselves; AppendLocked and BumpEpochLocked run inside a critical section
+// the caller already holds on Mutex(). The public smartconf package uses the
+// held forms: a configuration built WithDecisionLog locks the log's mutex in
+// place of its own, so a decision and its record are one critical section,
+// and configurations sharing a log serialize whole decisions, not only
+// appends. Coordinators, the chaos loop and any producer that holds no
+// configuration lock use the locking forms.
 //
 // The package is a leaf: core, cluster, chaos and the public smartconf
 // package all import it, so it depends only on the standard library.
@@ -91,8 +100,9 @@ type Record struct {
 }
 
 // Log is a fixed-capacity ring of Records shared by every decision producer
-// of one run. All methods are safe for concurrent use; Append is the hot
-// path and allocates nothing.
+// of one run. All methods are safe for concurrent use, except that the
+// *Locked forms need the caller to hold Mutex(); Append and AppendLocked
+// are the hot path and allocate nothing.
 type Log struct {
 	mu    sync.Mutex
 	buf   []Record // guardedby: mu
@@ -140,12 +150,25 @@ func (l *Log) Sources() []string {
 	return out
 }
 
+// Mutex returns the mutex that guards the log. Holding it is the contract
+// of AppendLocked and BumpEpochLocked, the only methods a caller holding it
+// may call.
+func (l *Log) Mutex() *sync.Mutex { return &l.mu }
+
 // Append records one decision, stamping the current goal epoch. When the
 // ring is full the oldest record is overwritten. Zero allocations.
 //
 //smartconf:hotpath
 func (l *Log) Append(r Record) {
 	l.mu.Lock()
+	l.AppendLocked(r)
+	l.mu.Unlock()
+}
+
+// AppendLocked is Append for a caller that already holds Mutex().
+//
+//smartconf:hotpath
+func (l *Log) AppendLocked(r Record) {
 	r.Epoch = l.epoch
 	i := l.start + l.n
 	if i >= len(l.buf) {
@@ -161,16 +184,18 @@ func (l *Log) Append(r Record) {
 		}
 	}
 	l.total++
-	l.mu.Unlock()
 }
 
 // BumpEpoch advances the goal epoch: subsequent records belong to a new
 // decision regime (a run-time goal change, a crash resynthesis).
 func (l *Log) BumpEpoch() {
 	l.mu.Lock()
-	l.epoch++
+	l.BumpEpochLocked()
 	l.mu.Unlock()
 }
+
+// BumpEpochLocked is BumpEpoch for a caller that already holds Mutex().
+func (l *Log) BumpEpochLocked() { l.epoch++ }
 
 // Epoch returns the current goal epoch.
 func (l *Log) Epoch() uint32 {

@@ -231,12 +231,14 @@ func TestCollectAllowSites(t *testing.T) {
 // the static analyzer guards exactly the code the runtime gates measure.
 func TestHotPathRootsAnnotated(t *testing.T) {
 	roots := map[string][]string{
+		"smartconf":                    {"Conf.SetPerf", "Conf.Value", "IndirectConf.SetPerf", "IndirectConf.Value"},
+		"smartconf/internal/core":      {"Controller.Update"},
 		"smartconf/internal/rpcserver": {"Offer", "finishSlot", "drainDone"},
 		"smartconf/internal/llmserve":  {"Offer", "endStepArg"},
 		"smartconf/internal/kvstore":   {"Write", "flushDone"},
 		"smartconf/internal/dfs":       {"Write"},
 		"smartconf/internal/mapred":    {"RunJob", "schedulerTick", "writeChunk", "reduceDone"},
-		"smartconf/internal/declog":    {"Append"},
+		"smartconf/internal/declog":    {"Log.Append", "Log.AppendLocked"},
 		"smartconf/internal/cluster":   {"Dispatch", "Redispatch", "Route", "RouteExcluding"},
 		"smartconf/internal/workload":  {"NextOp"},
 	}
@@ -267,11 +269,17 @@ func TestHotPathRootsAnnotated(t *testing.T) {
 	}
 }
 
+// funcHasHotPathMarker reports whether the function name, or the method
+// Recv.name when name carries a receiver type, is annotated.
 func funcHasHotPathMarker(pkg *lint.Package, name string) bool {
+	recv, fn, ok := strings.Cut(name, ".")
+	if !ok {
+		recv, fn = "", name
+	}
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != name || fd.Doc == nil {
+			if !ok || fd.Name.Name != fn || fd.Doc == nil || (recv != "" && recvTypeName(fd) != recv) {
 				continue
 			}
 			for _, c := range fd.Doc.List {
@@ -282,6 +290,22 @@ func funcHasHotPathMarker(pkg *lint.Package, name string) bool {
 		}
 	}
 	return false
+}
+
+// recvTypeName returns the name of a method's receiver type, "" for a
+// function.
+func recvTypeName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return ""
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // TestAnalyzersOutsideScopedPackagesAreSilent pins the package scoping: the

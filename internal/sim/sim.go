@@ -230,7 +230,9 @@ func (s *Simulation) AfterArgSeries(every time.Duration, n int, fn func(uint64),
 	}
 	seq := s.reserve(uint64(n)) // element i takes seq+i
 	s.hidden += n - 1
-	s.push(s.now, seq, payload{call: call{argFn: fn, arg: arg}, every: every, left: n - 1})
+	p := s.push(s.now, seq)
+	p.call = call{argFn: fn, arg: arg}
+	p.every, p.left = every, n-1
 	s.notePending()
 }
 
@@ -239,7 +241,7 @@ func (s *Simulation) schedule(t time.Duration, c call) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
-	s.push(t, s.reserve(1), payload{call: c})
+	s.push(t, s.reserve(1)).call = c
 	s.notePending()
 }
 
@@ -253,22 +255,25 @@ func (s *Simulation) reserve(n uint64) uint64 {
 	return first
 }
 
-// push queues an element that fires p at t with sequence number seq,
-// storing p in a released payload if there is one.
-func (s *Simulation) push(t time.Duration, seq uint64, p payload) {
+// push queues an element that fires at t with sequence number seq and
+// returns its payload for the caller to fill in, field by field: a released
+// payload if there is one, zero except arg, or a fresh zero one. Writing the
+// fields in place spares copying a whole payload into the table, which costs
+// a bulk write barrier while the collector is marking.
+func (s *Simulation) push(t time.Duration, seq uint64) *payload {
 	var slot uint64
 	if s.free != 0 {
 		slot = s.free - 1
 		s.free = s.payloads[slot].arg
-		s.payloads[slot] = p
 	} else {
 		slot = uint64(len(s.payloads))
 		if slot > slotMask {
 			panic("sim: more than 2^24 events pending in the queue")
 		}
-		s.payloads = append(s.payloads, p)
+		s.payloads = append(s.payloads, payload{})
 	}
 	s.insert(entry{at: t, key: seq<<slotBits | slot})
+	return &s.payloads[slot]
 }
 
 // insert queues e. An event that orders before the heap's minimum joins the
@@ -404,7 +409,8 @@ func (s *Simulation) step() {
 		s.hidden--
 		s.insert(entry{at: e.at + p.every, key: e.key + 1<<slotBits})
 	} else {
-		*p = payload{call: call{arg: s.free}}
+		// Release: left is already 0, so this zeroes all but arg.
+		p.fn, p.argFn, p.arg, p.every = nil, nil, s.free, 0
 		s.free = slot + 1
 	}
 	if s.nbuf == 0 && len(s.queue) > 0 {

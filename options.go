@@ -44,6 +44,12 @@ func WithAlertThreshold(n int) Option {
 // into l (registered under the Spec name). The log is a fixed-capacity,
 // zero-allocation ring cheap enough to stay on in production; serialize it
 // with declog.Encode and feed the file to cmd/smartconf-replay.
+//
+// The configuration locks l's mutex in place of its own, so a decision and
+// its record are one critical section. Configurations sharing l therefore
+// serialize whole decisions (tens of nanoseconds each), not only their
+// appends, and a TraceFunc installed on them runs under l's lock: it must
+// not call l or any configuration sharing it.
 func WithDecisionLog(l *declog.Log) Option {
 	return func(o *options) { o.declog = l }
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"smartconf/internal/declog"
 	"smartconf/internal/experiments/engine"
@@ -73,11 +74,15 @@ func TestConcurrentControlLoopIsRaceFree(t *testing.T) {
 }
 
 // TestConcurrentDecisionLogIsRaceFree hammers one decision log from every
-// place a deployed log is touched concurrently — a logging controller
-// appending decisions as sensor threads feed it, a second producer appending
-// directly, exporters snapshotting and serializing the ring mid-run, and goal
-// changes bumping the epoch — so `go test -race` pins the ring's locking
-// story end to end, Append through Envelope/Encode.
+// place a deployed log is touched concurrently — a direct and an indirect
+// configuration sharing the log, each deciding from its own sensor threads,
+// an administrator retargeting both (the goal epoch advances inside the
+// decision's critical section), a second producer appending directly,
+// exporters snapshotting and serializing the ring mid-run, and crash-style
+// epoch bumps — so `go test -race` pins the ring's locking story end to end,
+// Append through Envelope/Encode. A watchdog turns a lock-order mistake into
+// a failure within seconds instead of a hung test, and the log must hold
+// exactly one record per controller update plus the direct appends.
 func TestConcurrentDecisionLogIsRaceFree(t *testing.T) {
 	log := declog.New(128)
 	profile := NewProfile().
@@ -85,14 +90,20 @@ func TestConcurrentDecisionLogIsRaceFree(t *testing.T) {
 		Add(200, 20, 21, 22).
 		Add(400, 40, 41, 39).
 		Add(800, 80, 82, 81)
-	c, err := New(Spec{
+	spec := Spec{
 		Name:    "race.knob",
 		Metric:  "race_load",
 		Goal:    50,
 		Hard:    true,
 		Initial: 400,
 		Min:     1, Max: 10_000,
-	}, profile, WithDecisionLog(log))
+	}
+	c, err := New(spec, profile, WithDecisionLog(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Name = "race.threshold"
+	ic, err := NewIndirect(spec, profile, Identity(), WithDecisionLog(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +123,10 @@ func TestConcurrentDecisionLogIsRaceFree(t *testing.T) {
 		}()
 	}
 
+	const directWriters = 2
 	for g := 0; g < 2; g++ {
 		spawn(func(i int) { c.SetPerf(40 + float64(i%40)); _ = c.Value() })
-		spawn(func(i int) {
-			log.Append(declog.Record{Source: direct, Period: uint32(i + 1), Sensed: float64(i), Err: 1, Pole: 0.5, Raw: 2, Applied: 2})
-		})
+		spawn(func(i int) { ic.SetPerf(40+float64(i%40), float64(100+i%300)); _ = ic.Conf() })
 		spawn(func(i int) { _ = log.Snapshot(); _ = log.Len(); _ = log.Sources() })
 		spawn(func(i int) {
 			env := log.Envelope("race", "none", 1, "fp")
@@ -125,13 +135,34 @@ func TestConcurrentDecisionLogIsRaceFree(t *testing.T) {
 			}
 		})
 	}
+	for g := 0; g < directWriters; g++ {
+		spawn(func(i int) {
+			log.Append(declog.Record{Source: direct, Period: uint32(i + 1), Sensed: float64(i), Err: 1, Pole: 0.5, Raw: 2, Applied: 2})
+		})
+	}
+	spawn(func(i int) {
+		c.SetGoal(45 + float64(i%10))
+		ic.SetGoal(45 + float64(i%10))
+		_ = c.Snapshot()
+	})
 	spawn(func(i int) { log.BumpEpoch(); _ = log.Epoch(); _ = log.Total() })
 
 	close(start)
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("goroutines sharing the decision log still running after 10s: a lock is taken twice or never released")
+	}
 
-	if log.Total() == 0 {
-		t.Error("no decisions were recorded under concurrency")
+	updates := c.Snapshot().Updates + ic.Snapshot().Updates
+	if updates == 0 {
+		t.Error("no decisions were made under concurrency")
+	}
+	if got, want := log.Total(), uint64(updates+directWriters*iters); got != want {
+		t.Errorf("log total %d, want %d (%d controller updates + %d direct appends)",
+			got, want, updates, directWriters*iters)
 	}
 	if n := log.Len(); n > log.Cap() {
 		t.Errorf("ring holds %d records over capacity %d", n, log.Cap())

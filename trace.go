@@ -26,8 +26,10 @@ type TraceEvent struct {
 }
 
 // TraceFunc receives controller decisions. It runs synchronously on the
-// caller of Conf/Value, so it must be fast and must not call back into the
-// configuration.
+// caller of Conf/Value, under the configuration's lock, so it must be fast
+// and must not call back into the configuration. On a configuration built
+// WithDecisionLog that lock is the log's mutex: the hook must not call the
+// log or any configuration sharing it either.
 type TraceFunc func(TraceEvent)
 
 // WithTrace installs a decision-trace hook on the configurations built with
@@ -36,7 +38,7 @@ func WithTrace(f TraceFunc) Option {
 	return func(o *options) { o.trace = f }
 }
 
-// emitTrace is called under c.mu after a controller update.
+// emitTraceLocked is called under c.mu after a controller update.
 func (c *Conf) emitTraceLocked(deputy float64) {
 	if c.trace == nil {
 		return
