@@ -5,7 +5,7 @@
 //
 //	smartconf-bench              # everything
 //	smartconf-bench -only fig5   # one artifact: table2..table7, fig5..fig8
-//	smartconf-bench -list        # list artifact ids
+//	smartconf-bench -list        # list artifact ids in render order
 //	smartconf-bench -parallel 1  # sequential runs (output is identical)
 //
 // Independent simulation runs fan out across -parallel workers (default: all
@@ -19,123 +19,32 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 
 	"smartconf/internal/experiments"
 	"smartconf/internal/experiments/engine"
-	"smartconf/internal/study"
 )
-
-var artifacts = map[string]func() (string, error){
-	"table2": func() (string, error) { return study.BuildTable2().Render(), nil },
-	"table3": func() (string, error) { return study.BuildTable3().Render(), nil },
-	"table4": func() (string, error) { return study.BuildTable4().Render(), nil },
-	"table5": func() (string, error) { return study.BuildTable5().Render(), nil },
-	"table6": func() (string, error) { return experiments.RenderTable6(), nil },
-	"table7": experiments.RenderTable7,
-	"fig5": func() (string, error) {
-		return experiments.RenderFigure5(experiments.BuildFigure5()), nil
-	},
-	"fig6": func() (string, error) {
-		return experiments.RenderFigure6(experiments.BuildFigure6()), nil
-	},
-	"fig7": func() (string, error) {
-		return experiments.RenderFigure7(experiments.BuildFigure7()), nil
-	},
-	"fig8": func() (string, error) {
-		return experiments.RenderFigure8(experiments.BuildFigure8()), nil
-	},
-	"abl-pole": func() (string, error) {
-		return experiments.RenderAblationPoles(experiments.AblationPoles()), nil
-	},
-	"abl-margin": func() (string, error) {
-		return experiments.RenderAblationMargins(experiments.AblationVirtualGoalMargin()), nil
-	},
-	"abl-interact": func() (string, error) {
-		return experiments.RenderAblationInteraction(experiments.AblationInteractionFactor()), nil
-	},
-	"abl-adaptive": func() (string, error) {
-		return experiments.RenderAblationAdaptive(experiments.AblationAdaptiveModel()), nil
-	},
-	"abl-profiling": func() (string, error) {
-		return experiments.RenderAblationProfilingDepth(experiments.AblationProfilingDepth()), nil
-	},
-	"robustness": func() (string, error) {
-		return experiments.RenderRobustness(experiments.RunRobustnessSweep()), nil
-	},
-	"abl-aimd": func() (string, error) {
-		return experiments.RenderBackendComparison(experiments.AblationBackendAIMD()), nil
-	},
-	"ext-sla": func() (string, error) {
-		return experiments.RenderSLA(experiments.BuildSLAComparison()), nil
-	},
-	"ext-dist": func() (string, error) {
-		return experiments.RenderDistributed(experiments.RunDistributedHB3813(4)), nil
-	},
-	"llmkv": func() (string, error) {
-		return experiments.RenderFigureLLMKV(experiments.BuildFigureLLMKV()), nil
-	},
-	"chaos": func() (string, error) {
-		return experiments.RenderChaos(experiments.ChaosMatrix(experiments.ChaosSeed)), nil
-	},
-	"fleet": func() (string, error) {
-		return experiments.RenderFleet(experiments.BuildFleetComparison()), nil
-	},
-}
-
-var order = []string{
-	"table2", "table3", "table4", "table5",
-	"table6", "fig5", "fig6", "fig7", "fig8", "table7",
-	"abl-pole", "abl-margin", "abl-interact", "abl-adaptive", "abl-profiling", "robustness", "abl-aimd", "ext-sla", "ext-dist",
-	"llmkv", "chaos", "fleet",
-}
-
-var titles = map[string]string{
-	"table2":        "Table 2: empirical study suite",
-	"table3":        "Table 3: types of PerfConf patches",
-	"table4":        "Table 4: how PerfConfs affect performance",
-	"table5":        "Table 5: how to set PerfConfs",
-	"table6":        "Table 6: benchmark suite",
-	"fig5":          "Figure 5: trade-off comparison",
-	"fig6":          "Figure 6: HB3813 case study",
-	"fig7":          "Figure 7: controller ablations",
-	"fig8":          "Figure 8: interacting PerfConfs",
-	"table7":        "Table 7: integration effort",
-	"abl-pole":      "Ablation: pole sensitivity (beyond the paper)",
-	"abl-margin":    "Ablation: virtual-goal margin (beyond the paper)",
-	"abl-interact":  "Ablation: interaction factor (beyond the paper)",
-	"abl-adaptive":  "Ablation: adaptive model, the paper's §7 direction",
-	"abl-profiling": "Ablation: profiling depth (§6.1 robustness claim)",
-	"robustness":    "Robustness: one controller across 54 unseen workloads (§6.1)",
-	"abl-aimd":      "Baseline: SmartConf vs hand-tuned AIMD heuristic",
-	"ext-sla":       "Extension: p99-latency SLA goal",
-	"ext-dist":      "Extension: per-node controllers in a 4-node cluster",
-	"llmkv":         "Extension: LLM serving, KV-cache memory vs batched tokens",
-	"chaos":         "Chaos: fault-injection matrix, invariant verdicts per substrate",
-	"fleet":         "Fleet: coordinated per-node controllers vs static fleets under skew and instance loss",
-}
 
 // unknownArtifact builds the error text for an id that is not registered,
 // listing every valid id so the caller does not need a second -list run.
 func unknownArtifact(id string) string {
-	ids := make([]string, 0, len(artifacts))
-	for known := range artifacts {
-		ids = append(ids, known)
+	var ids []string
+	for _, a := range experiments.Artifacts() {
+		ids = append(ids, a.ID)
 	}
-	sort.Strings(ids)
 	return fmt.Sprintf("unknown artifact %q; valid ids:\n  %s\n", id, strings.Join(ids, "\n  "))
 }
 
 // renderArtifacts renders the given artifacts in order into one string —
 // the unit the byte-identity test compares across worker counts.
-func renderArtifacts(ids []string) (string, error) {
+func renderArtifacts(arts []experiments.Artifact) (string, error) {
 	var b strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&b, "════════ %s ════════\n\n", titles[id])
-		out, err := artifacts[id]()
+	for _, a := range arts {
+		fmt.Fprintf(&b, "════════ %s ════════\n\n", a.Title)
+		out, err := a.Render()
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", id, err)
+			return "", fmt.Errorf("%s: %w", a.ID, err)
 		}
 		fmt.Fprintln(&b, out)
 	}
@@ -214,13 +123,8 @@ func run() int {
 	}
 
 	if *list {
-		ids := make([]string, 0, len(artifacts))
-		for id := range artifacts {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			fmt.Printf("%-8s %s\n", id, titles[id])
+		for _, a := range experiments.Artifacts() {
+			fmt.Printf("%-8s %s\n", a.ID, a.Title)
 		}
 		return 0
 	}
@@ -237,15 +141,16 @@ func run() int {
 		return 0
 	}
 
-	ids := order
+	arts := experiments.Artifacts()
 	if *only != "" {
-		if _, ok := artifacts[*only]; !ok {
+		i := slices.IndexFunc(arts, func(a experiments.Artifact) bool { return a.ID == *only })
+		if i < 0 {
 			fmt.Fprint(os.Stderr, unknownArtifact(*only))
 			return 2
 		}
-		ids = []string{*only}
+		arts = arts[i : i+1]
 	}
-	out, err := renderArtifacts(ids)
+	out, err := renderArtifacts(arts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -8,8 +8,10 @@ import (
 	"smartconf/internal/experiments/engine"
 )
 
-// scaleTestRequests keeps the golden runs fast while still exercising every
-// substrate's steady state (flush cycles, du traversals, multiple jobs).
+// scaleTestRequests keeps the golden runs fast while still exercising most
+// substrates' steady state (flush cycles, multiple jobs). dfs starts its
+// first content summary only at write 200,000, so at this count it fires no
+// events; the pinned 300k table in internal/experiments covers it.
 const scaleTestRequests = 50_000
 
 // TestScaleOutputByteIdenticalAcrossWorkerCounts extends the engine's

@@ -207,7 +207,7 @@ var gated = []struct {
 		}
 	}},
 	{"smartconf/internal/workload.BenchmarkYCSBNextOp", func(b *testing.B) {
-		y := workload.NewYCSB(1, 1<<20, workload.PresetA(4096, 1000))
+		y := workload.NewYCSB(1, 1<<20, workload.YCSBPhase{Name: "ycsb-a", WriteRatio: 0.5, RequestBytes: 4096, OpsPerSec: 1000})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			y.NextOp()

@@ -13,7 +13,7 @@ import (
 // test drives each substrate's actual -scale run — workload generator,
 // simulator, substrate, sensors, and a shadow decision-logging controller —
 // and enforces the raw-speed engine's contract end to end. Allocations are
-// strict on the request-pooled substrates: after a warm-up prefix, a window
+// strict on every substrate but dfs: after a warm-up prefix, a window
 // of tens of thousands of requests must allocate NOTHING — with decision
 // logging enabled — the property that lets a 10M-request campaign finish in
 // seconds and the decision log stay on in production. Requests/sec is
@@ -27,24 +27,11 @@ const (
 	wholeRunWindow = 50_000
 )
 
-var wholeRun = []struct {
-	key       string
-	substrate string
-	// strict substrates must allocate zero heap objects across a whole
-	// steady-state window. dfs is the one exemption left: du traversal
-	// chunks schedule closures a few times per million requests. mapred
-	// joined the strict set once its per-task chunk closures moved to
-	// slot-table AtArg handlers (tasks are the pooling unit now).
-	strict bool
-}{
-	{"smartconf/internal/experiments.ScaleRun/rpc", "rpc", true},
-	{"smartconf/internal/experiments.ScaleRun/llm", "llm", true},
-	{"smartconf/internal/experiments.ScaleRun/kv", "kv", true},
-	{"smartconf/internal/experiments.ScaleRun/dfs", "dfs", false},
-	{"smartconf/internal/experiments.ScaleRun/mapred", "mapred", true},
-	{"smartconf/internal/experiments.ScaleRun/fleetrpc", "fleetrpc", true},
-	{"smartconf/internal/experiments.ScaleRun/fleetllm", "fleetllm", true},
-}
+// wholeRunExempt names the substrates whose steady-state window is not held
+// at zero allocations. dfs is the one exemption left: du traversal chunks
+// schedule closures a few times per million requests. Every other -scale
+// substrate is strict, so a new one is gated by default.
+var wholeRunExempt = map[string]bool{"dfs": true}
 
 func TestWholeRunVsBaseline(t *testing.T) {
 	if raceEnabled {
@@ -63,28 +50,29 @@ func TestWholeRunVsBaseline(t *testing.T) {
 		t.Fatalf("parsing baseline: %v", err)
 	}
 
-	for _, g := range wholeRun {
-		entry, ok := base.Benchmarks[g.key]
+	for _, substrate := range experiments.ScaleSubstrates {
+		key := "smartconf/internal/experiments.ScaleRun/" + substrate
+		entry, ok := base.Benchmarks[key]
 		if !ok {
-			t.Errorf("%s: whole-run gate has no baseline entry — record one", g.key)
+			t.Errorf("%s: whole-run gate has no baseline entry — record one", key)
 			continue
 		}
-		log := declog.New(4096)
-		r := experiments.NewLoggedScaleRunner(g.substrate, log)
+		log := declog.New(experiments.DeclogCapacity)
+		r := experiments.NewScaleRunner(substrate, log)
 		total := int64(wholeRunWarm)
 		r.RunTo(total)
 		if log.Total() == 0 {
-			t.Errorf("%s: shadow controller logged no decisions over the warm-up — the gate is not exercising the decision log", g.key)
+			t.Errorf("%s: shadow controller logged no decisions over the warm-up — the gate is not exercising the decision log", key)
 		}
 
-		if g.strict {
+		if !wholeRunExempt[substrate] {
 			allocs := testing.AllocsPerRun(3, func() {
 				total += wholeRunWindow
 				r.RunTo(total)
 			})
 			if allocs != 0 {
 				t.Errorf("%s: %.1f allocs per %d-request steady-state window (decision logging on), want 0 — a new allocation crept onto the request path",
-					g.key, allocs, wholeRunWindow)
+					key, allocs, wholeRunWindow)
 			}
 		}
 
@@ -95,7 +83,7 @@ func TestWholeRunVsBaseline(t *testing.T) {
 		nsPerReq := float64(wall.Nanoseconds()) / float64(wholeRunWindow)
 		if entry.NsPerOp > 0 && nsPerReq > entry.NsPerOp*timeWarnFactor {
 			t.Logf("warn: %s at %.1f ns/request vs %.1f recorded (×%.1f) — advisory only, host timing varies",
-				g.key, nsPerReq, entry.NsPerOp, nsPerReq/entry.NsPerOp)
+				key, nsPerReq, entry.NsPerOp, nsPerReq/entry.NsPerOp)
 		}
 	}
 }

@@ -161,22 +161,3 @@ func TestRenderCounterfactualsDeterministic(t *testing.T) {
 		t.Fatalf("artifact not deterministic:\n%s\n%s", out, out2)
 	}
 }
-
-// The shadow-logged scale runner must not disturb the raw-speed trajectory:
-// its deterministic result equals the plain runner's, while decisions land
-// in the ring.
-func TestLoggedScaleRunnerIsShadow(t *testing.T) {
-	for _, sub := range ScaleSubstrates {
-		log := declog.New(256)
-		plain := NewScaleRunner(sub)
-		logged := NewLoggedScaleRunner(sub, log)
-		plain.RunTo(20_000)
-		logged.RunTo(20_000)
-		if a, b := plain.Result(), logged.Result(); a != b {
-			t.Errorf("%s: logged result %+v != plain %+v", sub, b, a)
-		}
-		if log.Total() == 0 {
-			t.Errorf("%s: shadow controller logged no decisions", sub)
-		}
-	}
-}

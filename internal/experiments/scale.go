@@ -5,6 +5,9 @@ import (
 	"strings"
 	"time"
 
+	"smartconf"
+	"smartconf/internal/cluster"
+	"smartconf/internal/declog"
 	"smartconf/internal/dfs"
 	"smartconf/internal/kvstore"
 	"smartconf/internal/llmserve"
@@ -16,14 +19,15 @@ import (
 )
 
 // The raw-speed campaign: push a large fixed request count through each of
-// the five substrates under steady load (zipfian keys, Poisson arrivals, no
-// chaos, no controllers) and report what the engine did. Everything printed
-// to stdout is a pure function of the seed and the request count — virtual
-// time, event counts, queue watermarks — so -scale output is byte-identical
-// at any worker count and a warm -cachedir rebuild executes zero
-// simulations. Wall-clock speed and allocation counts are measured by the
-// caller (cmd/smartconf-bench, via internal/benchgate.Measure) and reported
-// on stderr, off the deterministic artifact.
+// the five substrates and two 256-node fleets under steady load (zipfian
+// keys, Poisson arrivals, no chaos, static knobs) and report what the engine
+// did. Everything printed to stdout is a pure function of the seed and the
+// request count — virtual time, event counts, queue watermarks — so -scale
+// output is byte-identical at any worker count and a warm -cachedir rebuild
+// executes zero simulations. Wall-clock speed and allocation counts are
+// measured by the caller (cmd/smartconf-bench, via
+// internal/benchgate.Measure) and reported on stderr, off the deterministic
+// artifact.
 
 // ScaleResult is the deterministic outcome of one raw-speed run.
 type ScaleResult struct {
@@ -40,7 +44,7 @@ type ScaleResult struct {
 	// the engine-efficiency ratio the batch-dispatch work drives down.
 	Events uint64
 	// PeakPending is the event queue's high watermark — the measured basis
-	// for each runner's NewWithCapacity pre-sizing hint.
+	// for each substrate's event-queue pre-sizing hint.
 	PeakPending int
 }
 
@@ -60,51 +64,38 @@ func (r ScaleResult) VirtualRate() float64 {
 	return float64(r.Requests) / r.VirtualTime.Seconds()
 }
 
-// A ScaleRunner drives one substrate under its steady scale workload,
-// resumably: RunTo(n) advances until n total requests have been offered, so
-// a caller can warm the free lists with a prefix of the run and then measure
-// allocations over a later window of the same run.
-type ScaleRunner interface {
-	RunTo(requests int64)
-	Result() ScaleResult
+// scaleLoad is one substrate built on a simulation for the campaign.
+type scaleLoad struct {
+	// offer offers the next unit of work: for an open-loop substrate it
+	// draws the interarrival gap, runs the simulation up to it, then draws
+	// and offers one request; for MapReduce it runs one whole job.
+	offer func()
+	// unit is the number of requests one offer adds: 1, or a job's map
+	// tasks.
+	unit int64
+	// completed counts the offered requests that have finished.
+	completed func() int64
+	// sense is the load the shadow controller senses.
+	sense func() float64
 }
 
 // scaleRegistry is the campaign's substrate table in report order: the five
-// single-instance engines, then the two 256-node fleets (fleetscale.go). Each
-// row builds its runner and names the load a shadow controller senses on it
-// (NewLoggedScaleRunner).
+// single-instance engines, then the two 256-node fleets. Each row builds its
+// substrate on a simulation pre-sized to queue pending events. A row's
+// offer keeps its substrate's order of generator draws and simulator calls,
+// which is what pins the -scale table and the run-cache entries behind it.
 var scaleRegistry = []struct {
-	name string
-	new  func() (ScaleRunner, func() float64)
+	name  string
+	queue int
+	build func(s *sim.Simulation) scaleLoad
 }{
-	{"rpc", func() (ScaleRunner, func() float64) {
-		r := newRPCScaleRunner()
-		return r, func() float64 { return float64(r.sv.QueueLen()) }
-	}},
-	{"llm", func() (ScaleRunner, func() float64) {
-		r := newLLMScaleRunner()
-		return r, func() float64 { return float64(r.sv.PromptTokens()) }
-	}},
-	{"kv", func() (ScaleRunner, func() float64) {
-		r := newKVScaleRunner()
-		return r, func() float64 { return float64(r.st.MemtableBytes()) }
-	}},
-	{"dfs", func() (ScaleRunner, func() float64) {
-		r := newDFSScaleRunner()
-		return r, func() float64 { return float64(r.nn.WritesDone()) }
-	}},
-	{"mapred", func() (ScaleRunner, func() float64) {
-		r := newMapredScaleRunner()
-		return r, func() float64 { return float64(r.c.MaxDiskUsed()) }
-	}},
-	{"fleetrpc", func() (ScaleRunner, func() float64) {
-		r := newFleetRPCScaleRunner()
-		return r, r.fleet.TotalLoad
-	}},
-	{"fleetllm", func() (ScaleRunner, func() float64) {
-		r := newFleetLLMScaleRunner()
-		return r, r.fleet.TotalLoad
-	}},
+	{"rpc", scaleQueueHint, scaleRPC},
+	{"llm", scaleQueueHint, scaleLLM},
+	{"kv", scaleQueueHint, scaleKV},
+	{"dfs", scaleQueueHint, scaleDFS},
+	{"mapred", scaleQueueHint, scaleMapred},
+	{"fleetrpc", fleetScaleQueueHint, scaleFleetRPC},
+	{"fleetllm", fleetScaleQueueHint, scaleFleetLLM},
 }
 
 // ScaleSubstrates lists the campaign's substrates in report order.
@@ -116,53 +107,128 @@ var ScaleSubstrates = func() []string {
 	return names
 }()
 
-// scaleSeed fixes every scale workload's rng. One seed is enough: each
-// runner owns a private generator.
-const scaleSeed = 97
+const (
+	// scaleSeed fixes every scale workload's rng. One seed is enough: each
+	// substrate owns a private generator.
+	scaleSeed = 97
+	// scaleQueueHint pre-sizes the single-instance substrates' event queues.
+	// The PeakPending watermarks of recorded 10M-request runs stay under 16
+	// on all five (in-flight completion timers are bounded by worker
+	// counts), so 64 slots cover steady state without ever growing the heap
+	// array.
+	scaleQueueHint = 64
+	// fleetScaleQueueHint pre-sizes the fleets' event queues. Pending work
+	// scales with fleet width (each busy member holds its own service/step
+	// timers), so the hint is measured from recorded 10M-request runs: peaks
+	// stay under 1k on both fleets.
+	fleetScaleQueueHint = 2048
+	// fleetScaleNodes is the fleets' width: the maximum the router's
+	// four-word tried bitset supports, so the last word's last bit is live.
+	fleetScaleNodes = 256
+	// fleetScalePrefixes is the prompt-template pool for fleetllm: wide
+	// enough that rendezvous spreads templates across all 256 members, small
+	// enough that each member serves a handful of templates hot.
+	fleetScalePrefixes = 2048
+	// scaleLogEvery is the shadow controller's sense cadence in requests:
+	// ~50 logged decisions per 50k-request benchgate window — a busier
+	// control cadence than any real deployment period.
+	scaleLogEvery = 1024
+)
 
-// scaleQueueHint pre-sizes every runner's event queue. The PeakPending
-// watermarks of recorded 10M-request runs stay under 16 on all five
-// substrates (in-flight completion timers are bounded by worker counts), so
-// 64 slots cover steady state without ever growing the heap array.
-const scaleQueueHint = 64
-
-// NewScaleRunner returns the named substrate's runner. Unknown names panic:
-// the set is fixed by ScaleSubstrates.
-func NewScaleRunner(substrate string) ScaleRunner {
-	r, _ := newScaleRunner(substrate)
-	return r
+// A ScaleRunner drives one substrate under its steady scale workload,
+// resumably: RunTo(n) advances until n total requests have been offered, so
+// a caller can warm the free lists with a prefix of the run and then measure
+// allocations over a later window of the same run.
+//
+// A shadow controller rides every run: every scaleLogEvery requests it
+// senses the substrate's load, computes and clamps a decision and records it
+// into the runner's decision log, but never actuates. The trajectory, and
+// so the ScaleResult, is the static-knob run's, while the whole-run
+// benchgate holds the steady-state window at zero allocations with the log
+// on.
+type ScaleRunner struct {
+	substrate string
+	s         *sim.Simulation
+	scaleLoad
+	conf    *smartconf.Conf
+	offered int64
 }
 
-// newScaleRunner builds the named substrate's runner and its sensed load.
-func newScaleRunner(substrate string) (ScaleRunner, func() float64) {
-	for _, r := range scaleRegistry {
-		if r.name == substrate {
-			return r.new()
+// NewScaleRunner builds the named substrate with a shadow controller
+// recording into log. Unknown names panic: the set is fixed by
+// ScaleSubstrates.
+func NewScaleRunner(substrate string, log *declog.Log) *ScaleRunner {
+	for _, row := range scaleRegistry {
+		if row.name == substrate {
+			s := sim.NewWithCapacity(row.queue)
+			return &ScaleRunner{
+				substrate: substrate,
+				s:         s,
+				scaleLoad: row.build(s),
+				conf:      shadowScaleConf(substrate, log),
+			}
 		}
 	}
 	panic(fmt.Sprintf("experiments: unknown scale substrate %q", substrate))
 }
 
-// scaleResult reports a run on s that offered requests and saw completed of
-// them finish.
-func scaleResult(substrate string, s *sim.Simulation, requests, completed int64) ScaleResult {
+// shadowScaleConf synthesizes the shadow controller: a plausible linear
+// profile and a hard goal, so every Update exercises the full Eq. 2 +
+// virtual-goal + clamp + log pipeline.
+func shadowScaleConf(substrate string, log *declog.Log) *smartconf.Conf {
+	profile := smartconf.NewProfile().
+		Add(100, 10, 11, 12).
+		Add(200, 20, 21, 22).
+		Add(400, 40, 41, 39).
+		Add(800, 80, 82, 81)
+	conf, err := smartconf.New(smartconf.Spec{
+		Name:    "scale." + substrate + ".shadow",
+		Metric:  "shadow_load",
+		Goal:    50,
+		Hard:    true,
+		Initial: 400,
+		Min:     1, Max: 10_000,
+	}, profile, smartconf.WithDecisionLog(log))
+	if err != nil {
+		panic(fmt.Sprintf("experiments: shadow controller synthesis: %v", err))
+	}
+	return conf
+}
+
+// RunTo offers work until n requests in total have been offered (MapReduce
+// overshoots to its next whole job).
+func (r *ScaleRunner) RunTo(n int64) {
+	for r.offered < n {
+		target := min(r.offered+scaleLogEvery, n)
+		for r.offered < target {
+			r.offer()
+			r.offered += r.unit
+		}
+		r.conf.SetPerf(r.sense())
+		_ = r.conf.Value() // shadow decision: computed, clamped, logged, never actuated
+	}
+}
+
+// Result reports the run so far.
+func (r *ScaleRunner) Result() ScaleResult {
 	return ScaleResult{
-		Substrate:   substrate,
-		Requests:    requests,
-		Completed:   completed,
-		VirtualTime: s.Now(),
-		Events:      s.Events(),
-		PeakPending: s.MaxPending(),
+		Substrate:   r.substrate,
+		Requests:    r.offered,
+		Completed:   r.completed(),
+		VirtualTime: r.s.Now(),
+		Events:      r.s.Events(),
+		PeakPending: r.s.MaxPending(),
 	}
 }
 
 // RunScale executes (or recalls) the substrate's raw-speed run at the given
-// request count. Results memoize like every other run, so repeated renders
-// and warm -cachedir rebuilds skip the simulation.
+// request count, its shadow controller logging into a fresh DeclogCapacity
+// ring. Results memoize like every other run, so repeated renders and warm
+// -cachedir rebuilds skip the simulation.
 func RunScale(substrate string, requests int64) ScaleResult {
 	return memoKeyed("scale-"+substrate, "raw", fmt.Sprintf("n=%d", requests), scaleSeed,
 		func() ScaleResult {
-			r := NewScaleRunner(substrate)
+			r := NewScaleRunner(substrate, declog.New(DeclogCapacity))
 			r.RunTo(requests)
 			return r.Result()
 		})
@@ -182,23 +248,11 @@ func RenderScale(results []ScaleResult) string {
 	return b.String()
 }
 
-// ---- rpc ----
-
-// rpcScaleRunner drives the HB3813 RPC server: 4 KB zipfian ops at 40k/s
-// offered against ~64k/s of service capacity, so the queue stays busy but
-// never saturates.
-type rpcScaleRunner struct {
-	s       *sim.Simulation
-	sv      *rpcserver.Server
-	gen     *workload.YCSB
-	now     time.Duration
-	offered int64
-}
-
-func newRPCScaleRunner() *rpcScaleRunner {
-	s := sim.NewWithCapacity(scaleQueueHint)
-	cfg := rpcserver.Config{
-		Workers:            8,
+// scaleRPCConfig is the RPC server of the rpc and fleetrpc rows; a fleet
+// member runs fewer workers, since it sees ~1/256 of the offered load.
+func scaleRPCConfig(workers int) rpcserver.Config {
+	return rpcserver.Config{
+		Workers:            workers,
 		ServiceBytesPerSec: 512 << 20,
 		ServiceBaseTime:    2 * time.Millisecond,
 		MaxBatch:           16,
@@ -208,201 +262,232 @@ func newRPCScaleRunner() *rpcScaleRunner {
 		BaseHeapBytes:      100 << 20,
 		ResponseRetry:      20 * time.Millisecond,
 	}
-	sv := rpcserver.New(s, memsim.NewHeap(8<<30), cfg)
+}
+
+// scaleRPCPhase is the rpc and fleetrpc rows' load: 4 KB zipfian ops, half
+// writes, at 40k/s.
+var scaleRPCPhase = workload.YCSBPhase{
+	Name: "scale", WriteRatio: 0.5, RequestBytes: 4 << 10, OpsPerSec: 40_000,
+}
+
+// scaleLLMConfig is the inference server of the llm and fleetllm rows.
+var scaleLLMConfig = llmserve.Config{
+	KVBytesPerToken:      128 << 10,
+	ScratchBytesPerToken: 32 << 10,
+	BaseHeapBytes:        6 << 30,
+	StepBase:             2 * time.Millisecond,
+	StepPerToken:         5 * time.Microsecond,
+	PrefillChunk:         512,
+	WaitingLimit:         4096,
+}
+
+// scaleLLMPhase is the llm and fleetllm rows' short-token chat mix (8-token
+// prompts, 4-token outputs) at 2000 req/s, so request turnover — not decode
+// length — dominates.
+var scaleLLMPhase = workload.LLMPhase{
+	Name: "scale", RequestsPerSec: 2000, PromptMean: 8, OutputMean: 4,
+}
+
+// scaleRPC drives the HB3813 RPC server at 40k/s against ~64k/s of service
+// capacity, so the queue stays busy but never saturates.
+func scaleRPC(s *sim.Simulation) scaleLoad {
+	sv := rpcserver.New(s, memsim.NewHeap(8<<30), scaleRPCConfig(8))
 	sv.SetMaxQueue(1024)
-	gen := workload.NewYCSB(scaleSeed, 1<<20, workload.YCSBPhase{
-		Name: "scale", WriteRatio: 0.5, RequestBytes: 4 << 10, OpsPerSec: 40_000,
-	})
-	return &rpcScaleRunner{s: s, sv: sv, gen: gen}
-}
-
-func (r *rpcScaleRunner) RunTo(n int64) {
-	for r.offered < n {
-		r.now += r.gen.NextInterarrival()
-		r.s.RunUntil(r.now)
-		r.sv.Offer(r.gen.NextOp())
-		r.offered++
+	gen := workload.NewYCSB(scaleSeed, 1<<20, scaleRPCPhase)
+	var now time.Duration
+	return scaleLoad{
+		offer: func() {
+			now += gen.NextInterarrival()
+			s.RunUntil(now)
+			sv.Offer(gen.NextOp())
+		},
+		unit:      1,
+		completed: sv.Completed,
+		sense:     func() float64 { return float64(sv.QueueLen()) },
 	}
 }
 
-func (r *rpcScaleRunner) Result() ScaleResult {
-	return scaleResult("rpc", r.s, r.offered, r.sv.Completed())
-}
-
-// ---- llm ----
-
-// llmScaleRunner drives the inference server with a short-token chat mix
-// (8-token prompts, 4-token outputs) and fast steps, so request turnover —
-// not decode length — dominates.
-type llmScaleRunner struct {
-	s       *sim.Simulation
-	sv      *llmserve.Server
-	gen     *workload.LLMGen
-	now     time.Duration
-	offered int64
-}
-
-func newLLMScaleRunner() *llmScaleRunner {
-	s := sim.NewWithCapacity(scaleQueueHint)
-	cfg := llmserve.Config{
-		KVBytesPerToken:      128 << 10,
-		ScratchBytesPerToken: 32 << 10,
-		BaseHeapBytes:        6 << 30,
-		StepBase:             2 * time.Millisecond,
-		StepPerToken:         5 * time.Microsecond,
-		PrefillChunk:         512,
-		WaitingLimit:         4096,
-	}
-	sv := llmserve.New(s, memsim.NewHeap(16<<30), cfg)
+// scaleLLM drives the inference server with the short-token chat mix and
+// fast steps.
+func scaleLLM(s *sim.Simulation) scaleLoad {
+	sv := llmserve.New(s, memsim.NewHeap(16<<30), scaleLLMConfig)
 	sv.SetMaxBatchedTokens(1 << 20)
-	gen := workload.NewLLMGen(scaleSeed, workload.LLMPhase{
-		Name: "scale", RequestsPerSec: 2000, PromptMean: 8, OutputMean: 4,
-	})
-	return &llmScaleRunner{s: s, sv: sv, gen: gen}
-}
-
-func (r *llmScaleRunner) RunTo(n int64) {
-	for r.offered < n {
-		r.now += r.gen.NextInterarrival()
-		r.s.RunUntil(r.now)
-		r.sv.Offer(r.gen.NextRequest())
-		r.offered++
+	gen := workload.NewLLMGen(scaleSeed, scaleLLMPhase)
+	var now time.Duration
+	return scaleLoad{
+		offer: func() {
+			now += gen.NextInterarrival()
+			s.RunUntil(now)
+			sv.Offer(gen.NextRequest())
+		},
+		unit:      1,
+		completed: sv.Completed,
+		sense:     func() float64 { return float64(sv.PromptTokens()) },
 	}
 }
 
-func (r *llmScaleRunner) Result() ScaleResult {
-	return scaleResult("llm", r.s, r.offered, r.sv.Completed())
-}
-
-// ---- kv ----
-
-// kvScaleRunner drives the CA6059 memtable store write-only: 32 KB writes at
-// 10k/s against a 64 MB threshold, flushing every couple of thousand writes.
-type kvScaleRunner struct {
-	s       *sim.Simulation
-	st      *kvstore.MemtableStore
-	gen     *workload.YCSB
-	now     time.Duration
-	offered int64
-}
-
-func newKVScaleRunner() *kvScaleRunner {
-	s := sim.NewWithCapacity(scaleQueueHint)
-	cfg := kvstore.MemtableConfig{
+// scaleKV drives the CA6059 memtable store write-only: 32 KB writes at 10k/s
+// against a 64 MB threshold, flushing every couple of thousand writes.
+func scaleKV(s *sim.Simulation) scaleLoad {
+	st := kvstore.NewMemtableStore(s, memsim.NewHeap(64<<30), kvstore.MemtableConfig{
 		FlushBytesPerSec:   512 << 20,
 		FlushFixedOverhead: 100 * time.Millisecond,
 		WriteBaseLatency:   2 * time.Millisecond,
 		FlushPenalty:       8 * time.Millisecond,
 		BaseHeapBytes:      64 << 20,
-	}
-	st := kvstore.NewMemtableStore(s, memsim.NewHeap(64<<30), cfg, 64<<20)
+	}, 64<<20)
 	gen := workload.NewYCSB(scaleSeed, 1<<20, workload.YCSBPhase{
 		Name: "scale", WriteRatio: 1, RequestBytes: 32 << 10, OpsPerSec: 10_000,
 	})
-	return &kvScaleRunner{s: s, st: st, gen: gen}
-}
-
-func (r *kvScaleRunner) RunTo(n int64) {
-	for r.offered < n {
-		r.now += r.gen.NextInterarrival()
-		r.s.RunUntil(r.now)
-		r.st.Write(r.gen.NextOp().Bytes)
-		r.offered++
+	var now time.Duration
+	return scaleLoad{
+		offer: func() {
+			now += gen.NextInterarrival()
+			s.RunUntil(now)
+			st.Write(gen.NextOp().Bytes)
+		},
+		unit:      1,
+		completed: st.Writes,
+		sense:     func() float64 { return float64(st.MemtableBytes()) },
 	}
 }
 
-func (r *kvScaleRunner) Result() ScaleResult {
-	return scaleResult("kv", r.s, r.offered, r.st.Writes())
-}
-
-// ---- dfs ----
-
-// dfsScaleRunner drives the HD4995 namenode: a steady writer stream with a
-// full content summary every 200k files, so the lock-hold path stays
+// scaleDFS drives the HD4995 namenode: a steady writer stream with a full
+// content summary after every 200,000th write, so the lock-hold path stays
 // exercised without dominating.
-type dfsScaleRunner struct {
-	s       *sim.Simulation
-	nn      *dfs.NameNode
-	gen     *workload.YCSB
-	now     time.Duration
-	offered int64
-}
-
-func newDFSScaleRunner() *dfsScaleRunner {
-	s := sim.NewWithCapacity(scaleQueueHint)
-	cfg := dfs.Config{
+func scaleDFS(s *sim.Simulation) scaleLoad {
+	nn := dfs.New(s, dfs.Config{
 		PerFileCost:       200 * time.Microsecond,
 		ReacquireOverhead: 50 * time.Millisecond,
 		InitialFiles:      100_000,
-	}
-	nn := dfs.New(s, cfg, 30_000)
+	}, 30_000)
 	// The generator only supplies interarrival gaps (writes carry no
-	// payload), at the same offered rate as the kv runner.
+	// payload), at the same offered rate as the kv row.
 	gen := workload.NewYCSB(scaleSeed, 1<<20, workload.YCSBPhase{
 		Name: "scale", WriteRatio: 1, RequestBytes: 1, OpsPerSec: 10_000,
 	})
-	return &dfsScaleRunner{s: s, nn: nn, gen: gen}
+	var now time.Duration
+	var writes int64
+	return scaleLoad{
+		offer: func() {
+			now += gen.NextInterarrival()
+			s.RunUntil(now)
+			nn.Write()
+			writes++
+			if writes%200_000 == 0 {
+				nn.Du(nil)
+			}
+		},
+		unit:      1,
+		completed: nn.WritesDone,
+		sense:     func() float64 { return float64(nn.WritesDone()) },
+	}
 }
 
-func (r *dfsScaleRunner) RunTo(n int64) {
-	for r.offered < n {
-		r.now += r.gen.NextInterarrival()
-		r.s.RunUntil(r.now)
-		r.nn.Write()
-		r.offered++
-		if r.offered%200_000 == 0 {
-			r.nn.Du(nil)
+// scaleMapred drives the MR2820 cluster with back-to-back WordCount jobs; a
+// "request" is one map task (the per-request unit every other substrate
+// counts), 256 tasks per job.
+func scaleMapred(s *sim.Simulation) scaleLoad {
+	c := mapred.New(s, mapred.DefaultConfig(), 0)
+	job := workload.WordCountJob{
+		Name: "scale", InputBytes: 8 << 30, SplitBytes: 32 << 20,
+		Parallelism: 4, SpillRatio: 1.25,
+	}
+	tasks := int64(job.MapTasks())
+	var jobs, failed int64
+	// Built once: a callback made per job would allocate.
+	done := func(res mapred.JobResult) {
+		if res.Failed {
+			failed++
 		}
 	}
-}
-
-func (r *dfsScaleRunner) Result() ScaleResult {
-	return scaleResult("dfs", r.s, r.offered, r.nn.WritesDone())
-}
-
-// ---- mapred ----
-
-// mapredScaleRunner drives the MR2820 cluster with back-to-back WordCount
-// jobs; a "request" is one map task (the per-request unit every other
-// substrate counts), 256 tasks per job.
-type mapredScaleRunner struct {
-	s      *sim.Simulation
-	c      *mapred.Cluster
-	job    workload.WordCountJob
-	doneFn func(mapred.JobResult)
-	tasks  int64
-	failed int64
-}
-
-func newMapredScaleRunner() *mapredScaleRunner {
-	s := sim.NewWithCapacity(scaleQueueHint)
-	cfg := mapred.DefaultConfig()
-	c := mapred.New(s, cfg, 0)
-	r := &mapredScaleRunner{
-		s: s, c: c,
-		job: workload.WordCountJob{
-			Name: "scale", InputBytes: 8 << 30, SplitBytes: 32 << 20,
-			Parallelism: 4, SpillRatio: 1.25,
+	return scaleLoad{
+		offer: func() {
+			c.RunJob(job, done)
+			s.Run() // sequential jobs: drain this one completely
+			jobs++
 		},
-	}
-	r.doneFn = r.jobDone // bound once: a method value per job would allocate
-	return r
-}
-
-func (r *mapredScaleRunner) jobDone(res mapred.JobResult) {
-	if res.Failed {
-		r.failed++
+		unit:      tasks,
+		completed: func() int64 { return (jobs - failed) * tasks },
+		sense:     func() float64 { return float64(c.MaxDiskUsed()) },
 	}
 }
 
-func (r *mapredScaleRunner) RunTo(n int64) {
-	for r.tasks < n {
-		r.c.RunJob(r.job, r.doneFn)
-		r.s.Run() // sequential jobs: drain this one completely
-		r.tasks += int64(r.job.MapTasks())
+// scaleFleetRPC drives the rpc row's load through 256 RPC servers behind
+// key-affinity routing. Every request walks Fleet.Dispatch →
+// Router.RouteExcluding → Offer with the admission knob wide open; a
+// repeated key routes from its memoized rendezvous order, a new one pays a
+// salted rendezvous scan.
+func scaleFleetRPC(s *sim.Simulation) scaleLoad {
+	fleet := cluster.NewFleet[workload.Op](cluster.KeyAffinity)
+	servers := make([]*rpcserver.Server, fleetScaleNodes)
+	for i := range servers {
+		servers[i] = rpcserver.New(s, memsim.NewHeap(2<<30), scaleRPCConfig(2))
+		servers[i].SetID(i)
+		servers[i].SetMaxQueue(1024)
+		// Buffers are pre-sized to their bounds up front: each member sees
+		// ~1/256 of the load, so organic watermark growth would otherwise
+		// trickle allocations deep into the zero-alloc measurement window.
+		servers[i].Preallocate(1024, 1024, 32)
+		fleet.Add(servers[i], 1, servers[i].Offer)
+	}
+	gen := workload.NewYCSB(scaleSeed, 1<<20, scaleRPCPhase)
+	var now time.Duration
+	return scaleLoad{
+		offer: func() {
+			now += gen.NextInterarrival()
+			s.RunUntil(now)
+			op := gen.NextOp()
+			fleet.Dispatch(cluster.Request{Key: op.Key}, op)
+		},
+		unit:      1,
+		completed: func() int64 { return completedSum(servers) },
+		sense:     fleet.TotalLoad,
 	}
 }
 
-func (r *mapredScaleRunner) Result() ScaleResult {
-	return scaleResult("mapred", r.s, r.tasks, r.tasks-r.failed*int64(r.job.MapTasks()))
+// scaleFleetLLM drives the llm row's chat mix through 256 inference servers
+// behind prefix-affinity routing. Requests cycle through fleetScalePrefixes
+// prompt templates, so requests sharing a template co-locate — the KV-reuse
+// placement the prefix policy exists for.
+func scaleFleetLLM(s *sim.Simulation) scaleLoad {
+	fleet := cluster.NewFleet[workload.LLMRequest](cluster.PrefixAffinity)
+	servers := make([]*llmserve.Server, fleetScaleNodes)
+	for i := range servers {
+		servers[i] = llmserve.New(s, memsim.NewHeap(16<<30), scaleLLMConfig)
+		servers[i].SetID(i)
+		servers[i].SetMaxBatchedTokens(1 << 20)
+		// Pre-sized for the same reason as the RPC fleet: per-member load is
+		// a sliver, so concurrency watermarks would otherwise keep growing
+		// the pools long past any warm-up prefix.
+		servers[i].Preallocate(512)
+		fleet.Add(servers[i], 1, servers[i].Offer)
+	}
+	gen := workload.NewLLMGen(scaleSeed, scaleLLMPhase)
+	var now time.Duration
+	var n uint64
+	return scaleLoad{
+		offer: func() {
+			now += gen.NextInterarrival()
+			s.RunUntil(now)
+			req := gen.NextRequest()
+			// Key is the per-request session identity; Prefix the shared
+			// template identity the router places on. Cycling the template
+			// pool keeps the draw allocation-free and deterministic.
+			fleet.Dispatch(cluster.Request{Key: n, Prefix: n % fleetScalePrefixes}, req)
+			n++
+		},
+		unit:      1,
+		completed: func() int64 { return completedSum(servers) },
+		sense:     fleet.TotalLoad,
+	}
+}
+
+// completedSum totals a fleet's completed requests in member order.
+func completedSum[S interface{ Completed() int64 }](servers []S) int64 {
+	var n int64
+	for _, sv := range servers {
+		n += sv.Completed()
+	}
+	return n
 }

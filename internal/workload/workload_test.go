@@ -299,21 +299,3 @@ func TestStringers(t *testing.T) {
 		t.Error("WordCountJob.String empty")
 	}
 }
-
-func TestPresets(t *testing.T) {
-	ps := Presets(1<<20, 100)
-	if len(ps) != 5 {
-		t.Fatalf("presets = %d, want 5", len(ps))
-	}
-	wantMix := map[string]float64{
-		"ycsb-a": 0.5, "ycsb-b": 0.05, "ycsb-c": 0, "ycsb-d": 0.05, "ycsb-f": 0.5,
-	}
-	for _, p := range ps {
-		if p.RequestBytes != 1<<20 || p.OpsPerSec != 100 {
-			t.Errorf("%s: parameters not applied: %+v", p.Name, p)
-		}
-		if got, ok := wantMix[p.Name]; !ok || p.WriteRatio != got {
-			t.Errorf("%s: write ratio %v, want %v", p.Name, p.WriteRatio, got)
-		}
-	}
-}

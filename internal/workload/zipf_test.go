@@ -76,7 +76,7 @@ func TestZipfStreamsMatchStdlib(t *testing.T) {
 // TestYCSBKeysMatchStdlib replays NextOp from its parts with the stdlib's
 // Zipf: the generator's whole operation stream is what it always was.
 func TestYCSBKeysMatchStdlib(t *testing.T) {
-	phase := PresetA(4096, 1000)
+	phase := YCSBPhase{Name: "ycsb-a", WriteRatio: 0.5, RequestBytes: 4096, OpsPerSec: 1000}
 	y := NewYCSB(7, 1000, phase)
 	rng := rand.New(rand.NewSource(7))
 	ref := rand.NewZipf(rng, 1.1, 1, 999)
@@ -203,7 +203,7 @@ var keySink uint64
 // BenchmarkYCSBNextOp draws one YCSB-A operation over 2^20 keys: the
 // write/read coin, the size jitter and one zipfian key.
 func BenchmarkYCSBNextOp(b *testing.B) {
-	y := NewYCSB(1, 1<<20, PresetA(4096, 1000))
+	y := NewYCSB(1, 1<<20, YCSBPhase{Name: "ycsb-a", WriteRatio: 0.5, RequestBytes: 4096, OpsPerSec: 1000})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		keySink += y.NextOp().Key
