@@ -12,11 +12,12 @@
 package smartconf_test
 
 import (
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"smartconf"
-	"smartconf/internal/declog"
 	"smartconf/internal/experiments"
 	"smartconf/internal/experiments/engine"
 	"smartconf/internal/study"
@@ -241,6 +242,36 @@ func BenchmarkControllerUpdate(b *testing.B) {
 
 // BenchmarkIndirectUpdate is the same cycle through the indirect-conf path.
 func BenchmarkIndirectUpdate(b *testing.B) {
+	benchIndirectUpdate(b, newBenchIndirect(b, "bench"))
+}
+
+// BenchmarkIndirectUpdateLogged is BenchmarkIndirectUpdate with a 4096-record
+// decision log attached, the shape of a logged admission: the decision and
+// its record share the log's critical section.
+func BenchmarkIndirectUpdateLogged(b *testing.B) {
+	benchIndirectUpdate(b, newBenchIndirect(b, "bench", smartconf.WithDecisionLog(smartconf.NewDecisionLog(4096))))
+}
+
+// BenchmarkIndirectUpdateOwnLogParallel runs BenchmarkIndirectUpdateLogged
+// on every P at once, each goroutine deciding on its own IndirectConf with
+// its own log. ns/op is per decision across all goroutines.
+func BenchmarkIndirectUpdateOwnLogParallel(b *testing.B) {
+	benchIndirectUpdateParallel(b, func() *smartconf.DecisionLog { return smartconf.NewDecisionLog(4096) })
+}
+
+// BenchmarkIndirectUpdateSharedLogParallel is
+// BenchmarkIndirectUpdateOwnLogParallel with one log shared by every
+// configuration, the shape of a process that ships one envelope: the
+// configurations serialize whole decisions on the log's mutex.
+func BenchmarkIndirectUpdateSharedLogParallel(b *testing.B) {
+	shared := smartconf.NewDecisionLog(4096)
+	benchIndirectUpdateParallel(b, func() *smartconf.DecisionLog { return shared })
+}
+
+// newBenchIndirect builds the hard-goal IndirectConf the indirect-update
+// benchmarks decide on.
+func newBenchIndirect(b *testing.B, name string, opts ...smartconf.Option) *smartconf.IndirectConf {
+	b.Helper()
 	profile := smartconf.NewProfile()
 	for _, s := range []float64{40, 80, 120, 160} {
 		for i := 0; i < 10; i++ {
@@ -248,11 +279,15 @@ func BenchmarkIndirectUpdate(b *testing.B) {
 		}
 	}
 	ic, err := smartconf.NewIndirect(smartconf.Spec{
-		Name: "bench", Metric: "m", Goal: 500, Hard: true, Max: 1e9,
-	}, profile, nil)
+		Name: name, Metric: "m", Goal: 500, Hard: true, Max: 1e9,
+	}, profile, nil, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return ic
+}
+
+func benchIndirectUpdate(b *testing.B, ic *smartconf.IndirectConf) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ic.SetPerf(float64(200+i%100), float64(i%80))
@@ -260,27 +295,22 @@ func BenchmarkIndirectUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkIndirectUpdateLogged is BenchmarkIndirectUpdate with a 4096-record
-// decision log attached, the shape of a logged admission: the decision and
-// its record share the log's critical section.
-func BenchmarkIndirectUpdateLogged(b *testing.B) {
-	profile := smartconf.NewProfile()
-	for _, s := range []float64{40, 80, 120, 160} {
-		for i := 0; i < 10; i++ {
-			profile.Add(s, 2*s+100+float64(i%5))
-		}
+// benchIndirectUpdateParallel gives each of RunParallel's GOMAXPROCS
+// goroutines its own logged IndirectConf, built before the timer starts.
+func benchIndirectUpdateParallel(b *testing.B, logFor func() *smartconf.DecisionLog) {
+	confs := make([]*smartconf.IndirectConf, runtime.GOMAXPROCS(0))
+	for i := range confs {
+		confs[i] = newBenchIndirect(b, fmt.Sprintf("bench-%d", i), smartconf.WithDecisionLog(logFor()))
 	}
-	ic, err := smartconf.NewIndirect(smartconf.Spec{
-		Name: "bench", Metric: "m", Goal: 500, Hard: true, Max: 1e9,
-	}, profile, nil, smartconf.WithDecisionLog(declog.New(4096)))
-	if err != nil {
-		b.Fatal(err)
-	}
+	var next atomic.Int32
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ic.SetPerf(float64(200+i%100), float64(i%80))
-		_ = ic.Conf()
-	}
+	b.RunParallel(func(pb *testing.PB) {
+		ic := confs[next.Add(1)-1]
+		for i := 0; pb.Next(); i++ {
+			ic.SetPerf(float64(200+i%100), float64(i%80))
+			_ = ic.Conf()
+		}
+	})
 }
 
 // BenchmarkSynthesis measures full controller synthesis from a 40-sample

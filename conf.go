@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"smartconf/internal/core"
+	"smartconf/internal/declog"
 )
 
 // Spec declares one SmartConf configuration: its identity, the performance
@@ -107,8 +108,8 @@ type Conf struct {
 	pending   float64 // guardedby: mu — latest measurement, consumed by Conf()
 	lastValue float64 // guardedby: mu — clampedby: sanitizeKnob
 
-	// The flags sit together so that a Conf packs into 104 bytes, inside the
-	// allocator's 112-byte size class; a larger class costs the fleets'
+	// The flags sit together so that a Conf packs into 88 bytes, inside the
+	// allocator's 96-byte size class; a larger class costs the fleets'
 	// control ticks cache misses.
 	hasPending      bool // guardedby: mu
 	alertFired      bool // guardedby: mu
@@ -117,9 +118,6 @@ type Conf struct {
 
 	alert          AlertFunc
 	alertThreshold int
-
-	trace    TraceFunc
-	traceSeq int // guardedby: mu
 
 	collector *core.Collector // guardedby: mu
 }
@@ -172,12 +170,11 @@ func newConf(spec Spec, ctrl *core.Controller, o options) *Conf {
 		lastValue:      sanitizeKnob(0, ctrl.Conf()),
 		alert:          o.alert,
 		alertThreshold: o.alertThreshold,
-		trace:          o.trace,
 	}
 	c.mu = &c.own
 	if o.declog != nil {
 		// ctrl records with the log's held-lock forms (see AttachLog).
-		c.mu = o.declog.Mutex()
+		c.mu = declog.Mutex(o.declog)
 	}
 	return c
 }
@@ -243,7 +240,6 @@ func (c *Conf) valueLocked() float64 {
 	c.lastValue = sanitizeKnob(c.lastValue, c.ctrl.Update(c.pending))
 	c.hasPending = false
 	c.maybeAlertLocked()
-	c.emitTraceLocked(0)
 	return c.lastValue
 }
 

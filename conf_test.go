@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // linearProfile builds a clean profile for the plant s = alpha·c + base.
@@ -217,5 +218,14 @@ func TestSpecGoalMapping(t *testing.T) {
 	lb := Spec{Metric: "m", Goal: 5, LowerBound: true}.goal()
 	if lb.Bound.String() != "lower" {
 		t.Errorf("bound = %v, want lower", lb.Bound)
+	}
+}
+
+// A Manager's configurations are walked on every fleet control tick, so Conf
+// stays inside the allocator's 96-byte size class: grown by one class, it
+// made fleet-rpc's latency tick 6% slower (DESIGN.md §5g).
+func TestConfFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Conf{}); got > 96 {
+		t.Errorf("Conf is %d bytes, want at most 96 (the allocator's 96-byte size class)", got)
 	}
 }

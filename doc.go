@@ -45,6 +45,17 @@
 //	sc.SetPerf(memSensor.Value(), queue.Len())
 //	queue.SetLimit(sc.Conf())
 //
+// # Decision log
+//
+// Every decision can be recorded: build the configuration with
+// WithDecisionLog(NewDecisionLog(n)) and the log keeps its latest n
+// Decisions — the sensed value, the setpoint error, the pole, the raw and
+// the applied setting, and why they differ — in a ring that allocates
+// nothing per decision. log.Snapshot returns them oldest-first and
+// log.Sources names the configuration behind each, which answers "who set
+// this knob, and why?" after the fact. One log may serve every
+// configuration of a process; they then take turns deciding.
+//
 // # Guarantees
 //
 // Controllers use the update law c' = c + (1−p)/α·e with a pole p derived

@@ -1,11 +1,12 @@
 // rpcqueue: the HB3813 story on a miniature RPC server — a bounded call
-// queue whose payloads pin heap memory — demonstrating two run-time
+// queue whose payloads pin heap memory — demonstrating three run-time
 // features of the public API:
 //
 //   - SetGoal: an administrator tightens the memory budget mid-run and the
 //     controller follows without a restart;
 //   - unreachable-goal alerts: when the administrator then demands the
-//     impossible, SmartConf keeps making best effort and says so.
+//     impossible, SmartConf keeps making best effort and says so;
+//   - the decision log: who set the knob, and why.
 //
 // Run with: go run ./examples/rpcqueue
 package main
@@ -60,6 +61,7 @@ func main() {
 		panic(err)
 	}
 
+	log := smartconf.NewDecisionLog(256)
 	sc, err := smartconf.NewIndirect(smartconf.Spec{
 		Name:   "ipc.server.max.queue.size",
 		Metric: "memory_consumption",
@@ -71,6 +73,7 @@ func main() {
 			fmt.Printf("  ALERT: %v\n", a)
 		}),
 		smartconf.WithAlertThreshold(5),
+		smartconf.WithDecisionLog(log),
 	)
 	if err != nil {
 		panic(err)
@@ -99,4 +102,11 @@ func main() {
 	run(40)
 	time.Sleep(100 * time.Millisecond) // alerts are delivered asynchronously
 	fmt.Println("SmartConf pinned the knob at its minimum, kept serving, and raised the alert.")
+
+	fmt.Println("who set the limit, and why (the last three decisions):")
+	decisions, names := log.Snapshot(), log.Sources()
+	for _, d := range decisions[len(decisions)-3:] {
+		fmt.Printf("  %s #%d: sensed %.0f MB, error %.0f MB, pole %g, raw %.1f -> applied %g (clamp %v)\n",
+			names[d.Source], d.Period, d.Sensed/mb, d.Err/mb, d.Pole, d.Raw, d.Applied, d.Clamp)
+	}
 }

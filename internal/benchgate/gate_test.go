@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"runtime"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,6 +87,42 @@ func llmStep(b *testing.B, heap int64, req workload.LLMRequest) {
 	for i := 0; i < b.N; i++ {
 		step(i)
 	}
+}
+
+// loggedIndirect builds the hard-goal IndirectConf of the logged
+// indirect-update gates, recording into log.
+func loggedIndirect(b *testing.B, name string, log *smartconf.DecisionLog) *smartconf.IndirectConf {
+	profile := smartconf.NewProfile()
+	for _, s := range []float64{40, 80, 120, 160} {
+		for i := 0; i < 10; i++ {
+			profile.Add(s, 2*s+100+float64(i%5))
+		}
+	}
+	ic, err := smartconf.NewIndirect(smartconf.Spec{
+		Name: name, Metric: "m", Goal: 500, Hard: true, Max: 1e9,
+	}, profile, nil, smartconf.WithDecisionLog(log))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ic
+}
+
+// loggedIndirectParallel decides on one logged IndirectConf per RunParallel
+// goroutine, built before the timer starts.
+func loggedIndirectParallel(b *testing.B, logFor func() *smartconf.DecisionLog) {
+	confs := make([]*smartconf.IndirectConf, runtime.GOMAXPROCS(0))
+	for i := range confs {
+		confs[i] = loggedIndirect(b, "bench-"+strconv.Itoa(i), logFor())
+	}
+	var next atomic.Int32
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		ic := confs[next.Add(1)-1]
+		for i := 0; pb.Next(); i++ {
+			ic.SetPerf(float64(200+i%100), float64(i%80))
+			_ = ic.Conf()
+		}
+	})
 }
 
 // baselinePath locates BENCH_engine.json relative to this package.
@@ -222,23 +261,19 @@ var gated = []struct {
 		}
 	}},
 	{"smartconf.BenchmarkIndirectUpdateLogged", func(b *testing.B) {
-		profile := smartconf.NewProfile()
-		for _, s := range []float64{40, 80, 120, 160} {
-			for i := 0; i < 10; i++ {
-				profile.Add(s, 2*s+100+float64(i%5))
-			}
-		}
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
-			Name: "bench", Metric: "m", Goal: 500, Hard: true, Max: 1e9,
-		}, profile, nil, smartconf.WithDecisionLog(declog.New(4096)))
-		if err != nil {
-			b.Fatal(err)
-		}
+		ic := loggedIndirect(b, "bench", smartconf.NewDecisionLog(4096))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ic.SetPerf(float64(200+i%100), float64(i%80))
 			_ = ic.Conf()
 		}
+	}},
+	{"smartconf.BenchmarkIndirectUpdateOwnLogParallel", func(b *testing.B) {
+		loggedIndirectParallel(b, func() *smartconf.DecisionLog { return smartconf.NewDecisionLog(4096) })
+	}},
+	{"smartconf.BenchmarkIndirectUpdateSharedLogParallel", func(b *testing.B) {
+		shared := smartconf.NewDecisionLog(4096)
+		loggedIndirectParallel(b, func() *smartconf.DecisionLog { return shared })
 	}},
 	{"smartconf/internal/llmserve.BenchmarkLLMStepDeep", func(b *testing.B) {
 		llmStep(b, 64<<30, workload.LLMRequest{Prompt: 150, Output: 300})

@@ -74,7 +74,6 @@ type Controller struct {
 
 	conf      float64 // current (continuous) configuration value — clampedby: clamp
 	adaptive  *AdaptiveModel
-	lastErr   float64
 	lastPole  float64
 	updates   int
 	saturated int // consecutive updates pinned at a bound with persistent error
@@ -234,11 +233,10 @@ func (c *Controller) Update(measured float64) float64 {
 	}
 
 	c.conf = next
-	c.lastErr = e
 	c.lastPole = pole
 	c.updates++
 	if c.log != nil {
-		c.log.AppendLocked(declog.Record{
+		declog.AppendLocked(c.log, declog.Record{
 			Source:  c.logSrc,
 			Period:  uint32(c.updates),
 			Clamp:   reason,
@@ -273,7 +271,7 @@ func (c *Controller) SetGoal(target float64) {
 	c.goal.Target = target
 	c.recomputeVirtualGoal()
 	if c.log != nil {
-		c.log.BumpEpochLocked()
+		declog.BumpEpochLocked(c.log)
 	}
 }
 
@@ -282,9 +280,9 @@ func (c *Controller) SetGoal(target float64) {
 // resynthesized after a crash reattaches to its pre-crash source id.
 //
 // From then on Update and SetGoal record with l's held-lock forms: their
-// caller must hold l.Mutex(), so that a decision and its record are one
-// critical section. The public smartconf package locks that mutex in place
-// of the configuration's own.
+// caller must hold declog.Mutex(l), so that a decision and its record are
+// one critical section. The public smartconf package locks that mutex in
+// place of the configuration's own.
 func (c *Controller) AttachLog(l *declog.Log, name string) {
 	c.log = l
 	c.logSrc = l.Register(name)
@@ -326,9 +324,6 @@ func (c *Controller) Lambda() float64 { return c.lambda }
 
 // Model returns the fitted plant model.
 func (c *Controller) Model() Model { return c.model }
-
-// LastError returns the most recent setpoint error.
-func (c *Controller) LastError() float64 { return c.lastErr }
 
 // Updates returns the number of Update calls so far.
 func (c *Controller) Updates() int { return c.updates }

@@ -39,7 +39,7 @@ func TestClassifyClamp(t *testing.T) {
 // underLog runs f inside l's critical section, as a logged controller's
 // Update and SetGoal require.
 func underLog(l *declog.Log, f func()) {
-	mu := l.Mutex()
+	mu := declog.Mutex(l)
 	mu.Lock()
 	defer mu.Unlock()
 	f()

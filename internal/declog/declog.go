@@ -11,14 +11,18 @@
 // (benchgate-gated at 0 allocs/op, and the whole-run gate keeps the
 // steady-state request windows allocation-free with logging enabled).
 //
-// Each mutating method has two forms. Append and BumpEpoch take the mutex
-// themselves; AppendLocked and BumpEpochLocked run inside a critical section
-// the caller already holds on Mutex(). The public smartconf package uses the
-// held forms: a configuration built WithDecisionLog locks the log's mutex in
-// place of its own, so a decision and its record are one critical section,
-// and configurations sharing a log serialize whole decisions, not only
-// appends. Coordinators, the chaos loop and any producer that holds no
-// configuration lock use the locking forms.
+// Each mutating operation has two forms. The methods Append and BumpEpoch
+// take the mutex themselves; the package functions AppendLocked and
+// BumpEpochLocked run inside a critical section the caller already holds on
+// Mutex(l). The public smartconf package uses the held forms: a
+// configuration built WithDecisionLog locks the log's mutex in place of its
+// own, so a decision and its record are one critical section, and
+// configurations sharing a log serialize whole decisions, not only appends.
+// Coordinators, the chaos loop and any producer that holds no configuration
+// lock use the locking forms. The held forms are functions, not methods, so
+// they stay off the method set that the smartconf package exports as
+// DecisionLog: an outside caller cannot take the mutex and deadlock a
+// configuration sharing the log.
 //
 // The package is a leaf: core, cluster, chaos and the public smartconf
 // package all import it, so it depends only on the standard library.
@@ -100,9 +104,8 @@ type Record struct {
 }
 
 // Log is a fixed-capacity ring of Records shared by every decision producer
-// of one run. All methods are safe for concurrent use, except that the
-// *Locked forms need the caller to hold Mutex(); Append and AppendLocked
-// are the hot path and allocate nothing.
+// of one run. All methods are safe for concurrent use; Append and
+// AppendLocked are the hot path and allocate nothing.
 type Log struct {
 	mu    sync.Mutex
 	buf   []Record // guardedby: mu
@@ -150,10 +153,9 @@ func (l *Log) Sources() []string {
 	return out
 }
 
-// Mutex returns the mutex that guards the log. Holding it is the contract
-// of AppendLocked and BumpEpochLocked, the only methods a caller holding it
-// may call.
-func (l *Log) Mutex() *sync.Mutex { return &l.mu }
+// Mutex returns the mutex that guards l. Holding it is the contract of
+// AppendLocked and BumpEpochLocked, the only calls on l a holder may make.
+func Mutex(l *Log) *sync.Mutex { return &l.mu }
 
 // Append records one decision, stamping the current goal epoch. When the
 // ring is full the oldest record is overwritten. Zero allocations.
@@ -161,14 +163,17 @@ func (l *Log) Mutex() *sync.Mutex { return &l.mu }
 //smartconf:hotpath
 func (l *Log) Append(r Record) {
 	l.mu.Lock()
-	l.AppendLocked(r)
+	l.appendLocked(r)
 	l.mu.Unlock()
 }
 
-// AppendLocked is Append for a caller that already holds Mutex().
+// AppendLocked is Append for a caller that already holds Mutex(l).
 //
 //smartconf:hotpath
-func (l *Log) AppendLocked(r Record) {
+func AppendLocked(l *Log, r Record) { l.appendLocked(r) }
+
+//smartconf:hotpath
+func (l *Log) appendLocked(r Record) {
 	r.Epoch = l.epoch
 	i := l.start + l.n
 	if i >= len(l.buf) {
@@ -190,12 +195,14 @@ func (l *Log) AppendLocked(r Record) {
 // decision regime (a run-time goal change, a crash resynthesis).
 func (l *Log) BumpEpoch() {
 	l.mu.Lock()
-	l.BumpEpochLocked()
+	l.bumpEpochLocked()
 	l.mu.Unlock()
 }
 
-// BumpEpochLocked is BumpEpoch for a caller that already holds Mutex().
-func (l *Log) BumpEpochLocked() { l.epoch++ }
+// BumpEpochLocked is BumpEpoch for a caller that already holds Mutex(l).
+func BumpEpochLocked(l *Log) { l.bumpEpochLocked() }
+
+func (l *Log) bumpEpochLocked() { l.epoch++ }
 
 // Epoch returns the current goal epoch.
 func (l *Log) Epoch() uint32 {

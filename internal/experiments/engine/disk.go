@@ -30,9 +30,6 @@ func EnableDiskCache(dir, stamp string) error {
 	return diskcache.Configure(dir)
 }
 
-// DiskCacheEnabled reports whether the persistent layer is active.
-func DiskCacheEnabled() bool { return diskcache.Enabled() }
-
 // diskKey widens an in-memory key with the configured version stamp.
 func diskKey(k Key) diskcache.Key {
 	stampMu.RLock()

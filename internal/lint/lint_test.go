@@ -238,7 +238,7 @@ func TestHotPathRootsAnnotated(t *testing.T) {
 		"smartconf/internal/kvstore":   {"Write", "flushDone"},
 		"smartconf/internal/dfs":       {"Write"},
 		"smartconf/internal/mapred":    {"RunJob", "schedulerTick", "writeChunk", "reduceDone"},
-		"smartconf/internal/declog":    {"Log.Append", "Log.AppendLocked"},
+		"smartconf/internal/declog":    {"Log.Append", "AppendLocked", "Log.appendLocked"},
 		"smartconf/internal/cluster":   {"Dispatch", "Redispatch", "Route", "RouteExcluding"},
 		"smartconf/internal/workload":  {"NextOp"},
 	}

@@ -1,16 +1,13 @@
 package smartconf
 
-import "smartconf/internal/declog"
-
 // Option customizes Conf and Manager construction.
 type Option func(*options)
 
 type options struct {
 	alert          AlertFunc
 	alertThreshold int
-	trace          TraceFunc
-	declog         *declog.Log
-	perturb        *declog.Perturb
+	declog         *DecisionLog
+	perturb        *Perturb
 }
 
 func applyOptions(opts []Option) options {
@@ -38,26 +35,4 @@ func WithAlertThreshold(n int) Option {
 		}
 		o.alertThreshold = n
 	}
-}
-
-// WithDecisionLog makes the configuration record every controller decision
-// into l (registered under the Spec name). The log is a fixed-capacity,
-// zero-allocation ring cheap enough to stay on in production; serialize it
-// with declog.Encode and feed the file to cmd/smartconf-replay.
-//
-// The configuration locks l's mutex in place of its own, so a decision and
-// its record are one critical section. Configurations sharing l therefore
-// serialize whole decisions (tens of nanoseconds each), not only their
-// appends, and a TraceFunc installed on them runs under l's lock: it must
-// not call l or any configuration sharing it.
-func WithDecisionLog(l *declog.Log) Option {
-	return func(o *options) { o.declog = l }
-}
-
-// WithPerturb arms a counterfactual decision edit on the synthesized
-// controller: from p.FromPeriod onward the pole is pinned and/or the clamp
-// bounds are moved. This is the offline replay tool's hook ("what if the
-// pole were 0.9 from period k?") — production paths never set it.
-func WithPerturb(p declog.Perturb) Option {
-	return func(o *options) { o.perturb = &p }
 }

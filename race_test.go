@@ -3,7 +3,6 @@ package smartconf
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,14 +13,12 @@ import (
 // TestConcurrentControlLoopIsRaceFree hammers one Manager from the three
 // places a deployed controller is touched concurrently — sensor threads
 // feeding measurements, actuator threads reading adjusted settings, and an
-// administrator retargeting goals — with a trace hook installed, so `go
+// administrator retargeting goals — with a decision log attached, so `go
 // test -race` can prove the locking story. The assertions are deliberately
 // loose; the interleaving, not the arithmetic, is under test.
 func TestConcurrentControlLoopIsRaceFree(t *testing.T) {
-	var traced atomic.Int64
-	m := newTestManager(t, WithConfOptions(WithTrace(func(TraceEvent) {
-		traced.Add(1)
-	})))
+	log := NewDecisionLog(256)
+	m := newTestManager(t, WithConfOptions(WithDecisionLog(log)))
 	c, err := m.Conf("max.queue.size")
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +62,8 @@ func TestConcurrentControlLoopIsRaceFree(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	if traced.Load() == 0 {
-		t.Error("trace hook never fired under concurrent updates")
+	if log.Total() == 0 {
+		t.Error("no decision logged under concurrent updates")
 	}
 	if v := c.Value(); v < 0 || v > 5000 {
 		t.Errorf("setting %v escaped [min, max] under concurrency", v)
