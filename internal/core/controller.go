@@ -74,7 +74,6 @@ type Controller struct {
 
 	conf      float64 // current (continuous) configuration value — clampedby: clamp
 	adaptive  *AdaptiveModel
-	lastPole  float64
 	updates   int
 	saturated int // consecutive updates pinned at a bound with persistent error
 
@@ -146,7 +145,6 @@ func newController(model Model, pole, lambda float64, goal Goal, opts Options) (
 		max:         max,
 		interaction: float64(n),
 		conf:        clamp(opts.Initial, min, max),
-		lastPole:    pole,
 	}
 	c.recomputeVirtualGoal()
 	return c, nil
@@ -233,7 +231,6 @@ func (c *Controller) Update(measured float64) float64 {
 	}
 
 	c.conf = next
-	c.lastPole = pole
 	c.updates++
 	if c.log != nil {
 		declog.AppendLocked(c.log, declog.Record{
@@ -314,10 +311,6 @@ func (c *Controller) VirtualTarget() float64 { return c.virtualGoal }
 
 // Pole returns the regular (safe-region) pole.
 func (c *Controller) Pole() float64 { return c.pole }
-
-// LastPole returns the pole used by the most recent Update (0 when the
-// two-pole logic was in the danger region).
-func (c *Controller) LastPole() float64 { return c.lastPole }
 
 // Lambda returns the profiled stability coefficient.
 func (c *Controller) Lambda() float64 { return c.lambda }

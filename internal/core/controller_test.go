@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"smartconf/internal/declog"
 )
 
 // plantSim is a first-order plant s = α·c + base + disturbance used to
@@ -81,17 +83,20 @@ func TestControllerHardGoalVirtualTargetAndTwoPoles(t *testing.T) {
 		t.Fatalf("virtual target = %v, want %v", ctrl.VirtualTarget(), wantVT)
 	}
 
+	log := declog.New(4)
+	ctrl.AttachLog(log, "mem")
+
 	// Safe region: measurement below virtual goal ⇒ regular pole.
-	ctrl.Update(wantVT - 100)
-	if ctrl.LastPole() != 0.9 {
-		t.Errorf("safe-region pole = %v, want 0.9", ctrl.LastPole())
+	underLog(log, func() { ctrl.Update(wantVT - 100) })
+	if p := lastPole(log); p != 0.9 {
+		t.Errorf("safe-region pole = %v, want 0.9", p)
 	}
 
 	// Danger region: beyond the virtual goal ⇒ pole 0 (max aggression).
 	before := ctrl.Conf()
-	ctrl.Update(wantVT + 50)
-	if ctrl.LastPole() != 0 {
-		t.Errorf("danger-region pole = %v, want 0", ctrl.LastPole())
+	underLog(log, func() { ctrl.Update(wantVT + 50) })
+	if p := lastPole(log); p != 0 {
+		t.Errorf("danger-region pole = %v, want 0", p)
 	}
 	// And the knob must move down by the full error (1-0)/α·e = -50.
 	if math.Abs(ctrl.Conf()-(before-50)) > 1e-9 {
@@ -104,9 +109,11 @@ func TestControllerSoftGoalKeepsSinglePole(t *testing.T) {
 	if ctrl.VirtualTarget() != 100 {
 		t.Errorf("soft goal virtual target = %v, want goal itself", ctrl.VirtualTarget())
 	}
-	ctrl.Update(150) // above goal
-	if ctrl.LastPole() != 0.8 {
-		t.Errorf("soft goal pole = %v, want regular 0.8", ctrl.LastPole())
+	log := declog.New(4)
+	ctrl.AttachLog(log, "knob")
+	underLog(log, func() { ctrl.Update(150) }) // above goal
+	if p := lastPole(log); p != 0.8 {
+		t.Errorf("soft goal pole = %v, want regular 0.8", p)
 	}
 }
 
@@ -120,9 +127,11 @@ func TestControllerLowerBoundGoal(t *testing.T) {
 		t.Fatalf("lower-bound virtual target = %v, want > 100", ctrl.VirtualTarget())
 	}
 	// Below the virtual goal = danger for lower bounds ⇒ pole 0.
-	ctrl.Update(50)
-	if ctrl.LastPole() != 0 {
-		t.Errorf("danger pole = %v, want 0", ctrl.LastPole())
+	log := declog.New(4)
+	ctrl.AttachLog(log, "tput")
+	underLog(log, func() { ctrl.Update(50) })
+	if p := lastPole(log); p != 0 {
+		t.Errorf("danger pole = %v, want 0", p)
 	}
 	c := ctrl.Conf()
 	for i := 0; i < 100; i++ {

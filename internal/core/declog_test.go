@@ -45,6 +45,13 @@ func underLog(l *declog.Log, f func()) {
 	f()
 }
 
+// lastPole is the pole in l's most recent record: the one the logged
+// controller's last Update used.
+func lastPole(l *declog.Log) float64 {
+	recs := l.Snapshot()
+	return recs[len(recs)-1].Pole
+}
+
 // Every Update lands one record: 1-based period, the sensed value, the error,
 // the pole actually used, the raw Eq. 2 output, and the clamp classification.
 func TestControllerAppendsDecisionRecords(t *testing.T) {
@@ -128,10 +135,12 @@ func TestSetPerturbPinsPoleFromPeriod(t *testing.T) {
 	plain := mk()
 	perturbed := mk()
 	perturbed.SetPerturb(declog.Perturb{SetPole: true, Pole: 0.9, FromPeriod: 3})
+	log := declog.New(8)
+	perturbed.AttachLog(log, "knob")
 	var a, b []float64
 	for i := 0; i < 5; i++ {
 		a = append(a, plain.Update(50))
-		b = append(b, perturbed.Update(50))
+		underLog(log, func() { b = append(b, perturbed.Update(50)) })
 	}
 	if a[0] != b[0] || a[1] != b[1] {
 		t.Errorf("pre-FromPeriod trajectories diverge: %v vs %v", a[:2], b[:2])
@@ -139,8 +148,8 @@ func TestSetPerturbPinsPoleFromPeriod(t *testing.T) {
 	if a[2] == b[2] {
 		t.Errorf("perturbation had no effect at period 3: both %v", a[2])
 	}
-	if perturbed.LastPole() != 0.9 {
-		t.Errorf("LastPole = %v, want pinned 0.9", perturbed.LastPole())
+	if p := lastPole(log); p != 0.9 {
+		t.Errorf("last recorded pole = %v, want pinned 0.9", p)
 	}
 
 	disarmed := mk()

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"smartconf/internal/declog"
 )
 
 // FuzzSynthesize drives controller synthesis with arbitrary profiles, goals,
@@ -52,12 +54,16 @@ func FuzzSynthesize(f *testing.F) {
 			}
 		}
 		check("initial conf", c.Conf())
+		log := declog.New(4)
+		c.AttachLog(log, "m")
 		for _, m := range []float64{m1, m2, m1, m2} {
 			if math.IsNaN(m) || math.IsInf(m, 0) {
 				continue // sensors deliver finite measurements by contract
 			}
-			check("conf", c.Update(m))
-			if lp := c.LastPole(); math.IsNaN(lp) || lp < 0 || lp >= 1 {
+			var conf float64
+			underLog(log, func() { conf = c.Update(m) })
+			check("conf", conf)
+			if lp := lastPole(log); math.IsNaN(lp) || lp < 0 || lp >= 1 {
 				t.Fatalf("last pole %v outside [0,1)", lp)
 			}
 		}

@@ -60,7 +60,7 @@ func AblationPoles() []PoleAblationRow {
 // margin sweeps share: both include the automatically derived (pole, λ)
 // point, which therefore simulates once.
 func runAblationCore(model core.Model, pole, lambda float64) Result {
-	return memoResult("HB3813", fmt.Sprintf("pole=%g lambda=%g", pole, lambda),
+	return memoKeyed("HB3813", fmt.Sprintf("pole=%g lambda=%g", pole, lambda),
 		"ablation-core", 0, func() Result {
 			ctrl := mustSynth(core.NewController(model, pole, lambda,
 				core.Goal{Metric: "memory", Target: float64(rpcMemoryGoal), Hard: true},

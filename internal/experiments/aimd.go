@@ -65,7 +65,7 @@ func AblationBackendAIMD() BackendComparison {
 		if a.inc == 0 {
 			return runCached(HB3813Scenario(), SmartConf())
 		}
-		return memoResult("HB3813", fmt.Sprintf("aimd inc=%g dec=%g", a.inc, a.dec),
+		return memoKeyed("HB3813", fmt.Sprintf("aimd inc=%g dec=%g", a.inc, a.dec),
 			"ablation-aimd", 0, func() Result {
 				ctl := &AIMD{
 					Increase: a.inc,

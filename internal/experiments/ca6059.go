@@ -1,14 +1,15 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
 	"smartconf"
+	"smartconf/internal/chaos"
 	"smartconf/internal/core"
 	"smartconf/internal/kvstore"
 	"smartconf/internal/memsim"
+	"smartconf/internal/sim"
 	"smartconf/internal/workload"
 )
 
@@ -85,71 +86,62 @@ func ProfileCA6059() core.Profile {
 }
 
 // RunCA6059 executes the two-phase evaluation under the given policy.
-func RunCA6059(p Policy) Result {
-	s := newScenarioSim()
+func RunCA6059(p Policy) Result { return newCA6059Rig(newScenarioSim()).runFigure(p, nil) }
+
+// newCA6059Rig builds the memtable store at threshold 0 on s, with the heap
+// noise as its disturbance and the two-phase workload as its load.
+func newCA6059Rig(s *sim.Simulation) *rig {
 	rng := rand.New(rand.NewSource(6059))
 	heap := memsim.NewHeap(ca6059HeapCap)
 	st := kvstore.NewMemtableStore(s, heap, ca6059Config(), 0)
-
-	switch p.Kind {
-	case StaticPolicy:
-		st.SetThreshold(int64(p.Static))
-	case SmartConfPolicy:
-		profile := ProfileCA6059()
-		ic := mustSynth(smartconf.NewIndirect(smartconf.Spec{
-			Name:    "memtable_total_space_in_mb",
-			Metric:  "memory_consumption",
-			Goal:    float64(ca6059Goal),
-			Hard:    true,
-			Initial: 0,
-			Min:     0, Max: float64(ca6059HeapCap),
-		}, publicProfile(profile), nil))
-		st.BeforeWrite = func() {
-			ic.SetPerf(float64(heap.Used()), float64(st.MemtableBytes())) //sc:CA6059:sensor
-			st.SetThreshold(int64(ic.Value()))                            //sc:CA6059:invoke
-		}
-	default:
-		panic(fmt.Sprintf("CA6059: unsupported policy %v", p))
-	}
-
-	heapNoise(s, heap, rng, rpcNoiseMax, ca6059RunTime)
-
-	memS := Series{Name: "used_memory", Unit: "bytes"}
-	knobS := Series{Name: "memtable_total_space", Unit: "bytes"}
 	var oomAt time.Duration
 	heap.OnOOM(func() { oomAt = s.Now() })
-	s.Every(time.Second, time.Second, func() bool {
-		memS.Points = append(memS.Points, Point{s.Now(), float64(heap.Used())})
-		knobS.Points = append(knobS.Points, Point{s.Now(), float64(st.Threshold())})
-		return s.Now() < ca6059RunTime && !heap.OOM()
-	})
-
-	gen := workload.NewYCSB(6060, 1000, ca6059Phases()[0])
-	s.Every(0, ca6059WriteEvery, func() bool {
-		if phase, _ := workload.PhaseAt(ca6059Phases(), s.Now()); phase.Name != gen.Phase().Name {
-			gen.SetPhase(phase)
-			st.SetCacheTarget(int64(phase.CacheRatio * float64(ca6059HeapCap)))
-		}
-		op := gen.NextOp()
-		if op.Write {
-			st.Write(op.Bytes)
-		} else {
-			st.Read(op.Bytes)
-		}
-		return s.Now() < ca6059RunTime && !st.Crashed()
-	})
-	s.RunUntil(ca6059RunTime)
-
-	res := Result{
-		Issue:          "CA6059",
-		Policy:         p,
-		TradeoffName:   "mean write latency (ms)",
-		HigherIsBetter: false,
-		Tradeoff:       float64(st.WriteLatency().OverallMean()) / float64(time.Millisecond),
-		Series:         []Series{memS, knobS},
+	return &rig{
+		s: s, horizon: ca6059RunTime,
+		smart: func() func(float64) {
+			ic := mustSynth(smartconf.NewIndirect(smartconf.Spec{
+				Name:    "memtable_total_space_in_mb",
+				Metric:  "memory_consumption",
+				Goal:    float64(ca6059Goal),
+				Hard:    true,
+				Initial: 0,
+				Min:     0, Max: float64(ca6059HeapCap),
+			}, publicProfile(ProfileCA6059()), nil))
+			st.BeforeWrite = func() {
+				ic.SetPerf(float64(heap.Used()), float64(st.MemtableBytes())) //sc:CA6059:sensor
+				st.SetThreshold(int64(ic.Value()))                            //sc:CA6059:invoke
+			}
+			return nil
+		},
+		actuate: func(v float64) { st.SetThreshold(int64(v)) },
+		disturb: func(*chaos.Env) { heapNoise(s, heap, rng, rpcNoiseMax, ca6059RunTime) },
+		load: func(*chaos.Env) {
+			gen := workload.NewYCSB(6060, 1000, ca6059Phases()[0])
+			s.Every(0, ca6059WriteEvery, func() bool {
+				if phase, _ := workload.PhaseAt(ca6059Phases(), s.Now()); phase.Name != gen.Phase().Name {
+					gen.SetPhase(phase)
+					st.SetCacheTarget(int64(phase.CacheRatio * float64(ca6059HeapCap)))
+				}
+				op := gen.NextOp()
+				if op.Write {
+					st.Write(op.Bytes)
+				} else {
+					st.Read(op.Bytes)
+				}
+				return s.Now() < ca6059RunTime && !st.Crashed()
+			})
+		},
+		probe: []column{
+			{Series{Name: "used_memory", Unit: "bytes"}, func() (float64, bool) { return float64(heap.Used()), true }},
+			{Series{Name: "memtable_total_space", Unit: "bytes"}, func() (float64, bool) { return float64(st.Threshold()), true }},
+		},
+		more: func() bool { return s.Now() < ca6059RunTime && !heap.OOM() },
+		judge: func(res *Result) {
+			res.Issue, res.TradeoffName, res.HigherIsBetter = "CA6059", "mean write latency (ms)", false
+			res.Tradeoff = float64(st.WriteLatency().OverallMean()) / float64(time.Millisecond)
+			judgeHardMemory(res, heap.OOM(), oomAt, constGoal(ca6059Goal))
+		},
 	}
-	judgeHardMemory(&res, memS, heap.OOM(), oomAt, constGoal(ca6059Goal))
-	return res
 }
 
 // CA6059Scenario returns the scenario descriptor.

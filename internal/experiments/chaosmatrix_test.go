@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"smartconf/internal/declog"
 	"smartconf/internal/experiments/engine"
 	"smartconf/internal/proptest"
 )
@@ -71,8 +72,9 @@ func TestChaosRenderByteIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestChaosCellCacheMatchesFreshRun(t *testing.T) {
 	ResetRunCache()
 	defer ResetRunCache()
-	cached := RunChaosCell(ChaosCell{Substrate: "HB3813", Fault: "plant-shift", Seed: ChaosSeed})
-	fresh := runChaosCell("HB3813", "plant-shift", ChaosSeed, nil)
+	cell := ChaosCell{Substrate: "HB3813", Fault: "plant-shift", Seed: ChaosSeed}
+	cached := RunChaosCell(cell)
+	fresh := runChaosCell(cell, cell.newRig(), nil, declog.Perturb{})
 	if err := proptest.Replays(&cached, &fresh); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"smartconf/internal/core"
 )
 
 // Diagnostic sweeps used during calibration; kept as regression telemetry.
@@ -29,7 +31,7 @@ func TestDiagHB6728Sweep(t *testing.T) {
 		t.Logf("static %4.0fMB: met=%5v at=%8v tput=%6.2f", v, r.ConstraintMet, r.ViolatedAt, r.Tradeoff)
 	}
 	p := ProfileHB6728()
-	t.Logf("profile λ=%.3f pole=%.3f", p.Lambda(), core_PoleForTest(p))
+	t.Logf("profile λ=%.3f pole=%.3f", p.Lambda(), core.PoleFromDelta(p.Delta()))
 	r := RunHB6728(SmartConf())
 	knob, _ := r.SeriesByName("response.queue.maxsize")
 	mem, _ := r.SeriesByName("used_memory")
@@ -47,7 +49,7 @@ func TestDiagCA6059Sweep(t *testing.T) {
 		t.Logf("static %4.0fMB: met=%5v at=%8v lat=%6.2fms", v, r.ConstraintMet, r.ViolatedAt, r.Tradeoff)
 	}
 	p := ProfileCA6059()
-	t.Logf("profile λ=%.3f pole=%.3f", p.Lambda(), core_PoleForTest(p))
+	t.Logf("profile λ=%.3f pole=%.3f", p.Lambda(), core.PoleFromDelta(p.Delta()))
 	r := RunCA6059(SmartConf())
 	knob, _ := r.SeriesByName("memtable_total_space")
 	mem, _ := r.SeriesByName("used_memory")

@@ -106,7 +106,7 @@ func BuildFigure7() Figure7 {
 	kinds := []PolicyKind{SmartConfPolicy, SinglePolePolicy, NoVirtualGoalPolicy}
 	runs := engine.MapSlice(kinds, func(kind PolicyKind) Result {
 		p := Policy{Kind: kind, FixedPole: 0.9}
-		return memoResult("HB3813", policyKey(p), "figure7", 7813, func() Result {
+		return memoKeyed("HB3813", policyKey(p), "figure7", 7813, func() Result {
 			return hb3813Run{seed: 7813, genSeed: 7814, phases: figure7Phases(), burst: 1,
 				every: 12500 * time.Microsecond, spacing: time.Millisecond, horizon: figure7RunTime}.run(p)
 		})

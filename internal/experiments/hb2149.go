@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"smartconf"
@@ -93,17 +92,6 @@ func hb2149OnFlush(st *kvstore.Memstore, step func()) {
 	}
 }
 
-// hb2149Writes drives the write load, one YCSB write per tick (times env's
-// surge factor; nil: none) until the horizon or a crash.
-func hb2149Writes(s *sim.Simulation, st *kvstore.Memstore, gen *workload.YCSB, env *chaos.Env, until time.Duration) {
-	s.Every(0, hb2149WriteEvery, func() bool {
-		for i := 0; i < int(env.SurgeFactor()+0.5); i++ {
-			st.Write(gen.NextOp().Bytes)
-		}
-		return s.Now() < until && !st.Crashed()
-	})
-}
-
 // ProfileHB2149 profiles block duration against the pinned flush fraction
 // under the profiling workload (YCSB 1.0W, 1 MB).
 func ProfileHB2149() core.Profile {
@@ -129,109 +117,74 @@ func ProfileHB2149() core.Profile {
 
 // RunHB2149 executes the two-phase evaluation under the given policy.
 func RunHB2149(p Policy) Result {
-	s := newScenarioSim()
-	st := newHB2149Store(s, 0.5)
-
-	var setGoal func(float64)
-	switch p.Kind {
-	case StaticPolicy:
-		st.SetFlushFraction(p.Static)
-	case SmartConfPolicy:
-		sc := newHB2149Conf()
-		hb2149OnFlush(st, func() {
-			last := hb2149Sense(st)         //sc:HB2149:sensor
-			sc.SetPerf(last)                //sc:HB2149:invoke
-			st.SetFlushFraction(sc.Value()) //sc:HB2149:invoke
-		})
-		setGoal = sc.SetGoal
-	default:
-		panic(fmt.Sprintf("HB2149: unsupported policy %v", p))
-	}
-
-	blockS := Series{Name: "block_time", Unit: "s"}
-	knobS := Series{Name: "flush_fraction", Unit: "fraction"}
-	tputS := Series{Name: "write_throughput", Unit: "ops/s"}
-	block := newSamples(st.BlockTimes())
-	s.Every(time.Second, time.Second, func() bool {
-		if v, ok := block(); ok {
-			blockS.Points = append(blockS.Points, Point{s.Now(), v})
-		}
-		knobS.Points = append(knobS.Points, Point{s.Now(), st.FlushFraction()})
-		tputS.Points = append(tputS.Points, Point{s.Now(), st.Throughput()})
-		return s.Now() < hb2149RunTime
-	})
-
-	s.At(hb2149PhaseShift, func() {
-		if setGoal != nil {
-			setGoal(hb2149Goal2)
-		}
-	})
-
 	gen := workload.NewYCSB(2150, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb})
-	hb2149Writes(s, st, gen, nil, hb2149RunTime)
-	s.RunUntil(hb2149RunTime)
-
-	res := Result{
-		Issue:          "HB2149",
-		Policy:         p,
-		TradeoffName:   "write throughput (ops/s)",
-		HigherIsBetter: true,
-		Tradeoff:       float64(st.Writes()) / hb2149RunTime.Seconds(),
-		Series:         []Series{blockS, knobS, tputS},
-	}
-	goalAt := func(t time.Duration) float64 {
-		if t < hb2149PhaseShift+hb2149Grace {
-			return hb2149Goal1
-		}
-		return hb2149Goal2
-	}
-	// Soft constraint tolerance: block-time goals are SLA-like; allow 5%
-	// measurement slack (the paper's soft goals are not overshoot-free).
-	met, at, worst := evalUpperBound(blockS, func(t time.Duration) float64 { return goalAt(t) * 1.05 })
-	if !met {
-		res.ConstraintMet = false
-		res.ViolatedAt = at
-		res.Violation = fmt.Sprintf("block %.1fs > goal %.1fs", worst, goalAt(at))
-	} else {
-		res.ConstraintMet = true
-	}
-	return res
+	return newHB2149Rig(newScenarioSim(), hb2149RunTime, gen).runFigure(p, nil)
 }
 
-// hb2149Chaos wires HB2149's soft block-time goal into a chaos cell. Plant
-// shift: the flush drain rate drops (disk contention).
-func hb2149Chaos(s *sim.Simulation, fault string, seed int64) chaosRig {
-	const horizon = 300 * time.Second
+// newHB2149Rig builds the memstore at the Initial flush fraction on s; the
+// load is one write from gen per tick until horizon. The figure run
+// tightens the block-time goal at the phase shift.
+func newHB2149Rig(s *sim.Simulation, horizon time.Duration, gen *workload.YCSB) *rig {
 	st := newHB2149Store(s, 0.5)
-	block := newSamples(st.BlockTimes())
-	return chaosRig{
-		horizon: horizon,
-		tune:    chaosTune{noise: 0.08, drop: 0.7, delay: 3 * time.Second, stall: 60 * time.Second},
-		knobLo:  0.01, knobHi: 1,
+	return &rig{
+		s: s, horizon: horizon,
+		attach: func(tick func()) { hb2149OnFlush(st, tick) },
+		smart: func() func(float64) {
+			sc := newHB2149Conf()
+			hb2149OnFlush(st, func() {
+				last := hb2149Sense(st)         //sc:HB2149:sensor
+				sc.SetPerf(last)                //sc:HB2149:invoke
+				st.SetFlushFraction(sc.Value()) //sc:HB2149:invoke
+			})
+			return sc.SetGoal
+		},
+		actuate: st.SetFlushFraction,
+		// Each tick's write repeats env's surge factor times, until the
+		// horizon or a crash.
+		load: func(env *chaos.Env) {
+			s.Every(0, hb2149WriteEvery, func() bool {
+				for i := 0; i < int(env.SurgeFactor()+0.5); i++ {
+					st.Write(gen.NextOp().Bytes)
+				}
+				return s.Now() < horizon && !st.Crashed()
+			})
+		},
+		probe: []column{
+			{Series{Name: "block_time", Unit: "s"}, newSamples(st.BlockTimes())},
+			{Series{Name: "flush_fraction", Unit: "fraction"}, func() (float64, bool) { return st.FlushFraction(), true }},
+			{Series{Name: "write_throughput", Unit: "ops/s"}, func() (float64, bool) { return st.Throughput(), true }},
+		},
+		more:   func() bool { return s.Now() < horizon && !st.Crashed() },
+		goalAt: hb2149PhaseShift, goal2: hb2149Goal2,
+		judge: func(res *Result) {
+			res.Issue, res.TradeoffName, res.HigherIsBetter = "HB2149", "write throughput (ops/s)", true
+			res.Tradeoff = float64(st.Writes()) / horizon.Seconds()
+			judgeSoftGoal(res, "block", func(t time.Duration) float64 {
+				if t < hb2149PhaseShift+hb2149Grace {
+					return hb2149Goal1
+				}
+				return hb2149Goal2
+			})
+		},
+
+		tune:   chaosTune{noise: 0.08, drop: 0.7, delay: 3 * time.Second, stall: 60 * time.Second},
+		knobLo: 0.01, knobHi: 1,
 		// Soft goal: SLA-like, judged with the scenario's 5% slack.
 		goal:  []proptest.Sample{{T: 0, V: hb2149Goal1 * 1.05}},
 		surge: 2,
 		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
 			return directStep(newHB2149Conf(opts...))
 		},
-		sense:   func() (float64, float64) { return hb2149Sense(st), 0 },
-		actuate: st.SetFlushFraction,
-		attach:  func(tick func()) { hb2149OnFlush(st, tick) },
-		// 64→36 MB/s: a 1.78× gain error — inside the §5.2 stability margin
-		// (2× is the boundary), so the loop converges while the episode
-		// lasts instead of ringing.
+		sense: func() (float64, float64) { return hb2149Sense(st), 0 },
+		// Plant shift: the flush drain rate drops (disk contention), 64→36
+		// MB/s: a 1.78× gain error — inside the §5.2 stability margin (2× is
+		// the boundary), so the loop converges while the episode lasts
+		// instead of ringing.
 		shift: func(start, dur time.Duration) chaos.Fault {
 			return windowedShift{label: "flush-rate-drop", start: start, duration: dur,
 				apply:  func() { st.SetFlushBytesPerSec(36 * mb) },
 				revert: func() { st.SetFlushBytesPerSec(hb2149Config().FlushBytesPerSec) }}
 		},
-		drive: func(env *chaos.Env) {
-			gen := workload.NewYCSB(seed+21490, 1000, workload.YCSBPhase{Name: "write-heavy", WriteRatio: 1, RequestBytes: 1 * mb})
-			hb2149Writes(s, st, gen, env, horizon)
-		},
-		metric: block,
-		knob:   st.FlushFraction,
-		more:   func() bool { return s.Now() < horizon && !st.Crashed() },
 		finish: func(rep *proptest.Report) { rep.Progress, rep.Crashed = st.Writes(), st.Crashed() },
 	}
 }

@@ -128,59 +128,80 @@ func (r hb3813Run) load(s *sim.Simulation, rng *rand.Rand, env *chaos.Env, offer
 	w.run(s, r.horizon, rng, offer)
 }
 
-// evaluate runs the workload with install wiring the knob policy into the
-// plant before any driver registers, and judges the hard memory goal; p
-// labels the Result.
-func (r hb3813Run) evaluate(p Policy, install func(*hb3813Plant)) Result {
-	pl := r.plant()
-	install(pl)
-	r.noise(pl)
-	probe := startRPCProbe(pl.s, pl.heap, pl.sv, func() float64 { return float64(pl.sv.MaxQueue()) },
-		"max.queue.size", r.horizon)
-	r.load(pl.s, pl.rng, nil, pl.offer)
-	pl.s.RunUntil(r.horizon)
+// rig builds the run's rig on s; pl is its plant, for ablation installers.
+// HB3813's figure run changes no goal.
+func (r hb3813Run) rig(s *sim.Simulation) (rg *rig, pl *hb3813Plant) {
+	pl = newHB3813Plant(s, rand.New(rand.NewSource(r.seed)))
+	return &rig{
+		s: s, horizon: r.horizon,
+		attach:  func(tick func()) { pl.sv.BeforeAdmit = tick },
+		smart:   func() func(float64) { pl.integrate(newHB3813Conf()); return nil },
+		actuate: func(v float64) { pl.sv.SetMaxQueue(int(v)) },
+		disturb: func(*chaos.Env) { r.noise(pl) },
+		load:    func(env *chaos.Env) { r.load(s, pl.rng, env, pl.offer) },
+		probe: rpcColumns(pl.heap, pl.sv, "max.queue.size",
+			func() (float64, bool) { return float64(pl.sv.MaxQueue()), true }),
+		more: func() bool { return s.Now() < r.horizon && !pl.heap.OOM() },
+		judge: func(res *Result) {
+			res.Issue = "HB3813"
+			judgeRPC(res, pl.sv, pl.heap, pl.oomAt, r.horizon, constGoal(rpcMemoryGoal))
+		},
 
-	res := Result{
-		Issue:          "HB3813",
-		Policy:         p,
-		TradeoffName:   "completed ops/s",
-		HigherIsBetter: true,
-		Tradeoff:       float64(pl.sv.Completed()) / r.horizon.Seconds(),
-		Series:         []Series{probe.mem, probe.knob, probe.throughput, probe.completed},
+		tune:   chaosTune{noise: 0.05, drop: 0.8, delay: 2 * time.Second, stall: 45 * time.Second},
+		knobLo: 0, knobHi: 5000,
+		goal:  []proptest.Sample{{T: 0, V: float64(rpcMemoryGoal)}},
+		surge: 2,
+		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
+			return indirectStep(newHB3813Conf(opts...))
+		},
+		sense: pl.sense,
+		// Plant shift: half the worker pool disappears (drain rate drops).
+		shift: func(start, _ time.Duration) chaos.Fault {
+			return chaos.PlantShift{Label: "worker-loss", At: start, Apply: func() { pl.sv.SetWorkers(pl.sv.Workers() / 2) }}
+		},
+		finish: func(rep *proptest.Report) {
+			rep.Progress, rep.Crashed, rep.CrashedAt = pl.sv.Completed(), pl.heap.OOM(), pl.oomAt
+		},
+	}, pl
+}
+
+// evaluate runs the workload through the figure runner; install, when
+// non-nil, wires an ablation arm's knob rule into the plant in place of p's
+// own, and p then only labels the Result.
+func (r hb3813Run) evaluate(p Policy, install func(*hb3813Plant)) Result {
+	rg, pl := r.rig(newScenarioSim())
+	if install == nil {
+		return rg.runFigure(p, nil)
 	}
-	judgeHardMemory(&res, probe.mem, pl.heap.OOM(), pl.oomAt, constGoal(rpcMemoryGoal))
-	return res
+	return rg.runFigure(p, func() { install(pl) })
 }
 
 // run evaluates the workload under a Policy. Figure 7 runs its less stable
 // workload (steady overload instead of bursts, with a mid-run size jump)
 // through here too.
 func (r hb3813Run) run(p Policy) Result {
+	if p.Kind == StaticPolicy || p.Kind == SmartConfPolicy && p.FixedPole == 0 {
+		return r.evaluate(p, nil)
+	}
+	// The Figure 7 study: pinned-pole SmartConf and the two ablations.
 	return r.evaluate(p, func(pl *hb3813Plant) {
-		switch {
-		case p.Kind == StaticPolicy:
-			pl.sv.SetMaxQueue(int(p.Static))
-		case p.Kind == SmartConfPolicy && p.FixedPole == 0:
-			pl.integrate(newHB3813Conf())
-		default: // the Figure 7 study: pinned-pole SmartConf and the two ablations
-			ctrl := mustSynth(ablationController(p.Kind, ProfileHB3813(), float64(rpcMemoryGoal), p.FixedPole))
-			// All three controllers sample at the same 1 Hz cadence so the
-			// only differences under test are the §5.2 mechanisms themselves
-			// (virtual goal, danger-region pole). SmartConf additionally
-			// applies the §5.3 indirect-configuration treatment (update from
-			// the deputy's current value); the baselines are classic
-			// incremental controllers.
-			pl.s.Every(time.Second, time.Second, func() bool {
-				if pl.sv.Crashed() {
-					return false
-				}
-				if p.Kind == SmartConfPolicy {
-					ctrl.SetConf(float64(pl.sv.QueueLen()))
-				}
-				pl.sv.SetMaxQueue(int(ctrl.Update(float64(pl.heap.Used()))))
-				return pl.s.Now() < r.horizon
-			})
-		}
+		ctrl := mustSynth(ablationController(p.Kind, ProfileHB3813(), float64(rpcMemoryGoal), p.FixedPole))
+		// All three controllers sample at the same 1 Hz cadence so the
+		// only differences under test are the §5.2 mechanisms themselves
+		// (virtual goal, danger-region pole). SmartConf additionally
+		// applies the §5.3 indirect-configuration treatment (update from
+		// the deputy's current value); the baselines are classic
+		// incremental controllers.
+		pl.s.Every(time.Second, time.Second, func() bool {
+			if pl.sv.Crashed() {
+				return false
+			}
+			if p.Kind == SmartConfPolicy {
+				ctrl.SetConf(float64(pl.sv.QueueLen()))
+			}
+			pl.sv.SetMaxQueue(int(ctrl.Update(float64(pl.heap.Used()))))
+			return pl.s.Now() < r.horizon
+		})
 	})
 }
 
@@ -216,41 +237,6 @@ func ProfileHB3813() core.Profile {
 
 // RunHB3813 executes the two-phase evaluation under the given policy.
 func RunHB3813(p Policy) Result { return hb3813Figure().run(p) }
-
-// hb3813Chaos wires HB3813's hard memory goal into a chaos cell. Plant
-// shift: half the worker pool disappears (drain rate drops).
-func hb3813Chaos(s *sim.Simulation, fault string, seed int64) chaosRig {
-	r := hb3813Run{seed: seed + 38130, genSeed: seed + 38131,
-		phases: []workload.YCSBPhase{{Name: "write-heavy", WriteRatio: 1, RequestBytes: 1 * mb}},
-		burst:  hb3813BurstSize, every: hb3813BurstEvery, spacing: hb3813Spacing, horizon: 300 * time.Second}
-	p := newHB3813Plant(s, rand.New(rand.NewSource(r.seed)))
-	return chaosRig{
-		horizon: r.horizon,
-		tune:    chaosTune{noise: 0.05, drop: 0.8, delay: 2 * time.Second, stall: 45 * time.Second},
-		knobLo:  0, knobHi: 5000,
-		goal:  []proptest.Sample{{T: 0, V: float64(rpcMemoryGoal)}},
-		surge: 2,
-		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
-			return indirectStep(newHB3813Conf(opts...))
-		},
-		sense:   p.sense,
-		actuate: func(v float64) { p.sv.SetMaxQueue(int(v)) },
-		attach:  func(tick func()) { p.sv.BeforeAdmit = tick },
-		shift: func(start, _ time.Duration) chaos.Fault {
-			return chaos.PlantShift{Label: "worker-loss", At: start, Apply: func() { p.sv.SetWorkers(p.sv.Workers() / 2) }}
-		},
-		drive: func(env *chaos.Env) {
-			r.noise(p)
-			r.load(s, p.rng, env, p.offer)
-		},
-		metric: func() (float64, bool) { return float64(p.heap.Used()), true },
-		knob:   func() float64 { return float64(p.sv.MaxQueue()) },
-		more:   func() bool { return s.Now() < r.horizon && !p.heap.OOM() },
-		finish: func(rep *proptest.Report) {
-			rep.Progress, rep.Crashed, rep.CrashedAt = p.sv.Completed(), p.heap.OOM(), p.oomAt
-		},
-	}
-}
 
 // HB3813Scenario returns the scenario descriptor.
 func HB3813Scenario() Scenario {

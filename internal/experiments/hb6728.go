@@ -1,14 +1,15 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
 	"smartconf"
+	"smartconf/internal/chaos"
 	"smartconf/internal/core"
 	"smartconf/internal/memsim"
 	"smartconf/internal/rpcserver"
+	"smartconf/internal/sim"
 	"smartconf/internal/workload"
 )
 
@@ -108,79 +109,66 @@ func ProfileHB6728() core.Profile {
 }
 
 // RunHB6728 executes the two-phase evaluation under the given policy.
-func RunHB6728(p Policy) Result {
-	s := newScenarioSim()
+func RunHB6728(p Policy) Result { return newHB6728Rig(newScenarioSim()).runFigure(p, nil) }
+
+// newHB6728Rig builds the RPC server on s, with the heap noise as its
+// disturbance and the two-phase bursts as its load. Mid-run the user
+// tightens the memory goal (the paper's setGoal API).
+func newHB6728Rig(s *sim.Simulation) *rig {
 	rng := rand.New(rand.NewSource(6728))
 	heap := memsim.NewHeap(rpcHeapCapacity)
 	sv := rpcserver.New(s, heap, hb6728Config())
 	sv.SetMaxQueue(1000) // the request queue is not the knob under study here
-
-	var setGoal func(float64)
-	switch p.Kind {
-	case StaticPolicy:
-		sv.SetMaxRespBytes(int64(p.Static))
-	case SmartConfPolicy:
-		profile := ProfileHB6728()
-		ic := mustSynth(smartconf.NewIndirect(smartconf.Spec{
-			Name:    "ipc.server.response.queue.maxsize",
-			Metric:  "memory_consumption",
-			Goal:    float64(rpcMemoryGoal),
-			Hard:    true,
-			Initial: 0,
-			Min:     0, Max: 1e9,
-		}, publicProfile(profile), nil))
-		sv.BeforeRespond = func() {
-			ic.SetPerf(float64(heap.Used()), float64(sv.RespBytes())) //sc:HB6728:sensor
-			sv.SetMaxRespBytes(int64(ic.Value()))                     //sc:HB6728:invoke
-		}
-		setGoal = ic.SetGoal //sc:HB6728:invoke
-	default:
-		panic(fmt.Sprintf("HB6728: unsupported policy %v", p))
-	}
-
-	heapNoise(s, heap, rng, rpcNoiseMax, hb6728RunTime)
-	probe := startRPCProbe(s, heap, sv, func() float64 { return float64(sv.MaxRespBytes()) },
-		"response.queue.maxsize", hb6728RunTime)
-
-	// Mid-run the user tightens the memory goal (the paper's setGoal API).
-	s.At(hb6728PhaseShift, func() {
-		if setGoal != nil {
-			setGoal(float64(hb6728Goal2))
-		}
-	})
-
-	w := &rpcWorkload{
-		gen:        workload.NewYCSB(6729, 1000, hb6728Phases()[0]),
-		burstSize:  hb6728BurstSize,
-		burstEvery: hb6728BurstEvery,
-		spacing:    hb6728Spacing,
-		phases:     hb6728Phases(),
-	}
 	var oomAt time.Duration
 	heap.OnOOM(func() { oomAt = s.Now() })
-	w.run(s, hb6728RunTime, rng, func(op workload.Op) { sv.Offer(hb6728Op(op)) })
-	s.RunUntil(hb6728RunTime)
-
-	res := Result{
-		Issue:          "HB6728",
-		Policy:         p,
-		TradeoffName:   "completed ops/s",
-		HigherIsBetter: true,
-		Tradeoff:       float64(sv.Completed()) / hb6728RunTime.Seconds(),
-		Series:         []Series{probe.mem, probe.knob, probe.throughput, probe.completed},
+	return &rig{
+		s: s, horizon: hb6728RunTime,
+		smart: func() func(float64) {
+			ic := mustSynth(smartconf.NewIndirect(smartconf.Spec{
+				Name:    "ipc.server.response.queue.maxsize",
+				Metric:  "memory_consumption",
+				Goal:    float64(rpcMemoryGoal),
+				Hard:    true,
+				Initial: 0,
+				Min:     0, Max: 1e9,
+			}, publicProfile(ProfileHB6728()), nil))
+			sv.BeforeRespond = func() {
+				ic.SetPerf(float64(heap.Used()), float64(sv.RespBytes())) //sc:HB6728:sensor
+				sv.SetMaxRespBytes(int64(ic.Value()))                     //sc:HB6728:invoke
+			}
+			return ic.SetGoal //sc:HB6728:invoke
+		},
+		actuate: func(v float64) { sv.SetMaxRespBytes(int64(v)) },
+		disturb: func(*chaos.Env) { heapNoise(s, heap, rng, rpcNoiseMax, hb6728RunTime) },
+		load: func(env *chaos.Env) {
+			w := &rpcWorkload{
+				gen:        workload.NewYCSB(6729, 1000, hb6728Phases()[0]),
+				burstSize:  hb6728BurstSize,
+				burstEvery: hb6728BurstEvery,
+				spacing:    hb6728Spacing,
+				phases:     hb6728Phases(),
+				env:        env,
+			}
+			w.run(s, hb6728RunTime, rng, func(op workload.Op) { sv.Offer(hb6728Op(op)) })
+		},
+		probe: rpcColumns(heap, sv, "response.queue.maxsize",
+			func() (float64, bool) { return float64(sv.MaxRespBytes()), true }),
+		more:   func() bool { return s.Now() < hb6728RunTime && !heap.OOM() },
+		goalAt: hb6728PhaseShift, goal2: float64(hb6728Goal2),
+		judge: func(res *Result) {
+			res.Issue = "HB6728"
+			judgeRPC(res, sv, heap, oomAt, hb6728RunTime, func(t time.Duration) float64 {
+				switch {
+				case t < hb6728PhaseShift:
+					return float64(hb6728Goal1)
+				case t < hb6728PhaseShift+hb6728Grace:
+					return float64(hb6728Goal1) // settling window after the goal change
+				default:
+					return float64(hb6728Goal2)
+				}
+			})
+		},
 	}
-	goalAt := func(t time.Duration) float64 {
-		switch {
-		case t < hb6728PhaseShift:
-			return float64(hb6728Goal1)
-		case t < hb6728PhaseShift+hb6728Grace:
-			return float64(hb6728Goal1) // settling window after the goal change
-		default:
-			return float64(hb6728Goal2)
-		}
-	}
-	judgeHardMemory(&res, probe.mem, heap.OOM(), oomAt, goalAt)
-	return res
 }
 
 // HB6728Scenario returns the scenario descriptor.

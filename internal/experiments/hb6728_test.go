@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"smartconf/internal/core"
 )
 
 func TestHB6728ProfileShape(t *testing.T) {
@@ -17,7 +19,7 @@ func TestHB6728ProfileShape(t *testing.T) {
 	if m.Alpha <= 0 {
 		t.Errorf("α = %v, want positive (more response bytes → more heap)", m.Alpha)
 	}
-	t.Logf("model %v, λ=%.3f pole=%.3f", m, p.Lambda(), core_PoleForTest(p))
+	t.Logf("model %v, λ=%.3f pole=%.3f", m, p.Lambda(), core.PoleFromDelta(p.Delta()))
 }
 
 func TestHB6728DefaultsOOM(t *testing.T) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -111,112 +110,78 @@ func hd4995OnChunk(nn *dfs.NameNode, step func()) {
 	}
 }
 
-// hd4995Writers drives the multi-client writer load: 20 writes/s with
-// jitter, each tick's writes scaled by env's surge factor (nil: none).
-func hd4995Writers(s *sim.Simulation, nn *dfs.NameNode, rng *rand.Rand, env *chaos.Env, until time.Duration) {
-	s.Every(0, 50*time.Millisecond, func() bool {
-		if rng.Float64() < 0.95 {
-			for i := 0; i < int(env.SurgeFactor()+0.5); i++ {
-				nn.Write()
-			}
-		}
-		return s.Now() < until
-	})
-}
-
 // RunHD4995 executes the two-phase evaluation under the given policy.
 func RunHD4995(p Policy) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(4995))
-	nn := dfs.New(s, hd4995Config(), 1)
-
-	var setGoal func(float64)
-	switch p.Kind {
-	case StaticPolicy:
-		nn.SetLimit(int(p.Static))
-	case SmartConfPolicy:
-		ic := newHD4995Conf()
-		hd4995OnChunk(nn, func() {
-			hold, files := hd4995Sense(nn) //sc:HD4995:sensor
-			ic.SetPerf(hold, files)        //sc:HD4995:invoke
-			nn.SetLimit(ic.Conf())         //sc:HD4995:invoke
-		})
-		setGoal = ic.SetGoal
-	default:
-		panic(fmt.Sprintf("HD4995: unsupported policy %v", p))
-	}
-
-	holdS := Series{Name: "lock_hold", Unit: "s"}
-	knobS := Series{Name: "content-summary.limit", Unit: "files"}
-	hold := newSamples(nn.HoldTimes())
-	s.Every(time.Second, time.Second, func() bool {
-		if v, ok := hold(); ok {
-			holdS.Points = append(holdS.Points, Point{s.Now(), v})
-		}
-		knobS.Points = append(knobS.Points, Point{s.Now(), float64(nn.Limit())})
-		return s.Now() < hd4995RunTime
-	})
-
-	s.At(hd4995PhaseShift, func() {
-		if setGoal != nil {
-			setGoal(hd4995Goal2)
-		}
-	})
-
-	hd4995Writers(s, nn, rng, nil, hd4995RunTime)
-	// Periodic du requests (the content-summary consumer).
-	s.Every(10*time.Second, hd4995DuEvery, func() bool {
-		nn.Du(nil)
-		return s.Now() < hd4995RunTime
-	})
-	s.RunUntil(hd4995RunTime)
-
-	res := Result{
-		Issue:          "HD4995",
-		Policy:         p,
-		TradeoffName:   "mean du latency (s)",
-		HigherIsBetter: false,
-		Tradeoff:       nn.DuLatency().OverallMean().Seconds(),
-		Series:         []Series{holdS, knobS},
-	}
-	goalAt := func(t time.Duration) float64 {
-		switch {
-		case t < hd4995Grace:
-			// Initial convergence window: every policy gets the same slack
-			// while a controller climbs from its deliberately poor initial
-			// value (statics are unaffected unless they only violate here).
-			return 1e12
-		case t < hd4995PhaseShift+hd4995Grace:
-			return hd4995Goal1
-		default:
-			return hd4995Goal2
-		}
-	}
-	met, at, worst := evalUpperBound(holdS, func(t time.Duration) float64 { return goalAt(t) * 1.05 })
-	if !met {
-		res.ConstraintMet = false
-		res.ViolatedAt = at
-		res.Violation = fmt.Sprintf("lock hold %.1fs > goal %.1fs", worst, goalAt(at))
-	} else {
-		res.ConstraintMet = true
-	}
-	if nn.DusDone() == 0 {
-		res.ConstraintMet = false
-		res.Violation = "no du completed"
-	}
-	return res
+	return newHD4995Rig(newScenarioSim(), hd4995RunTime, hd4995DuEvery, 4995).runFigure(p, nil)
 }
 
-// hd4995Chaos wires HD4995's soft lock-hold goal into a chaos cell. Plant
-// shift: the per-file traversal cost rises (cold dentry cache).
-func hd4995Chaos(s *sim.Simulation, fault string, seed int64) chaosRig {
-	const horizon = 360 * time.Second
-	rng := rand.New(rand.NewSource(seed + 49950))
+// newHD4995Rig builds the namenode at the Initial limit on s. The load is
+// the multi-client writers, jittered by an rng seeded with seed, and a du
+// every duEvery from 10 s, until horizon. The figure run tightens the
+// writer-block goal at the phase shift.
+func newHD4995Rig(s *sim.Simulation, horizon, duEvery time.Duration, seed int64) *rig {
+	rng := rand.New(rand.NewSource(seed))
 	nn := dfs.New(s, hd4995Config(), 1)
-	return chaosRig{
-		horizon: horizon,
-		tune:    chaosTune{noise: 0.06, drop: 0.7, delay: 2 * time.Second, stall: 60 * time.Second},
-		knobLo:  1, knobHi: 1e7,
+	return &rig{
+		s: s, horizon: horizon,
+		attach: func(tick func()) { hd4995OnChunk(nn, tick) },
+		smart: func() func(float64) {
+			ic := newHD4995Conf()
+			hd4995OnChunk(nn, func() {
+				hold, files := hd4995Sense(nn) //sc:HD4995:sensor
+				ic.SetPerf(hold, files)        //sc:HD4995:invoke
+				nn.SetLimit(ic.Conf())         //sc:HD4995:invoke
+			})
+			return ic.SetGoal
+		},
+		actuate: func(v float64) { nn.SetLimit(int(v)) },
+		load: func(env *chaos.Env) {
+			// 20 writes/s with jitter, each tick's writes scaled by env's
+			// surge factor.
+			s.Every(0, 50*time.Millisecond, func() bool {
+				if rng.Float64() < 0.95 {
+					for i := 0; i < int(env.SurgeFactor()+0.5); i++ {
+						nn.Write()
+					}
+				}
+				return s.Now() < horizon
+			})
+			// Periodic du requests (the content-summary consumer).
+			s.Every(10*time.Second, duEvery, func() bool {
+				nn.Du(nil)
+				return s.Now() < horizon
+			})
+		},
+		probe: []column{
+			{Series{Name: "lock_hold", Unit: "s"}, newSamples(nn.HoldTimes())},
+			{Series{Name: "content-summary.limit", Unit: "files"}, func() (float64, bool) { return float64(nn.Limit()), true }},
+		},
+		more:   func() bool { return s.Now() < horizon },
+		goalAt: hd4995PhaseShift, goal2: hd4995Goal2,
+		judge: func(res *Result) {
+			res.Issue, res.TradeoffName, res.HigherIsBetter = "HD4995", "mean du latency (s)", false
+			res.Tradeoff = nn.DuLatency().OverallMean().Seconds()
+			judgeSoftGoal(res, "lock hold", func(t time.Duration) float64 {
+				switch {
+				case t < hd4995Grace:
+					// Initial convergence window: every policy gets the same slack
+					// while a controller climbs from its deliberately poor initial
+					// value (statics are unaffected unless they only violate here).
+					return 1e12
+				case t < hd4995PhaseShift+hd4995Grace:
+					return hd4995Goal1
+				default:
+					return hd4995Goal2
+				}
+			})
+			if nn.DusDone() == 0 {
+				res.ConstraintMet = false
+				res.Violation = "no du completed"
+			}
+		},
+
+		tune:   chaosTune{noise: 0.06, drop: 0.7, delay: 2 * time.Second, stall: 60 * time.Second},
+		knobLo: 1, knobHi: 1e7,
 		// Initial-convergence grace (the controller climbs from limit=1),
 		// then the soft goal with the scenario's 5% slack.
 		goal:  []proptest.Sample{{T: 0, V: 1e12}, {T: 60 * time.Second, V: hd4995Goal1 * 1.05}},
@@ -224,27 +189,16 @@ func hd4995Chaos(s *sim.Simulation, fault string, seed int64) chaosRig {
 		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
 			return indirectStep(newHD4995Conf(opts...))
 		},
-		sense:   func() (float64, float64) { return hd4995Sense(nn) },
-		actuate: func(v float64) { nn.SetLimit(int(v)) },
-		attach:  func(tick func()) { hd4995OnChunk(nn, tick) },
-		// ×1.5 per-file cost: a gain error inside the §5.2 stability margin
-		// (a full doubling sits exactly on the oscillation boundary and never
+		sense: func() (float64, float64) { return hd4995Sense(nn) },
+		// Plant shift: the per-file traversal cost rises (cold dentry cache),
+		// ×1.5: a gain error inside the §5.2 stability margin (a full
+		// doubling sits exactly on the oscillation boundary and never
 		// settles).
 		shift: func(start, dur time.Duration) chaos.Fault {
 			return windowedShift{label: "lock-cost-up", start: start, duration: dur,
 				apply:  func() { nn.SetPerFileCost(3 * hd4995Config().PerFileCost / 2) },
 				revert: func() { nn.SetPerFileCost(hd4995Config().PerFileCost) }}
 		},
-		drive: func(env *chaos.Env) {
-			hd4995Writers(s, nn, rng, env, horizon)
-			s.Every(10*time.Second, 90*time.Second, func() bool {
-				nn.Du(nil)
-				return s.Now() < horizon
-			})
-		},
-		metric: newSamples(nn.HoldTimes()),
-		knob:   func() float64 { return float64(nn.Limit()) },
-		more:   func() bool { return s.Now() < horizon },
 		finish: func(rep *proptest.Report) { rep.Progress = nn.DusDone() },
 	}
 }

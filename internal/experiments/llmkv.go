@@ -46,7 +46,7 @@ const (
 	llmNoiseMax = 128 * mb
 
 	llmBurstEvery  = 25 * time.Second
-	llmSenseEvery  = 15 * time.Second // the memory controller's cadence (see RunLLMKV)
+	llmSenseEvery  = 15 * time.Second // the memory controller's cadence (see newLLMKVRig)
 	llmTTFTGoalSec = 20.0             // soft TTFT-p95 goal for admission.queue.limit
 
 	llmProfileTime     = 70 * time.Second
@@ -241,140 +241,107 @@ func ProfileLLMKVTTFT() core.Profile {
 	})
 }
 
-// llmProbe samples the scenario's time series once per second.
-type llmProbe struct {
-	mem       Series
-	knob      Series
-	goodput   Series
-	ttftP95   Series
-	completed Series
-}
-
-func startLLMProbe(s *sim.Simulation, heap *memsim.Heap, sv *llmserve.Server, until time.Duration) *llmProbe {
-	p := &llmProbe{
-		mem:       Series{Name: "used_memory", Unit: "bytes"},
-		knob:      Series{Name: "max.batched.tokens", Unit: "tokens"},
-		goodput:   Series{Name: "goodput", Unit: "tok/s"},
-		ttftP95:   Series{Name: "ttft_p95", Unit: "s"},
-		completed: Series{Name: "completed_requests", Unit: "requests"},
-	}
-	s.Every(time.Second, time.Second, func() bool {
-		now := s.Now()
-		knob := float64(sv.MaxBatchedTokens())
-		if knob > 1e9 {
-			knob = 1e9 // the unbounded default, kept plottable
-		}
-		snap := sv.TTFT().Snapshot()
-		p.mem.Points = append(p.mem.Points, Point{now, float64(heap.Used())})
-		p.knob.Points = append(p.knob.Points, Point{now, knob})
-		p.goodput.Points = append(p.goodput.Points, Point{now, sv.Goodput()})
-		p.ttftP95.Points = append(p.ttftP95.Points, Point{now, snap.P95.Seconds()})
-		p.completed.Points = append(p.completed.Points, Point{now, float64(sv.Completed())})
-		return now < until && !heap.OOM()
-	})
-	return p
-}
-
 // RunLLMKV executes the two-phase evaluation under the given policy.
 // Static policies pin max.num.batched.tokens and keep the default
 // admission.queue.limit; SmartConf controls both knobs.
 func RunLLMKV(p Policy) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(9001))
-	pl := newLLMKVPlant(s)
-	heap, sv := pl.heap, pl.sv
-
-	switch p.Kind {
-	case StaticPolicy:
-		sv.SetMaxBatchedTokens(int(p.Static))
-	case SmartConfPolicy:
-		ic := newLLMKVConf()
-		// Integration shim, Table 7-countable: sense the heap, read the
-		// deputy (prompt-resident KV bytes — the quantity the bound caps),
-		// and move the token bound. The §5.3 update starts from the deputy's
-		// CURRENT value, so unit drift between the knob and the realized
-		// footprint self-corrects. The cadence is deliberately slow: an
-		// admitted prompt drags its decode KV in over the next several
-		// seconds, and updating faster than that plant delay would integrate
-		// against memory that is already committed but not yet visible.
-		s.Every(0, llmSenseEvery, func() bool {
-			ic.SetPerf(pl.sense())            //sc:LLMKV:sensor
-			sv.SetMaxBatchedTokens(ic.Conf()) //sc:LLMKV:invoke
-			return s.Now() < llmRunTime && !sv.Crashed()
-		})
-
-		qc := mustSynth(smartconf.New(smartconf.Spec{
-			Name:    "admission.queue.limit",
-			Metric:  "ttft_p95",
-			Goal:    llmTTFTGoalSec,
-			Hard:    false, // latency SLO: soft
-			Initial: float64(llmConfig().WaitingLimit),
-			Min:     16, Max: 2048,
-		}, publicProfile(ProfileLLMKVTTFT())))
-		// A p95 estimate needs a window of first tokens and lags the knob, so
-		// this loop runs on the sensor's timescale (cf. the SLA extension).
-		s.Every(10*time.Second, 10*time.Second, func() bool {
-			qc.SetPerf(sv.TTFT().Percentile(95).Seconds()) //sc:LLMKV:sensor
-			sv.SetWaitingLimit(qc.Conf())                  //sc:LLMKV:invoke
-			return s.Now() < llmRunTime && !sv.Crashed()
-		})
-	default:
-		panic(fmt.Sprintf("LLMKV: unsupported policy %v", p))
-	}
-
-	heapNoise(s, heap, rng, llmNoiseMax, llmRunTime)
-	probe := startLLMProbe(s, heap, sv, llmRunTime)
-	llmDrive(s, sv, llmPhases(), 9002, llmRunTime, nil)
-	s.RunUntil(llmRunTime)
-
-	res := Result{
-		Issue:          "LLMKV",
-		Policy:         p,
-		Tradeoff:       float64(sv.OutputTokens()) / llmRunTime.Seconds(),
-		TradeoffName:   "goodput (output tok/s)",
-		HigherIsBetter: true,
-		Series:         []Series{probe.mem, probe.knob, probe.goodput, probe.ttftP95, probe.completed},
-	}
-	// The hard constraint is survival: a KV or activation allocation that
-	// does not fit kills the server (the production incident). The 15GiB
-	// goal below the 16GiB device is the operator's engineered margin — the
-	// controller aims at the goal so that transients land in the margin
-	// instead of in an OOM.
-	if heap.OOM() {
-		res.ConstraintMet = false
-		res.ViolatedAt = pl.oomAt
-		res.Violation = "OOM"
-	} else {
-		res.ConstraintMet = true
-	}
-	return res
+	return newLLMKVRig(newScenarioSim(), llmRunTime, 9001, 9002, llmPhases()).runFigure(p, nil)
 }
 
-// llmkvChaos wires LLM-KV's hard GPU-memory goal into a chaos cell. Plant
-// shift: the workload swings from long-document summarization (low decode
-// amplification) into bursty chat (every admitted prompt token drags ~3×
-// its size in uncounted decode KV).
-func llmkvChaos(s *sim.Simulation, fault string, seed int64) chaosRig {
-	const horizon = 300 * time.Second
-	rng := rand.New(rand.NewSource(seed + 90010))
-	p := newLLMKVPlant(s)
-
-	// Chat at 40 req/s (the figure scenario's 60 req/s overload runs the
-	// heap at ~99% of capacity — no margin left for injected faults; chaos
-	// stresses the controller, not the margin's exact size).
-	chat := workload.LLMPhase{Name: "chat", RequestsPerSec: 40, PromptMean: 150, OutputMean: 300,
-		BurstSize: 40, BurstSpacing: 50 * time.Millisecond}
-	summarize := workload.LLMPhase{Name: "summarize", RequestsPerSec: 12, PromptMean: 1800, OutputMean: 220}
-	phases := []workload.LLMPhase{chat}
+// llmkvChaosPhases is the chaos cell's workload. Chat runs at 40 req/s (the
+// figure scenario's 60 req/s overload runs the heap at ~99% of capacity — no
+// margin left for injected faults; chaos stresses the controller, not the
+// margin's exact size). Under plant-shift the cell starts in the benign
+// summarize regime, and the shift drops chat on a knob that has opened up
+// for documents.
+func llmkvChaosPhases(fault string) []workload.LLMPhase {
 	if fault == "plant-shift" {
-		// Start in the benign regime; the shift drops chat on a knob that
-		// has opened up for documents.
-		phases[0] = summarize
+		return []workload.LLMPhase{llmPhases()[1]}
 	}
-	return chaosRig{
-		horizon: horizon,
-		tune:    chaosTune{noise: 0.03, drop: 0.7, delay: 5 * time.Second, stall: 45 * time.Second},
-		knobLo:  0, knobHi: float64(llmHeapCapacity) / float64(llmKVPerToken()),
+	return []workload.LLMPhase{llmkvChaosChat()}
+}
+
+func llmkvChaosChat() workload.LLMPhase {
+	return workload.LLMPhase{Name: "chat", RequestsPerSec: 40, PromptMean: 150, OutputMean: 300,
+		BurstSize: 40, BurstSpacing: 50 * time.Millisecond}
+}
+
+// newLLMKVRig builds the LLM-KV rig on s: the heap noise seeded with
+// noiseSeed is its disturbance, and its load is phases (see llmDrive),
+// generated from genSeed, until horizon.
+func newLLMKVRig(s *sim.Simulation, horizon time.Duration, noiseSeed, genSeed int64, phases []workload.LLMPhase) *rig {
+	rng := rand.New(rand.NewSource(noiseSeed))
+	p := newLLMKVPlant(s)
+	attach := func(tick func()) {
+		s.Every(0, llmSenseEvery, func() bool {
+			tick()
+			return s.Now() < horizon && !p.sv.Crashed()
+		})
+	}
+	return &rig{
+		s: s, horizon: horizon,
+		attach: attach,
+		smart: func() func(float64) {
+			ic := newLLMKVConf()
+			// Integration shim, Table 7-countable: sense the heap, read the
+			// deputy (prompt-resident KV bytes — the quantity the bound caps),
+			// and move the token bound. The §5.3 update starts from the deputy's
+			// CURRENT value, so unit drift between the knob and the realized
+			// footprint self-corrects. The cadence is deliberately slow: an
+			// admitted prompt drags its decode KV in over the next several
+			// seconds, and updating faster than that plant delay would integrate
+			// against memory that is already committed but not yet visible.
+			attach(func() {
+				ic.SetPerf(p.sense())               //sc:LLMKV:sensor
+				p.sv.SetMaxBatchedTokens(ic.Conf()) //sc:LLMKV:invoke
+			})
+
+			qc := mustSynth(smartconf.New(smartconf.Spec{
+				Name:    "admission.queue.limit",
+				Metric:  "ttft_p95",
+				Goal:    llmTTFTGoalSec,
+				Hard:    false, // latency SLO: soft
+				Initial: float64(llmConfig().WaitingLimit),
+				Min:     16, Max: 2048,
+			}, publicProfile(ProfileLLMKVTTFT())))
+			// A p95 estimate needs a window of first tokens and lags the knob, so
+			// this loop runs on the sensor's timescale (cf. the SLA extension).
+			s.Every(10*time.Second, 10*time.Second, func() bool {
+				qc.SetPerf(p.sv.TTFT().Percentile(95).Seconds()) //sc:LLMKV:sensor
+				p.sv.SetWaitingLimit(qc.Conf())                  //sc:LLMKV:invoke
+				return s.Now() < horizon && !p.sv.Crashed()
+			})
+			return nil
+		},
+		actuate: func(v float64) { p.sv.SetMaxBatchedTokens(int(v)) },
+		disturb: func(*chaos.Env) { heapNoise(s, p.heap, rng, llmNoiseMax, horizon) },
+		load:    func(env *chaos.Env) { llmDrive(s, p.sv, phases, genSeed, horizon, env) },
+		probe: []column{
+			{Series{Name: "used_memory", Unit: "bytes"}, func() (float64, bool) { return float64(p.heap.Used()), true }},
+			{Series{Name: "max.batched.tokens", Unit: "tokens"}, func() (float64, bool) {
+				return min(float64(p.sv.MaxBatchedTokens()), 1e9), true // the unbounded default, kept plottable
+			}},
+			{Series{Name: "goodput", Unit: "tok/s"}, func() (float64, bool) { return p.sv.Goodput(), true }},
+			{Series{Name: "ttft_p95", Unit: "s"}, func() (float64, bool) { return p.sv.TTFT().Snapshot().P95.Seconds(), true }},
+			{Series{Name: "completed_requests", Unit: "requests"}, func() (float64, bool) { return float64(p.sv.Completed()), true }},
+		},
+		more: func() bool { return s.Now() < horizon && !p.heap.OOM() },
+		judge: func(res *Result) {
+			res.Issue, res.TradeoffName, res.HigherIsBetter = "LLMKV", "goodput (output tok/s)", true
+			res.Tradeoff = float64(p.sv.OutputTokens()) / horizon.Seconds()
+			// The hard constraint is survival: a KV or activation allocation
+			// that does not fit kills the server (the production incident).
+			// The 15GiB goal below the 16GiB device is the operator's
+			// engineered margin — the controller aims at the goal so that
+			// transients land in the margin instead of in an OOM.
+			res.ConstraintMet = !p.heap.OOM()
+			if !res.ConstraintMet {
+				res.ViolatedAt, res.Violation = p.oomAt, "OOM"
+			}
+		},
+
+		tune:   chaosTune{noise: 0.03, drop: 0.7, delay: 5 * time.Second, stall: 45 * time.Second},
+		knobLo: 0, knobHi: float64(llmHeapCapacity) / float64(llmKVPerToken()),
 		// Initial-convergence grace (the knob opens from 0 and the first
 		// correction overshoots into the engineered margin), then the goal.
 		goal:  []proptest.Sample{{T: 0, V: 1e12}, {T: 60 * time.Second, V: float64(llmMemoryGoal)}},
@@ -382,24 +349,13 @@ func llmkvChaos(s *sim.Simulation, fault string, seed int64) chaosRig {
 		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
 			return indirectStep(newLLMKVConf(opts...))
 		},
-		sense:   p.sense,
-		actuate: func(v float64) { p.sv.SetMaxBatchedTokens(int(v)) },
-		attach: func(tick func()) {
-			s.Every(0, llmSenseEvery, func() bool {
-				tick()
-				return s.Now() < horizon && !p.sv.Crashed()
-			})
-		},
+		sense: p.sense,
+		// Plant shift: the workload swings from long-document summarization
+		// (low decode amplification) into bursty chat (every admitted prompt
+		// token drags ~3× its size in uncounted decode KV).
 		shift: func(start, _ time.Duration) chaos.Fault {
-			return chaos.PlantShift{Label: "decode-amplification", At: start, Apply: func() { phases[0] = chat }}
+			return chaos.PlantShift{Label: "decode-amplification", At: start, Apply: func() { phases[0] = llmkvChaosChat() }}
 		},
-		drive: func(env *chaos.Env) {
-			heapNoise(s, p.heap, rng, llmNoiseMax, horizon)
-			llmDrive(s, p.sv, phases, seed+90011, horizon, env)
-		},
-		metric: func() (float64, bool) { return float64(p.heap.Used()), true },
-		knob:   func() float64 { return float64(p.sv.MaxBatchedTokens()) },
-		more:   func() bool { return s.Now() < horizon && !p.heap.OOM() },
 		finish: func(rep *proptest.Report) {
 			rep.Progress, rep.Crashed, rep.CrashedAt = p.sv.Completed(), p.heap.OOM(), p.oomAt
 		},

@@ -171,7 +171,7 @@ func RunMR2820(p Policy) Result {
 	const seeds = 5
 	results := engine.Map(seeds, func(i int) Result {
 		seed := 2821 + int64(i)
-		return memoResult("MR2820", policyKey(p), "seed-race", seed,
+		return memoKeyed("MR2820", policyKey(p), "seed-race", seed,
 			func() Result { return runMR2820Seed(p, seed) })
 	})
 	for seed, r := range results {
@@ -192,119 +192,98 @@ func RunMR2820(p Policy) Result {
 }
 
 func runMR2820Seed(p Policy, seed int64) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(seed))
-	c := mapred.New(s, mr2820Config(), 0)
-
-	switch p.Kind {
-	case StaticPolicy:
-		c.SetMinSpaceStart(int64(p.Static))
-	case SmartConfPolicy:
-		sc := newMR2820Conf()
-		// Conditional: consulted at each admission decision. The Master
-		// computes the setting and "ships" it to the worker (§6.5's Others
-		// row) — here the shipping is the SetMinSpaceStart call.
-		c.BeforeSchedule = func(w *mapred.Worker, next int64) {
-			sc.SetPerf(mr2820Occupancy(w, next))  //sc:MR2820:sensor
-			c.SetMinSpaceStart(int64(sc.Value())) //sc:MR2820:other
-		}
-	default:
-		panic(fmt.Sprintf("MR2820: unsupported policy %v", p))
-	}
-
-	mr2820CoTenant(s, c, rng, 550*mb, 740*mb, 40*mb, nil, func() bool { return s.Now() < time.Hour })
-
-	diskS := Series{Name: "max_disk_used", Unit: "bytes"}
-	knobS := Series{Name: "minspacestart", Unit: "bytes"}
-	s.Every(time.Second, time.Second, func() bool {
-		diskS.Points = append(diskS.Points, Point{s.Now(), float64(c.MaxDiskUsed())})
-		knobS.Points = append(knobS.Points, Point{s.Now(), float64(c.MinSpaceStart())})
-		return c.Busy() || s.Now() < 10*time.Second
-	})
-
-	var results []mapred.JobResult
-	mr2820RunJobs(s, c, func(r mapred.JobResult) { results = append(results, r) })
-	s.RunUntil(4 * time.Hour) // safety bound; jobs normally end far earlier
-	makespan := s.Now()
-
-	res := Result{
-		Issue:          "MR2820",
-		Policy:         p,
-		TradeoffName:   "job-sequence makespan (s)",
-		HigherIsBetter: false,
-		Tradeoff:       makespan.Seconds(),
-		Series:         []Series{diskS, knobS},
-	}
-	failedTasks := 0
-	for _, r := range results {
-		failedTasks += r.FailedTasks
-	}
-	switch {
-	case c.OOD():
-		res.ConstraintMet = false
-		res.Violation = fmt.Sprintf("OOD (%d failed tasks)", failedTasks)
-		res.ViolatedAt = firstViolation(diskS, float64(mr2820DiskGoal))
-	case len(results) < len(mr2820Jobs()):
-		res.ConstraintMet = false
-		res.Violation = fmt.Sprintf("only %d/%d jobs finished", len(results), len(mr2820Jobs()))
-	default:
-		res.ConstraintMet = true
-	}
-	return res
+	walk := mr2820Walk{high: 740 * mb, step: 40 * mb}
+	// RunUntil's horizon is a safety bound; the jobs normally end far earlier.
+	return newMR2820Rig(newScenarioSim(), 4*time.Hour, seed, walk).runFigure(p, nil)
 }
 
-// mr2820Chaos wires MR2820's hard out-of-disk goal into a chaos cell. Plant
-// shift: the task write rate halves (I/O contention). Surge: the co-tenant
-// band jumps up — the scenario's own disturbance, intensified.
-func mr2820Chaos(s *sim.Simulation, fault string, seed int64) chaosRig {
-	const bound = 3600 * time.Second // safety bound; jobs end far earlier
-	rng := rand.New(rand.NewSource(seed + 28200))
+// mr2820Walk calibrates the co-tenant's walk (see mr2820CoTenant): the
+// band's top, the largest step, and whether the walk ends at the first
+// out-of-disk.
+type mr2820Walk struct {
+	high, step int64
+	haltAtOOD  bool
+}
+
+// newMR2820Rig builds the cluster at minspacestart 0 on s. The disturbance
+// is the co-tenant walk, calibrated by walk and seeded with seed, for up to
+// an hour; the load is the job sequence, which stops the simulation after
+// the last job.
+func newMR2820Rig(s *sim.Simulation, horizon time.Duration, seed int64, walk mr2820Walk) *rig {
+	rng := rand.New(rand.NewSource(seed))
 	c := mapred.New(s, mr2820Config(), 0)
-	var curW *mapred.Worker
+	var done []mapred.JobResult
+	var curW *mapred.Worker // the chaos loop's sensor reads the admission it is consulted on
 	var curNext int64
-	finished := 0
-	return chaosRig{
-		horizon: bound,
-		active:  360 * time.Second,
-		tune:    chaosTune{noise: 0.02, drop: 0.6, delay: 2 * time.Second, stall: 30 * time.Second},
-		knobLo:  0, knobHi: 1 << 30,
-		goal:  []proptest.Sample{{T: 0, V: float64(mr2820DiskGoal)}},
-		surge: 1.5,
-		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
-			return directStep(newMR2820Conf(opts...))
-		},
-		sense:   func() (float64, float64) { return mr2820Occupancy(curW, curNext), 0 },
-		actuate: func(v float64) { c.SetMinSpaceStart(int64(v)) },
+	return &rig{
+		s: s, horizon: horizon,
 		attach: func(tick func()) {
 			c.BeforeSchedule = func(w *mapred.Worker, next int64) {
 				curW, curNext = w, next
 				tick()
 			}
 		},
+		smart: func() func(float64) {
+			sc := newMR2820Conf()
+			// Conditional: consulted at each admission decision. The Master
+			// computes the setting and "ships" it to the worker (§6.5's Others
+			// row) — here the shipping is the SetMinSpaceStart call.
+			c.BeforeSchedule = func(w *mapred.Worker, next int64) {
+				sc.SetPerf(mr2820Occupancy(w, next))  //sc:MR2820:sensor
+				c.SetMinSpaceStart(int64(sc.Value())) //sc:MR2820:other
+			}
+			return nil
+		},
+		actuate: func(v float64) { c.SetMinSpaceStart(int64(v)) },
+		disturb: func(env *chaos.Env) {
+			mr2820CoTenant(s, c, rng, 550*mb, walk.high, walk.step, env, func() bool {
+				return s.Now() < time.Hour && !(walk.haltAtOOD && c.OOD())
+			})
+		},
+		load: func(*chaos.Env) { mr2820RunJobs(s, c, func(r mapred.JobResult) { done = append(done, r) }) },
+		probe: []column{
+			{Series{Name: "max_disk_used", Unit: "bytes"}, func() (float64, bool) { return float64(c.MaxDiskUsed()), true }},
+			{Series{Name: "minspacestart", Unit: "bytes"}, func() (float64, bool) { return float64(c.MinSpaceStart()), true }},
+		},
+		more: func() bool { return c.Busy() || s.Now() < 10*time.Second },
+		judge: func(res *Result) {
+			res.Issue, res.TradeoffName, res.HigherIsBetter = "MR2820", "job-sequence makespan (s)", false
+			res.Tradeoff = s.Now().Seconds()
+			failedTasks := 0
+			for _, r := range done {
+				failedTasks += r.FailedTasks
+			}
+			switch {
+			case c.OOD():
+				res.Violation = fmt.Sprintf("OOD (%d failed tasks)", failedTasks)
+				res.ViolatedAt = firstViolation(res.Series[0], float64(mr2820DiskGoal))
+			case len(done) < len(mr2820Jobs()):
+				res.Violation = fmt.Sprintf("only %d/%d jobs finished", len(done), len(mr2820Jobs()))
+			}
+			res.ConstraintMet = res.Violation == ""
+		},
+
+		active: 360 * time.Second,
+		tune:   chaosTune{noise: 0.02, drop: 0.6, delay: 2 * time.Second, stall: 30 * time.Second},
+		knobLo: 0, knobHi: 1 << 30,
+		goal: []proptest.Sample{{T: 0, V: float64(mr2820DiskGoal)}},
+		// Surge: the co-tenant band jumps up — the scenario's own
+		// disturbance, intensified.
+		surge: 1.5,
+		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
+			return directStep(newMR2820Conf(opts...))
+		},
+		sense: func() (float64, float64) { return mr2820Occupancy(curW, curNext), 0 },
+		// Plant shift: the task write rate halves (I/O contention).
 		shift: func(start, _ time.Duration) chaos.Fault {
 			return chaos.PlantShift{Label: "task-rate-halved", At: start, Apply: func() { c.SetTaskBytesPerSec(8 * mb) }}
 		},
-		drive: func(env *chaos.Env) {
-			// The scenario's co-tenant walk, calibrated slightly below the
-			// figure run (step 25 MB, band top 720 MB): a single co-tenant
-			// step larger than the goal's 10 MB headroom can OOD an
-			// already-admitted task no matter what the controller does, so
-			// the property "no crash for ANY seed" requires the disturbance
-			// to stay within the margin the goal engineered — the figure
-			// scenario acknowledges the same race by judging over a 5-seed
-			// repetition instead.
-			mr2820CoTenant(s, c, rng, 550*mb, 720*mb, 25*mb, env, func() bool { return s.Now() < bound && !c.OOD() })
-			mr2820RunJobs(s, c, func(mapred.JobResult) { finished++ })
-		},
-		metric: func() (float64, bool) { return float64(c.MaxDiskUsed()), true },
-		knob:   func() float64 { return float64(c.MinSpaceStart()) },
-		more:   func() bool { return c.Busy() || s.Now() < 10*time.Second },
 		finish: func(rep *proptest.Report) {
 			// Drained here means the job sequence ran to completion (the sim
 			// stops early on success — the inverse of the fixed-horizon
 			// substrates).
-			rep.Drained = finished == len(mr2820Jobs())
-			rep.Progress = int64(finished)
+			rep.Drained = len(done) == len(mr2820Jobs())
+			rep.Progress = int64(len(done))
 			rep.Crashed = c.OOD()
 			if rep.Crashed {
 				rep.CrashedAt = firstViolation(Series{Points: samplesToPoints(rep.Metric)}, float64(mr2820DiskGoal))

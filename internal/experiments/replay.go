@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"smartconf"
 	"smartconf/internal/declog"
 	"smartconf/internal/experiments/engine"
 	"smartconf/internal/proptest"
@@ -23,45 +22,14 @@ import (
 // matters for replay, small enough that the ring stays cache-resident.
 const DeclogCapacity = 4096
 
-// ChaosHooks carries the optional decision-log wiring into a chaos harness:
-// a capture log and/or a counterfactual perturbation for the substrate's
-// SmartConf controllers. The nil ChaosHooks means "run exactly as before".
-type ChaosHooks struct {
-	Log     *declog.Log
-	Perturb declog.Perturb
-}
-
-// confOpts renders the hooks as construction options for the harness's
-// smartconf.New/NewIndirect calls (and their crash-rebuild paths).
-func (h *ChaosHooks) confOpts() []smartconf.Option {
-	if h == nil {
-		return nil
-	}
-	var opts []smartconf.Option
-	if h.Log != nil {
-		opts = append(opts, smartconf.WithDecisionLog(h.Log))
-	}
-	if !h.Perturb.Zero() {
-		opts = append(opts, smartconf.WithPerturb(h.Perturb))
-	}
-	return opts
-}
-
-// logRef returns the capture log for the harness's chaos.LoopConfig (nil-safe).
-func (h *ChaosHooks) logRef() *declog.Log {
-	if h == nil {
-		return nil
-	}
-	return h.Log
-}
-
 // RunChaosLogged executes one chaos cell with decision logging on and
 // returns both the run report and the serializable decision log. Uncached:
 // callers that want the cache go through CounterfactualChaos, whose key
 // includes the perturbation.
 func RunChaosLogged(substrate, fault string, seed int64, p declog.Perturb) (proptest.Report, declog.Envelope) {
 	log := declog.New(DeclogCapacity)
-	rep := runChaosCell(substrate, fault, seed, &ChaosHooks{Log: log, Perturb: p})
+	cell := ChaosCell{substrate, fault, seed}
+	rep := runChaosCell(cell, cell.newRig(), log, p)
 	return rep, log.Envelope(substrate, rep.Plan, seed, rep.Fingerprint)
 }
 
@@ -105,7 +73,8 @@ func ReplayEnvelope(env declog.Envelope, p declog.Perturb) (proptest.Report, dec
 		return proptest.Report{}, declog.Envelope{}, err
 	}
 	log := declog.New(env.Capacity)
-	rep := runChaosCell(env.Substrate, env.Plan, env.Seed, &ChaosHooks{Log: log, Perturb: p})
+	cell := ChaosCell{env.Substrate, env.Plan, env.Seed}
+	rep := runChaosCell(cell, cell.newRig(), log, p)
 	return rep, log.Envelope(env.Substrate, rep.Plan, env.Seed, rep.Fingerprint), nil
 }
 
@@ -115,7 +84,8 @@ func ReplayEnvelope(env declog.Envelope, p declog.Perturb) (proptest.Report, dec
 // simulations on a warm disk cache).
 func CounterfactualChaos(substrate, fault string, seed int64, p declog.Perturb) proptest.Report {
 	return memoKeyed("REPLAY-"+substrate, fault+"|perturb="+p.Key(), "replay", seed, func() proptest.Report {
-		return runChaosCell(substrate, fault, seed, &ChaosHooks{Perturb: p})
+		cell := ChaosCell{substrate, fault, seed}
+		return runChaosCell(cell, cell.newRig(), nil, p)
 	})
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -157,30 +156,23 @@ func heapNoise(s *sim.Simulation, heap *memsim.Heap, rng *rand.Rand, max int64, 
 	})
 }
 
-// rpcProbe samples the scenario's time series once per second.
-type rpcProbe struct {
-	mem        Series
-	knob       Series
-	throughput Series
-	completed  Series
+// rpcColumns is the RPC scenarios' probe: heap in use, the knob, and the
+// server's throughput and completed calls.
+func rpcColumns(heap *memsim.Heap, sv *rpcserver.Server, knobName string, knob func() (float64, bool)) []column {
+	return []column{
+		{Series{Name: "used_memory", Unit: "bytes"}, func() (float64, bool) { return float64(heap.Used()), true }},
+		{Series{Name: knobName, Unit: "items"}, knob},
+		{Series{Name: "throughput", Unit: "ops/s"}, func() (float64, bool) { return sv.Throughput(), true }},
+		{Series{Name: "completed_ops", Unit: "ops"}, func() (float64, bool) { return float64(sv.Completed()), true }},
+	}
 }
 
-func startRPCProbe(s *sim.Simulation, heap *memsim.Heap, sv *rpcserver.Server, knob func() float64, knobName string, until time.Duration) *rpcProbe {
-	p := &rpcProbe{
-		mem:        Series{Name: "used_memory", Unit: "bytes"},
-		knob:       Series{Name: knobName, Unit: "items"},
-		throughput: Series{Name: "throughput", Unit: "ops/s"},
-		completed:  Series{Name: "completed_ops", Unit: "ops"},
-	}
-	s.Every(time.Second, time.Second, func() bool {
-		now := s.Now()
-		p.mem.Points = append(p.mem.Points, Point{now, float64(heap.Used())})
-		p.knob.Points = append(p.knob.Points, Point{now, knob()})
-		p.throughput.Points = append(p.throughput.Points, Point{now, sv.Throughput()})
-		p.completed.Points = append(p.completed.Points, Point{now, float64(sv.Completed())})
-		return now < until && !heap.OOM()
-	})
-	return p
+// judgeRPC scores an RPC scenario by its completed calls per second and
+// judges its hard memory goal.
+func judgeRPC(res *Result, sv *rpcserver.Server, heap *memsim.Heap, oomAt, horizon time.Duration, goalAt func(time.Duration) float64) {
+	res.TradeoffName, res.HigherIsBetter = "completed ops/s", true
+	res.Tradeoff = float64(sv.Completed()) / horizon.Seconds()
+	judgeHardMemory(res, heap.OOM(), oomAt, goalAt)
 }
 
 // ablationController builds the Figure 7 controllers from the same
@@ -231,43 +223,3 @@ func publicProfile(p core.Profile) *smartconf.Profile {
 	}
 	return out
 }
-
-// evalUpperBound scans a metric series against a per-time goal and reports
-// the first violation.
-func evalUpperBound(series Series, goalAt func(t time.Duration) float64) (met bool, at time.Duration, worst float64) {
-	met = true
-	for _, p := range series.Points {
-		if p.V > goalAt(p.T) {
-			if met {
-				met = false
-				at = p.T
-			}
-			if p.V > worst {
-				worst = p.V
-			}
-		}
-	}
-	return met, at, worst
-}
-
-// judgeHardMemory records the verdict on a hard memory goal: an OOM is the
-// violation; otherwise the first probe sample above goalAt is.
-func judgeHardMemory(res *Result, mem Series, oom bool, oomAt time.Duration, goalAt func(time.Duration) float64) {
-	met, at, worst := evalUpperBound(mem, goalAt)
-	switch {
-	case oom:
-		res.ViolatedAt, res.Violation = oomAt, "OOM"
-	case !met:
-		res.ViolatedAt = at
-		res.Violation = fmt.Sprintf("memory %.0fMB > goal %.0fMB", worst/float64(mb), goalAt(at)/float64(mb))
-	}
-	res.ConstraintMet = res.Violation == ""
-}
-
-// constGoal is a goal that holds for the whole run.
-func constGoal(goal int64) func(time.Duration) float64 {
-	return func(time.Duration) float64 { return float64(goal) }
-}
-
-// core_PoleForTest exposes the synthesized pole for test logging.
-func core_PoleForTest(p core.Profile) float64 { return core.PoleFromDelta(p.Delta()) }

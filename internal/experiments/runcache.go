@@ -42,13 +42,6 @@ func runCached(sc Scenario, p Policy) Result {
 		func() Result { return sc.Run(p) })
 }
 
-// memoResult memoizes an arbitrary Result-producing run under an explicit
-// schedule tag — used by the ablation and figure drivers whose workloads
-// deviate from the scenario's standard one.
-func memoResult(scenario, policy, schedule string, seed int64, run func() Result) Result {
-	return memoKeyed(scenario, policy, schedule, seed, run)
-}
-
 // memoKeyed memoizes an arbitrary typed run under the full
 // (scenario, policy, seed, schedule) tuple — the generic adapter behind
 // drivers whose cached value is not a plain Result (ablation rows,

@@ -28,8 +28,8 @@ var (
 	// scenario-run call is legitimate when it happens inside a function
 	// literal handed to one of these (that closure IS the cached compute).
 	AdapterFuncs = map[string]bool{
-		"runCached": true, "memoResult": true, "memoProfile": true,
-		"memoKeyed": true, "profileSweep": true,
+		"runCached": true, "memoProfile": true, "memoKeyed": true,
+		"profileSweep": true,
 	}
 	// DiskCachePaths are the serialization layers whose output bytes carry a
 	// byte-identity guarantee: the persistent run cache (cache files must be
@@ -117,7 +117,7 @@ func checkCacheKeyCall(pass *Pass, call *ast.CallExpr, parents map[ast.Node]ast.
 	// this one call site's private convention, invisible to the cache audit.
 	if path, name := pkgFunc(pass.Info, call); name == "Memo" && hasSuffixPath(path, EnginePathSuffix) {
 		pass.Reportf(call.Pos(),
-			"direct engine.Memo call outside runcache.go; route through the memoKeyed/memoResult adapters so every key carries scenario, policy, seed and schedule")
+			"direct engine.Memo call outside runcache.go; route through the memoKeyed adapter so every key carries scenario, policy, seed and schedule")
 		return
 	}
 	// sc.Run(p): calling a Scenario's run function directly skips the cache.

@@ -10,7 +10,7 @@ func GoodDriver(sc Scenario, p Policy) Result {
 // GoodMemo runs a scenario entry point inside a memoized adapter closure:
 // the closure IS the cached computation, so the call is legitimate.
 func GoodMemo(p Policy) Result {
-	return memoResult("HB3813", "fixed", "sweep", 0, func() Result { return RunHB3813(p) })
+	return memoKeyed("HB3813", "fixed", "sweep", 0, func() Result { return RunHB3813(p) })
 }
 
 func BadDirectRun(sc Scenario, p Policy) Result {
