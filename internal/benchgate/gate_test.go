@@ -144,6 +144,20 @@ type baselineFile struct {
 	Benchmarks map[string]baselineEntry `json:"benchmarks"`
 }
 
+// loadBaseline reads BENCH_engine.json, failing the test if it cannot.
+func loadBaseline(t *testing.T) baselineFile {
+	t.Helper()
+	raw, err := os.ReadFile(baselinePath)
+	if err != nil {
+		t.Fatalf("reading baseline: %v", err)
+	}
+	var base baselineFile
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatalf("parsing baseline: %v", err)
+	}
+	return base
+}
+
 // The gated hot paths. Each body replicates the published benchmark of the
 // same name, so a number in BENCH_engine.json and a gate measurement are the
 // same experiment.
@@ -354,15 +368,7 @@ func TestHotPathAllocationsVsBaseline(t *testing.T) {
 		t.Skip("benchmark gate skipped in -short mode")
 	}
 
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		t.Fatalf("reading baseline: %v", err)
-	}
-	var base baselineFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("parsing baseline: %v", err)
-	}
-
+	base := loadBaseline(t)
 	for _, g := range gated {
 		entry, ok := base.Benchmarks[g.key]
 		if !ok {

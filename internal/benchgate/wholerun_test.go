@@ -1,8 +1,6 @@
 package benchgate
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"smartconf/internal/declog"
@@ -13,25 +11,22 @@ import (
 // test drives each substrate's actual -scale run — workload generator,
 // simulator, substrate, sensors, and a shadow decision-logging controller —
 // and enforces the raw-speed engine's contract end to end. Allocations are
-// strict on every substrate but dfs: after a warm-up prefix, a window
-// of tens of thousands of requests must allocate NOTHING — with decision
-// logging enabled — the property that lets a 10M-request campaign finish in
-// seconds and the decision log stay on in production. Requests/sec is
-// advisory against the recorded baseline, like ns/op in the micro gate.
+// strict on every substrate: after a warm-up prefix, a window of tens of
+// thousands of requests must allocate NOTHING — with decision logging
+// enabled — the property that lets a 10M-request campaign finish in seconds
+// and the decision log stay on in production. Requests/sec is advisory
+// against the recorded baseline, like ns/op in the micro gate.
 
 const (
 	// wholeRunWarm is the prefix that grows every queue, free list, and
-	// sensor window to its steady-state size before measurement.
-	wholeRunWarm = 200_000
+	// sensor window to its steady-state size before measurement. dfs starts
+	// its first content summary at write 200,000, and its first lock hold
+	// blocks about 60,000 writes, so the prefix runs past that hold: the
+	// blocked-writer array has its working size when measurement starts.
+	wholeRunWarm = 300_000
 	// wholeRunWindow is the measured steady-state window.
 	wholeRunWindow = 50_000
 )
-
-// wholeRunExempt names the substrates whose steady-state window is not held
-// at zero allocations. dfs is the one exemption left: du traversal chunks
-// schedule closures a few times per million requests. Every other -scale
-// substrate is strict, so a new one is gated by default.
-var wholeRunExempt = map[string]bool{"dfs": true}
 
 func TestWholeRunVsBaseline(t *testing.T) {
 	if raceEnabled {
@@ -41,15 +36,7 @@ func TestWholeRunVsBaseline(t *testing.T) {
 		t.Skip("benchmark gate skipped in -short mode")
 	}
 
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		t.Fatalf("reading baseline: %v", err)
-	}
-	var base baselineFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("parsing baseline: %v", err)
-	}
-
+	base := loadBaseline(t)
 	for _, substrate := range experiments.ScaleSubstrates {
 		key := "smartconf/internal/experiments.ScaleRun/" + substrate
 		entry, ok := base.Benchmarks[key]
@@ -65,15 +52,13 @@ func TestWholeRunVsBaseline(t *testing.T) {
 			t.Errorf("%s: shadow controller logged no decisions over the warm-up — the gate is not exercising the decision log", key)
 		}
 
-		if !wholeRunExempt[substrate] {
-			allocs := testing.AllocsPerRun(3, func() {
-				total += wholeRunWindow
-				r.RunTo(total)
-			})
-			if allocs != 0 {
-				t.Errorf("%s: %.1f allocs per %d-request steady-state window (decision logging on), want 0 — a new allocation crept onto the request path",
-					key, allocs, wholeRunWindow)
-			}
+		allocs := testing.AllocsPerRun(3, func() {
+			total += wholeRunWindow
+			r.RunTo(total)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per %d-request steady-state window (decision logging on), want 0 — a new allocation crept onto the request path",
+				key, allocs, wholeRunWindow)
 		}
 
 		wall, _ := Measure(func() {

@@ -131,6 +131,29 @@ func TestActuationDelayAndClamp(t *testing.T) {
 	}
 }
 
+// TestLoopTickAllocatesNothing: a control tick allocates nothing with no
+// fault armed, nor when an actuation delay defers its knob write, so a run's
+// allocations do not grow with the number of ticks.
+func TestLoopTickAllocatesNothing(t *testing.T) {
+	s := sim.New()
+	l := NewLoop(s, LoopConfig{
+		Sense:   func() (float64, float64) { return 1, 1 },
+		Step:    func(perf, _ float64) float64 { return 2 * perf },
+		Actuate: func(float64) {},
+	})
+	if n := testing.AllocsPerRun(100, l.Tick); n != 0 {
+		t.Errorf("an unarmed tick allocates %.0f objects, want 0", n)
+	}
+	l.actDelay = time.Millisecond
+	delayed := func() { l.Tick(); s.Run() }
+	if n := testing.AllocsPerRun(100, delayed); n != 0 {
+		t.Errorf("a tick with a delayed actuation allocates %.0f objects, want 0", n)
+	}
+	if l.Steps() != l.Ticks() {
+		t.Errorf("steps=%d ticks=%d: every tick must reach the controller", l.Steps(), l.Ticks())
+	}
+}
+
 func TestControllerStallResumesWithStateIntact(t *testing.T) {
 	s := sim.New()
 	var sum float64

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -54,6 +55,11 @@ type Loop struct {
 	ticks    int
 	steps    int
 	restarts int
+
+	// actuateFn is actuateBits bound once: a delayed actuation schedules it
+	// with the knob value's bits as the event argument, where a closure per
+	// delayed write would allocate.
+	actuateFn func(uint64)
 }
 
 // NewLoop returns a Loop with no faults armed. The loop carries no random
@@ -62,7 +68,9 @@ type Loop struct {
 // A zero-seeded default here would be indistinguishable from a forgotten
 // plumbing line — exactly what the seedflow analyzer exists to catch.
 func NewLoop(s *sim.Simulation, cfg LoopConfig) *Loop {
-	return &Loop{sim: s, cfg: cfg}
+	l := &Loop{sim: s, cfg: cfg}
+	l.actuateFn = l.actuateBits
+	return l
 }
 
 // Tick runs one control iteration through whatever faults are active.
@@ -83,8 +91,11 @@ func (l *Loop) Tick() {
 	}
 	if l.staleDelay > 0 {
 		// The measurement is correct but arrives late: by delivery time the
-		// plant has moved on.
-		l.sim.After(l.staleDelay, func() { l.deliver(perf, deputy) })
+		// plant has moved on. The closure captures a copy: capturing perf,
+		// which the noise branch assigns, would move it to the heap on
+		// every tick, faults armed or not.
+		p := perf
+		l.sim.After(l.staleDelay, func() { l.deliver(p, deputy) })
 		return
 	}
 	l.deliver(perf, deputy)
@@ -105,11 +116,14 @@ func (l *Loop) deliver(perf, deputy float64) {
 		}
 	}
 	if l.actDelay > 0 {
-		l.sim.After(l.actDelay, func() { l.actuate(v) })
+		l.sim.AfterArg(l.actDelay, l.actuateFn, math.Float64bits(v))
 		return
 	}
 	l.actuate(v)
 }
+
+// actuateBits is a delayed actuation firing: v holds the knob value's bits.
+func (l *Loop) actuateBits(v uint64) { l.actuate(math.Float64frombits(v)) }
 
 func (l *Loop) actuate(v float64) {
 	if l.crashed {

@@ -57,7 +57,20 @@ type NameNode struct {
 	lastChunk int // files processed in the most recent lock hold
 	duQueue   []duRequest
 
-	pendingWrites []time.Duration // submit times of writes blocked on the lock
+	// The running du: its request, the files it has still to traverse, and
+	// when the current lock hold began. releaseFn and reacquireFn are
+	// release and reacquire bound once at construction: the hold's end and
+	// the next acquisition are scheduled with them, where a closure per
+	// chunk would allocate.
+	du          duRequest
+	remaining   int
+	holdStart   time.Duration
+	releaseFn   func(uint64)
+	reacquireFn func(uint64)
+
+	// pendingWrites holds the submit times of writes blocked on the lock;
+	// each release empties it and keeps its array for the next hold.
+	pendingWrites []time.Duration
 
 	holdTimes  *metrics.Latency // lock-hold durations: the constrained metric
 	blockTimes *metrics.Latency // actual writer waits (diagnostics)
@@ -73,7 +86,7 @@ type NameNode struct {
 
 // New returns a namenode with the given initial chunk limit.
 func New(s *sim.Simulation, cfg Config, limit int) *NameNode {
-	return &NameNode{
+	nn := &NameNode{
 		sim:        s,
 		cfg:        cfg,
 		files:      cfg.InitialFiles,
@@ -82,6 +95,9 @@ func New(s *sim.Simulation, cfg Config, limit int) *NameNode {
 		blockTimes: metrics.NewLatency(512),
 		duLatency:  metrics.NewLatency(64),
 	}
+	nn.releaseFn = nn.release
+	nn.reacquireFn = nn.reacquire
+	return nn
 }
 
 func clampLimit(n int) int {
@@ -164,14 +180,20 @@ func (nn *NameNode) startNextDu() {
 		return
 	}
 	nn.duRunning = true
-	req := nn.duQueue[0]
-	nn.duQueue = nn.duQueue[1:]
-	remaining := nn.files // snapshot: files added later are not traversed
-	nn.chunk(req, remaining)
+	nn.du = nn.duQueue[0]
+	n := copy(nn.duQueue, nn.duQueue[1:])
+	nn.duQueue[n] = duRequest{}
+	nn.duQueue = nn.duQueue[:n]
+	nn.remaining = nn.files // snapshot: files added later are not traversed
+	nn.chunk()
 }
 
-func (nn *NameNode) chunk(req duRequest, remaining int) {
-	if remaining <= 0 {
+// chunk takes the lock for the running du's next chunk, or completes the du
+// when no files remain.
+func (nn *NameNode) chunk() {
+	if nn.remaining <= 0 {
+		req := nn.du
+		nn.du = duRequest{}
 		lat := nn.sim.Now() - req.submitted
 		nn.duLatency.Observe(lat)
 		nn.dusDone.Inc()
@@ -185,23 +207,28 @@ func (nn *NameNode) chunk(req duRequest, remaining int) {
 		nn.BeforeChunk()
 	}
 	n := nn.limit
-	if n > remaining {
-		n = remaining
+	if n > nn.remaining {
+		n = nn.remaining
 	}
 	nn.lockHeld = true
 	nn.lastChunk = n
-	holdStart := nn.sim.Now()
-	nn.sim.After(time.Duration(n)*nn.cfg.PerFileCost, func() {
-		nn.lockHeld = false
-		nn.holdTimes.Observe(nn.sim.Now() - holdStart)
-		// Writers that piled up behind the lock complete now.
-		pending := nn.pendingWrites
-		nn.pendingWrites = nil
-		for _, at := range pending {
-			nn.applyWrite(nn.sim.Now() - at)
-		}
-		nn.sim.After(nn.cfg.ReacquireOverhead, func() {
-			nn.chunk(req, remaining-n)
-		})
-	})
+	nn.remaining -= n
+	nn.holdStart = nn.sim.Now()
+	nn.sim.AfterArg(time.Duration(n)*nn.cfg.PerFileCost, nn.releaseFn, 0)
 }
+
+// release ends a lock hold (bound once as releaseFn): writers that piled up
+// behind the lock complete now, and the next chunk reacquires the lock
+// after the reacquire overhead.
+func (nn *NameNode) release(uint64) {
+	nn.lockHeld = false
+	nn.holdTimes.Observe(nn.sim.Now() - nn.holdStart)
+	for _, at := range nn.pendingWrites {
+		nn.applyWrite(nn.sim.Now() - at)
+	}
+	nn.pendingWrites = nn.pendingWrites[:0]
+	nn.sim.AfterArg(nn.cfg.ReacquireOverhead, nn.reacquireFn, 0)
+}
+
+// reacquire is the scheduled next acquisition (bound once as reacquireFn).
+func (nn *NameNode) reacquire(uint64) { nn.chunk() }

@@ -135,7 +135,8 @@ func newCA6059Rig(s *sim.Simulation) *rig {
 			{Series{Name: "used_memory", Unit: "bytes"}, func() (float64, bool) { return float64(heap.Used()), true }},
 			{Series{Name: "memtable_total_space", Unit: "bytes"}, func() (float64, bool) { return float64(st.Threshold()), true }},
 		},
-		more: func() bool { return s.Now() < ca6059RunTime && !heap.OOM() },
+		more:    func() bool { return s.Now() < ca6059RunTime && !heap.OOM() },
+		samples: int(ca6059RunTime / time.Second),
 		judge: func(res *Result) {
 			res.Issue, res.TradeoffName, res.HigherIsBetter = "CA6059", "mean write latency (ms)", false
 			res.Tradeoff = float64(st.WriteLatency().OverallMean()) / float64(time.Millisecond)

@@ -143,29 +143,33 @@ func runChaosCell(cell ChaosCell, r *rig, log *declog.Log, p declog.Perturb) pro
 	if !p.Zero() {
 		opts = append(opts, smartconf.WithPerturb(p))
 	}
-	s := r.s
+	s, c := r.s, r.cell()
 	loop := chaos.NewLoop(s, chaos.LoopConfig{
-		Sense:   r.sense,
-		Step:    r.synth(opts),
+		Sense:   c.sense,
+		Step:    c.synth(opts),
 		Actuate: r.actuate,
 		// Crash recovery: state is re-synthesized from the persisted
 		// profile; the §5.3 deputy-based update re-anchors on the first
 		// post-restart sample, so no controller state needs to survive.
-		Rebuild: func() func(perf, deputy float64) float64 { return r.synth(opts) },
+		Rebuild: func() func(perf, deputy float64) float64 { return c.synth(opts) },
 		Log:     log,
 	})
-	r.attach(loop.Tick)
+	c.attach(loop.Tick)
 
-	active := r.active
+	active := c.active
 	if active == 0 {
 		active = r.horizon
 	}
-	plan := chaosPlanFor(cell.Fault, cell.Seed, active, r)
+	plan := chaosPlanFor(cell.Fault, cell.Seed, active, &c)
 	env := plan.Arm(s, loop)
 	rep := &proptest.Report{
 		Substrate: cell.Substrate, Plan: plan.Name, Seed: cell.Seed, Horizon: r.horizon,
-		Goal: r.goal, Upper: true, KnobMin: r.knobLo, KnobMax: r.knobHi,
+		Goal: c.goal, Upper: true, KnobMin: c.knobLo, KnobMax: c.knobHi,
 		Faults: plan.Windows(active),
+	}
+	if r.samples > 0 {
+		rep.Metric = make([]proptest.Sample, 0, r.samples)
+		rep.Knob = make([]proptest.Sample, 0, r.samples)
 	}
 	metric, knob := r.probe[0].sample, r.probe[1].sample
 	s.Every(time.Second, time.Second, func() bool {
@@ -181,9 +185,10 @@ func runChaosCell(cell ChaosCell, r *rig, log *declog.Log, p declog.Perturb) pro
 	}
 	r.load(env)
 	s.RunUntil(r.horizon)
+	rep.Metric, rep.Knob = clipped(rep.Metric), clipped(rep.Knob)
 
 	rep.Drained = s.Now() >= r.horizon
-	r.finish(rep)
+	c.finish(rep)
 	rep.ComputeFingerprint()
 	return *rep
 }
@@ -335,13 +340,14 @@ func indirectStep(c *smartconf.IndirectConf) func(perf, deputy float64) float64 
 
 // chaosPlanFor resolves a fault name to a plan: "gen" draws from the
 // property-test generator, loop faults come from the shared catalog with the
-// substrate's tune, and plant-shift and surge from the rig. Catalog faults
-// strike a third of the way into the fault-placement window and last 60 s.
-func chaosPlanFor(fault string, seed int64, active time.Duration, r *rig) *chaos.Plan {
+// substrate's tune, and plant-shift and surge from the cell's parts c.
+// Catalog faults strike a third of the way into the fault-placement window
+// and last 60 s.
+func chaosPlanFor(fault string, seed int64, active time.Duration, c *cellParts) *chaos.Plan {
 	if fault == ChaosGenerated {
-		return proptest.GenPlan(fault, seed, active, r.knobLo, r.knobHi)
+		return proptest.GenPlan(fault, seed, active, c.knobLo, c.knobHi)
 	}
-	start, dur, tune := active/3, 60*time.Second, r.tune
+	start, dur, tune := active/3, 60*time.Second, c.tune
 	var f chaos.Fault
 	switch fault {
 	case "sensor-noise":
@@ -355,9 +361,9 @@ func chaosPlanFor(fault string, seed int64, active time.Duration, r *rig) *chaos
 	case "crash-restart":
 		f = chaos.ControllerCrash{At: start, RestartAfter: tune.stall}
 	case "plant-shift":
-		f = r.shift(start, dur)
+		f = c.shift(start, dur)
 	case "surge":
-		f = chaos.WorkloadSurge{Start: start, Duration: dur, Factor: r.surge}
+		f = chaos.WorkloadSurge{Start: start, Duration: dur, Factor: c.surge}
 	default:
 		panic(fmt.Sprintf("chaos: unknown fault %q", fault))
 	}

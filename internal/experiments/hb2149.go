@@ -128,7 +128,6 @@ func newHB2149Rig(s *sim.Simulation, horizon time.Duration, gen *workload.YCSB) 
 	st := newHB2149Store(s, 0.5)
 	return &rig{
 		s: s, horizon: horizon,
-		attach: func(tick func()) { hb2149OnFlush(st, tick) },
 		smart: func() func(float64) {
 			sc := newHB2149Conf()
 			hb2149OnFlush(st, func() {
@@ -154,8 +153,9 @@ func newHB2149Rig(s *sim.Simulation, horizon time.Duration, gen *workload.YCSB) 
 			{Series{Name: "flush_fraction", Unit: "fraction"}, func() (float64, bool) { return st.FlushFraction(), true }},
 			{Series{Name: "write_throughput", Unit: "ops/s"}, func() (float64, bool) { return st.Throughput(), true }},
 		},
-		more:   func() bool { return s.Now() < horizon && !st.Crashed() },
-		goalAt: hb2149PhaseShift, goal2: hb2149Goal2,
+		more:    func() bool { return s.Now() < horizon && !st.Crashed() },
+		samples: int(horizon / time.Second),
+		goalAt:  hb2149PhaseShift, goal2: hb2149Goal2,
 		judge: func(res *Result) {
 			res.Issue, res.TradeoffName, res.HigherIsBetter = "HB2149", "write throughput (ops/s)", true
 			res.Tradeoff = float64(st.Writes()) / horizon.Seconds()
@@ -166,26 +166,30 @@ func newHB2149Rig(s *sim.Simulation, horizon time.Duration, gen *workload.YCSB) 
 				return hb2149Goal2
 			})
 		},
-
-		tune:   chaosTune{noise: 0.08, drop: 0.7, delay: 3 * time.Second, stall: 60 * time.Second},
-		knobLo: 0.01, knobHi: 1,
-		// Soft goal: SLA-like, judged with the scenario's 5% slack.
-		goal:  []proptest.Sample{{T: 0, V: hb2149Goal1 * 1.05}},
-		surge: 2,
-		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
-			return directStep(newHB2149Conf(opts...))
+		cell: func() cellParts {
+			return cellParts{
+				attach: func(tick func()) { hb2149OnFlush(st, tick) },
+				tune:   chaosTune{noise: 0.08, drop: 0.7, delay: 3 * time.Second, stall: 60 * time.Second},
+				knobLo: 0.01, knobHi: 1,
+				// Soft goal: SLA-like, judged with the scenario's 5% slack.
+				goal:  []proptest.Sample{{T: 0, V: hb2149Goal1 * 1.05}},
+				surge: 2,
+				synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
+					return directStep(newHB2149Conf(opts...))
+				},
+				sense: func() (float64, float64) { return hb2149Sense(st), 0 },
+				// Plant shift: the flush drain rate drops (disk contention),
+				// 64→36 MB/s: a 1.78× gain error — inside the §5.2 stability
+				// margin (2× is the boundary), so the loop converges while the
+				// episode lasts instead of ringing.
+				shift: func(start, dur time.Duration) chaos.Fault {
+					return windowedShift{label: "flush-rate-drop", start: start, duration: dur,
+						apply:  func() { st.SetFlushBytesPerSec(36 * mb) },
+						revert: func() { st.SetFlushBytesPerSec(hb2149Config().FlushBytesPerSec) }}
+				},
+				finish: func(rep *proptest.Report) { rep.Progress, rep.Crashed = st.Writes(), st.Crashed() },
+			}
 		},
-		sense: func() (float64, float64) { return hb2149Sense(st), 0 },
-		// Plant shift: the flush drain rate drops (disk contention), 64→36
-		// MB/s: a 1.78× gain error — inside the §5.2 stability margin (2× is
-		// the boundary), so the loop converges while the episode lasts
-		// instead of ringing.
-		shift: func(start, dur time.Duration) chaos.Fault {
-			return windowedShift{label: "flush-rate-drop", start: start, duration: dur,
-				apply:  func() { st.SetFlushBytesPerSec(36 * mb) },
-				revert: func() { st.SetFlushBytesPerSec(hb2149Config().FlushBytesPerSec) }}
-		},
-		finish: func(rep *proptest.Report) { rep.Progress, rep.Crashed = st.Writes(), st.Crashed() },
 	}
 }
 

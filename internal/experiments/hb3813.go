@@ -134,33 +134,38 @@ func (r hb3813Run) rig(s *sim.Simulation) (rg *rig, pl *hb3813Plant) {
 	pl = newHB3813Plant(s, rand.New(rand.NewSource(r.seed)))
 	return &rig{
 		s: s, horizon: r.horizon,
-		attach:  func(tick func()) { pl.sv.BeforeAdmit = tick },
 		smart:   func() func(float64) { pl.integrate(newHB3813Conf()); return nil },
 		actuate: func(v float64) { pl.sv.SetMaxQueue(int(v)) },
 		disturb: func(*chaos.Env) { r.noise(pl) },
 		load:    func(env *chaos.Env) { r.load(s, pl.rng, env, pl.offer) },
 		probe: rpcColumns(pl.heap, pl.sv, "max.queue.size",
 			func() (float64, bool) { return float64(pl.sv.MaxQueue()), true }),
-		more: func() bool { return s.Now() < r.horizon && !pl.heap.OOM() },
+		more:    func() bool { return s.Now() < r.horizon && !pl.heap.OOM() },
+		samples: int(r.horizon / time.Second),
 		judge: func(res *Result) {
 			res.Issue = "HB3813"
 			judgeRPC(res, pl.sv, pl.heap, pl.oomAt, r.horizon, constGoal(rpcMemoryGoal))
 		},
-
-		tune:   chaosTune{noise: 0.05, drop: 0.8, delay: 2 * time.Second, stall: 45 * time.Second},
-		knobLo: 0, knobHi: 5000,
-		goal:  []proptest.Sample{{T: 0, V: float64(rpcMemoryGoal)}},
-		surge: 2,
-		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
-			return indirectStep(newHB3813Conf(opts...))
-		},
-		sense: pl.sense,
-		// Plant shift: half the worker pool disappears (drain rate drops).
-		shift: func(start, _ time.Duration) chaos.Fault {
-			return chaos.PlantShift{Label: "worker-loss", At: start, Apply: func() { pl.sv.SetWorkers(pl.sv.Workers() / 2) }}
-		},
-		finish: func(rep *proptest.Report) {
-			rep.Progress, rep.Crashed, rep.CrashedAt = pl.sv.Completed(), pl.heap.OOM(), pl.oomAt
+		cell: func() cellParts {
+			return cellParts{
+				attach: func(tick func()) { pl.sv.BeforeAdmit = tick },
+				tune:   chaosTune{noise: 0.05, drop: 0.8, delay: 2 * time.Second, stall: 45 * time.Second},
+				knobLo: 0, knobHi: 5000,
+				goal:  []proptest.Sample{{T: 0, V: float64(rpcMemoryGoal)}},
+				surge: 2,
+				synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
+					return indirectStep(newHB3813Conf(opts...))
+				},
+				sense: pl.sense,
+				// Plant shift: half the worker pool disappears (drain rate
+				// drops).
+				shift: func(start, _ time.Duration) chaos.Fault {
+					return chaos.PlantShift{Label: "worker-loss", At: start, Apply: func() { pl.sv.SetWorkers(pl.sv.Workers() / 2) }}
+				},
+				finish: func(rep *proptest.Report) {
+					rep.Progress, rep.Crashed, rep.CrashedAt = pl.sv.Completed(), pl.heap.OOM(), pl.oomAt
+				},
+			}
 		},
 	}, pl
 }

@@ -153,8 +153,9 @@ func newHB6728Rig(s *sim.Simulation) *rig {
 		},
 		probe: rpcColumns(heap, sv, "response.queue.maxsize",
 			func() (float64, bool) { return float64(sv.MaxRespBytes()), true }),
-		more:   func() bool { return s.Now() < hb6728RunTime && !heap.OOM() },
-		goalAt: hb6728PhaseShift, goal2: float64(hb6728Goal2),
+		more:    func() bool { return s.Now() < hb6728RunTime && !heap.OOM() },
+		samples: int(hb6728RunTime / time.Second),
+		goalAt:  hb6728PhaseShift, goal2: float64(hb6728Goal2),
 		judge: func(res *Result) {
 			res.Issue = "HB6728"
 			judgeRPC(res, sv, heap, oomAt, hb6728RunTime, func(t time.Duration) float64 {

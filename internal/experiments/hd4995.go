@@ -124,7 +124,6 @@ func newHD4995Rig(s *sim.Simulation, horizon, duEvery time.Duration, seed int64)
 	nn := dfs.New(s, hd4995Config(), 1)
 	return &rig{
 		s: s, horizon: horizon,
-		attach: func(tick func()) { hd4995OnChunk(nn, tick) },
 		smart: func() func(float64) {
 			ic := newHD4995Conf()
 			hd4995OnChunk(nn, func() {
@@ -156,8 +155,9 @@ func newHD4995Rig(s *sim.Simulation, horizon, duEvery time.Duration, seed int64)
 			{Series{Name: "lock_hold", Unit: "s"}, newSamples(nn.HoldTimes())},
 			{Series{Name: "content-summary.limit", Unit: "files"}, func() (float64, bool) { return float64(nn.Limit()), true }},
 		},
-		more:   func() bool { return s.Now() < horizon },
-		goalAt: hd4995PhaseShift, goal2: hd4995Goal2,
+		more:    func() bool { return s.Now() < horizon },
+		samples: int(horizon / time.Second),
+		goalAt:  hd4995PhaseShift, goal2: hd4995Goal2,
 		judge: func(res *Result) {
 			res.Issue, res.TradeoffName, res.HigherIsBetter = "HD4995", "mean du latency (s)", false
 			res.Tradeoff = nn.DuLatency().OverallMean().Seconds()
@@ -179,27 +179,31 @@ func newHD4995Rig(s *sim.Simulation, horizon, duEvery time.Duration, seed int64)
 				res.Violation = "no du completed"
 			}
 		},
-
-		tune:   chaosTune{noise: 0.06, drop: 0.7, delay: 2 * time.Second, stall: 60 * time.Second},
-		knobLo: 1, knobHi: 1e7,
-		// Initial-convergence grace (the controller climbs from limit=1),
-		// then the soft goal with the scenario's 5% slack.
-		goal:  []proptest.Sample{{T: 0, V: 1e12}, {T: 60 * time.Second, V: hd4995Goal1 * 1.05}},
-		surge: 2,
-		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
-			return indirectStep(newHD4995Conf(opts...))
+		cell: func() cellParts {
+			return cellParts{
+				attach: func(tick func()) { hd4995OnChunk(nn, tick) },
+				tune:   chaosTune{noise: 0.06, drop: 0.7, delay: 2 * time.Second, stall: 60 * time.Second},
+				knobLo: 1, knobHi: 1e7,
+				// Initial-convergence grace (the controller climbs from
+				// limit=1), then the soft goal with the scenario's 5% slack.
+				goal:  []proptest.Sample{{T: 0, V: 1e12}, {T: 60 * time.Second, V: hd4995Goal1 * 1.05}},
+				surge: 2,
+				synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
+					return indirectStep(newHD4995Conf(opts...))
+				},
+				sense: func() (float64, float64) { return hd4995Sense(nn) },
+				// Plant shift: the per-file traversal cost rises (cold dentry
+				// cache), ×1.5: a gain error inside the §5.2 stability margin
+				// (a full doubling sits exactly on the oscillation boundary
+				// and never settles).
+				shift: func(start, dur time.Duration) chaos.Fault {
+					return windowedShift{label: "lock-cost-up", start: start, duration: dur,
+						apply:  func() { nn.SetPerFileCost(3 * hd4995Config().PerFileCost / 2) },
+						revert: func() { nn.SetPerFileCost(hd4995Config().PerFileCost) }}
+				},
+				finish: func(rep *proptest.Report) { rep.Progress = nn.DusDone() },
+			}
 		},
-		sense: func() (float64, float64) { return hd4995Sense(nn) },
-		// Plant shift: the per-file traversal cost rises (cold dentry cache),
-		// ×1.5: a gain error inside the §5.2 stability margin (a full
-		// doubling sits exactly on the oscillation boundary and never
-		// settles).
-		shift: func(start, dur time.Duration) chaos.Fault {
-			return windowedShift{label: "lock-cost-up", start: start, duration: dur,
-				apply:  func() { nn.SetPerFileCost(3 * hd4995Config().PerFileCost / 2) },
-				revert: func() { nn.SetPerFileCost(hd4995Config().PerFileCost) }}
-		},
-		finish: func(rep *proptest.Report) { rep.Progress = nn.DusDone() },
 	}
 }
 

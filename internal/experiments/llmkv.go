@@ -280,7 +280,6 @@ func newLLMKVRig(s *sim.Simulation, horizon time.Duration, noiseSeed, genSeed in
 	}
 	return &rig{
 		s: s, horizon: horizon,
-		attach: attach,
 		smart: func() func(float64) {
 			ic := newLLMKVConf()
 			// Integration shim, Table 7-countable: sense the heap, read the
@@ -325,7 +324,8 @@ func newLLMKVRig(s *sim.Simulation, horizon time.Duration, noiseSeed, genSeed in
 			{Series{Name: "ttft_p95", Unit: "s"}, func() (float64, bool) { return p.sv.TTFT().Snapshot().P95.Seconds(), true }},
 			{Series{Name: "completed_requests", Unit: "requests"}, func() (float64, bool) { return float64(p.sv.Completed()), true }},
 		},
-		more: func() bool { return s.Now() < horizon && !p.heap.OOM() },
+		more:    func() bool { return s.Now() < horizon && !p.heap.OOM() },
+		samples: int(horizon / time.Second),
 		judge: func(res *Result) {
 			res.Issue, res.TradeoffName, res.HigherIsBetter = "LLMKV", "goodput (output tok/s)", true
 			res.Tradeoff = float64(p.sv.OutputTokens()) / horizon.Seconds()
@@ -339,25 +339,31 @@ func newLLMKVRig(s *sim.Simulation, horizon time.Duration, noiseSeed, genSeed in
 				res.ViolatedAt, res.Violation = p.oomAt, "OOM"
 			}
 		},
-
-		tune:   chaosTune{noise: 0.03, drop: 0.7, delay: 5 * time.Second, stall: 45 * time.Second},
-		knobLo: 0, knobHi: float64(llmHeapCapacity) / float64(llmKVPerToken()),
-		// Initial-convergence grace (the knob opens from 0 and the first
-		// correction overshoots into the engineered margin), then the goal.
-		goal:  []proptest.Sample{{T: 0, V: 1e12}, {T: 60 * time.Second, V: float64(llmMemoryGoal)}},
-		surge: 2,
-		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
-			return indirectStep(newLLMKVConf(opts...))
-		},
-		sense: p.sense,
-		// Plant shift: the workload swings from long-document summarization
-		// (low decode amplification) into bursty chat (every admitted prompt
-		// token drags ~3× its size in uncounted decode KV).
-		shift: func(start, _ time.Duration) chaos.Fault {
-			return chaos.PlantShift{Label: "decode-amplification", At: start, Apply: func() { phases[0] = llmkvChaosChat() }}
-		},
-		finish: func(rep *proptest.Report) {
-			rep.Progress, rep.Crashed, rep.CrashedAt = p.sv.Completed(), p.heap.OOM(), p.oomAt
+		cell: func() cellParts {
+			return cellParts{
+				attach: attach,
+				tune:   chaosTune{noise: 0.03, drop: 0.7, delay: 5 * time.Second, stall: 45 * time.Second},
+				knobLo: 0, knobHi: float64(llmHeapCapacity) / float64(llmKVPerToken()),
+				// Initial-convergence grace (the knob opens from 0 and the
+				// first correction overshoots into the engineered margin),
+				// then the goal.
+				goal:  []proptest.Sample{{T: 0, V: 1e12}, {T: 60 * time.Second, V: float64(llmMemoryGoal)}},
+				surge: 2,
+				synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
+					return indirectStep(newLLMKVConf(opts...))
+				},
+				sense: p.sense,
+				// Plant shift: the workload swings from long-document
+				// summarization (low decode amplification) into bursty chat
+				// (every admitted prompt token drags ~3× its size in
+				// uncounted decode KV).
+				shift: func(start, _ time.Duration) chaos.Fault {
+					return chaos.PlantShift{Label: "decode-amplification", At: start, Apply: func() { phases[0] = llmkvChaosChat() }}
+				},
+				finish: func(rep *proptest.Report) {
+					rep.Progress, rep.Crashed, rep.CrashedAt = p.sv.Completed(), p.heap.OOM(), p.oomAt
+				},
+			}
 		},
 	}
 }

@@ -213,16 +213,8 @@ func newMR2820Rig(s *sim.Simulation, horizon time.Duration, seed int64, walk mr2
 	rng := rand.New(rand.NewSource(seed))
 	c := mapred.New(s, mr2820Config(), 0)
 	var done []mapred.JobResult
-	var curW *mapred.Worker // the chaos loop's sensor reads the admission it is consulted on
-	var curNext int64
 	return &rig{
 		s: s, horizon: horizon,
-		attach: func(tick func()) {
-			c.BeforeSchedule = func(w *mapred.Worker, next int64) {
-				curW, curNext = w, next
-				tick()
-			}
-		},
 		smart: func() func(float64) {
 			sc := newMR2820Conf()
 			// Conditional: consulted at each admission decision. The Master
@@ -262,31 +254,42 @@ func newMR2820Rig(s *sim.Simulation, horizon time.Duration, seed int64, walk mr2
 			}
 			res.ConstraintMet = res.Violation == ""
 		},
-
-		active: 360 * time.Second,
-		tune:   chaosTune{noise: 0.02, drop: 0.6, delay: 2 * time.Second, stall: 30 * time.Second},
-		knobLo: 0, knobHi: 1 << 30,
-		goal: []proptest.Sample{{T: 0, V: float64(mr2820DiskGoal)}},
-		// Surge: the co-tenant band jumps up — the scenario's own
-		// disturbance, intensified.
-		surge: 1.5,
-		synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
-			return directStep(newMR2820Conf(opts...))
-		},
-		sense: func() (float64, float64) { return mr2820Occupancy(curW, curNext), 0 },
-		// Plant shift: the task write rate halves (I/O contention).
-		shift: func(start, _ time.Duration) chaos.Fault {
-			return chaos.PlantShift{Label: "task-rate-halved", At: start, Apply: func() { c.SetTaskBytesPerSec(8 * mb) }}
-		},
-		finish: func(rep *proptest.Report) {
-			// Drained here means the job sequence ran to completion (the sim
-			// stops early on success — the inverse of the fixed-horizon
-			// substrates).
-			rep.Drained = len(done) == len(mr2820Jobs())
-			rep.Progress = int64(len(done))
-			rep.Crashed = c.OOD()
-			if rep.Crashed {
-				rep.CrashedAt = firstViolation(Series{Points: samplesToPoints(rep.Metric)}, float64(mr2820DiskGoal))
+		cell: func() cellParts {
+			var curW *mapred.Worker // the chaos loop's sensor reads the admission it is consulted on
+			var curNext int64
+			return cellParts{
+				attach: func(tick func()) {
+					c.BeforeSchedule = func(w *mapred.Worker, next int64) {
+						curW, curNext = w, next
+						tick()
+					}
+				},
+				active: 360 * time.Second,
+				tune:   chaosTune{noise: 0.02, drop: 0.6, delay: 2 * time.Second, stall: 30 * time.Second},
+				knobLo: 0, knobHi: 1 << 30,
+				goal: []proptest.Sample{{T: 0, V: float64(mr2820DiskGoal)}},
+				// Surge: the co-tenant band jumps up — the scenario's own
+				// disturbance, intensified.
+				surge: 1.5,
+				synth: func(opts []smartconf.Option) func(perf, deputy float64) float64 {
+					return directStep(newMR2820Conf(opts...))
+				},
+				sense: func() (float64, float64) { return mr2820Occupancy(curW, curNext), 0 },
+				// Plant shift: the task write rate halves (I/O contention).
+				shift: func(start, _ time.Duration) chaos.Fault {
+					return chaos.PlantShift{Label: "task-rate-halved", At: start, Apply: func() { c.SetTaskBytesPerSec(8 * mb) }}
+				},
+				finish: func(rep *proptest.Report) {
+					// Drained here means the job sequence ran to completion
+					// (the sim stops early on success — the inverse of the
+					// fixed-horizon substrates).
+					rep.Drained = len(done) == len(mr2820Jobs())
+					rep.Progress = int64(len(done))
+					rep.Crashed = c.OOD()
+					if rep.Crashed {
+						rep.CrashedAt = firstViolation(Series{Points: samplesToPoints(rep.Metric)}, float64(mr2820DiskGoal))
+					}
+				},
 			}
 		},
 	}

@@ -22,14 +22,13 @@ type rig struct {
 	s       *sim.Simulation
 	horizon time.Duration // the run stops here
 
-	// attach installs a step at the issue's decision site. smart installs
-	// the issue's SmartConf integration, the lines Table 7 counts, and
-	// returns its goal setter (nil: none). actuate applies a raw knob value:
-	// static policies and the chaos loop set the knob through it. Integer
-	// knobs truncate the value here, where the integrations in smart round
-	// (ic.Conf()) on HB3813, HD4995 and LLMKV: making the two agree rewrites
-	// every chaos fingerprint, a change for one that re-records the goldens.
-	attach  func(tick func())
+	// smart installs the issue's SmartConf integration at its decision
+	// site, the lines Table 7 counts, and returns its goal setter (nil:
+	// none). actuate applies a raw knob value: static policies and the
+	// chaos loop set the knob through it. Integer knobs truncate the value
+	// here, where the integrations in smart round (ic.Conf()) on HB3813,
+	// HD4995 and LLMKV: making the two agree rewrites every chaos
+	// fingerprint, a change for one that re-records the goldens.
 	smart   func() (setGoal func(float64))
 	actuate func(v float64)
 
@@ -37,9 +36,12 @@ type rig struct {
 	load    func(env *chaos.Env) // the workload; env scales it (nil: no surge)
 
 	// probe is sampled once a second while more holds. The chaos report's
-	// metric and knob are its first two columns.
-	probe []column
-	more  func() bool
+	// metric and knob are its first two columns. samples is its sample
+	// count when the run lasts to horizon, what each series is presized
+	// to; 0 (a run that ends when its work does) leaves them to grow.
+	probe   []column
+	more    func() bool
+	samples int
 
 	// The figure run: at goalAt (0: never) the goal moves to goal2, and
 	// judge labels and measures the trade-off and judges the constraint.
@@ -47,11 +49,19 @@ type rig struct {
 	goal2  float64
 	judge  func(res *Result)
 
-	// The chaos cell. knobLo and knobHi bound the knob (for generated clamp
-	// faults and the conf-in-bounds oracle); goal is the judged metric
-	// bound over time.
-	active         time.Duration // fault-placement window; 0 means horizon
-	tune           chaosTune
+	// cell builds the parts only the chaos cell reads (nil: the issue has
+	// no cell). Only runChaosCell calls it, so a figure run builds none of
+	// them.
+	cell func() cellParts
+}
+
+// cellParts are the parts of a rig that only its chaos cell reads.
+type cellParts struct {
+	attach func(tick func()) // installs tick at the issue's decision site
+	active time.Duration     // fault-placement window; 0 means horizon
+	tune   chaosTune
+	// knobLo and knobHi bound the knob (for generated clamp faults and the
+	// conf-in-bounds oracle); goal is the judged metric bound over time.
 	knobLo, knobHi float64
 	goal           []proptest.Sample
 	surge          float64 // the surge fault's workload multiplier
@@ -92,6 +102,9 @@ func (r *rig) runFigure(p Policy, install func()) Result {
 	series := make([]Series, len(r.probe))
 	for i, c := range r.probe {
 		series[i] = c.Series
+		if r.samples > 0 {
+			series[i].Points = make([]Point, 0, r.samples)
+		}
 	}
 	r.s.Every(time.Second, time.Second, func() bool {
 		for i, c := range r.probe {
@@ -110,10 +123,26 @@ func (r *rig) runFigure(p Policy, install func()) Result {
 	}
 	r.load(nil)
 	r.s.RunUntil(r.horizon)
+	for i := range series {
+		series[i].Points = clipped(series[i].Points)
+	}
 
 	res := Result{Policy: p, Series: series}
 	r.judge(&res)
 	return res
+}
+
+// clipped returns s without spare capacity, nil when empty: the series of a
+// run that ended early, or of a column that skipped samples, is copied to
+// its length, so a cached result holds no more than its samples.
+func clipped[T any](s []T) []T {
+	switch {
+	case len(s) == cap(s):
+		return s
+	case len(s) == 0:
+		return nil
+	}
+	return append([]T(nil), s...)
 }
 
 // evalUpperBound scans a metric series against a per-time goal and reports

@@ -27,7 +27,6 @@ func orderRig(got *[]string) *rig {
 	at := func(name string) { s.At(time.Second, func() { *got = append(*got, name) }) }
 	return &rig{
 		s: s, horizon: 2 * time.Second,
-		attach: func(func()) { at("attach") },
 		smart: func() func(float64) {
 			at("policy")
 			return func(float64) { *got = append(*got, "goal change") }
@@ -42,17 +41,22 @@ func orderRig(got *[]string) *rig {
 		more:   func() bool { return false },
 		goalAt: time.Second,
 		judge:  func(*Result) {},
-
-		// A catalog fault strikes a third of the way into the fault window.
-		active: 3 * time.Second,
-		synth: func([]smartconf.Option) func(perf, deputy float64) float64 {
-			return func(float64, float64) float64 { return 0 }
+		cell: func() cellParts {
+			return cellParts{
+				attach: func(func()) { at("attach") },
+				// A catalog fault strikes a third of the way into the fault
+				// window.
+				active: 3 * time.Second,
+				synth: func([]smartconf.Option) func(perf, deputy float64) float64 {
+					return func(float64, float64) float64 { return 0 }
+				},
+				sense: func() (float64, float64) { return 0, 0 },
+				shift: func(start, _ time.Duration) chaos.Fault {
+					return chaos.PlantShift{Label: "order", At: start, Apply: func() { *got = append(*got, "plan") }}
+				},
+				finish: func(*proptest.Report) {},
+			}
 		},
-		sense: func() (float64, float64) { return 0, 0 },
-		shift: func(start, _ time.Duration) chaos.Fault {
-			return chaos.PlantShift{Label: "order", At: start, Apply: func() { *got = append(*got, "plan") }}
-		},
-		finish: func(*proptest.Report) {},
 	}
 }
 

@@ -205,10 +205,13 @@ type Server struct {
 	// Raw-speed free lists, keyed to this server (NOT sync.Pool: pool reuse
 	// order is scheduler-dependent and would break deterministic replay).
 	// seqPool recycles completed sequences so a steady-state request
-	// allocates nothing; stepBatch is the reusable snapshot of running the
-	// per-sequence decode pass takes (eviction inside ensureKV mutates
-	// running mid-loop).
+	// allocates nothing; seqSlab is the unused rest of the last slab of
+	// fresh sequences, which a new concurrency high-water mark takes from
+	// before allocating another; stepBatch is the reusable snapshot of
+	// running the per-sequence decode pass takes (eviction inside ensureKV
+	// mutates running mid-loop).
 	seqPool   []*seq
+	seqSlab   []seq
 	stepBatch []*seq
 
 	// stepScratch is the activation scratch of the single in-flight step;
@@ -290,17 +293,33 @@ func New(s *sim.Simulation, heap *memsim.Heap, cfg Config) *Server {
 	return sv
 }
 
+// seqSlabLen is how many fresh sequences one allocation makes.
+const seqSlabLen = 64
+
 // getSeq returns a recycled sequence or a fresh one, initialized for req.
 func (sv *Server) getSeq(req workload.LLMRequest) *seq {
+	var s *seq
 	if n := len(sv.seqPool); n > 0 {
-		s := sv.seqPool[n-1]
+		s = sv.seqPool[n-1]
 		sv.seqPool[n-1] = nil
 		sv.seqPool = sv.seqPool[:n-1]
-		*s = seq{req: req, arrived: sv.sim.Now()}
-		return s
+	} else {
+		s = sv.newSeq()
 	}
-	//smartconf:allow hotalloc -- cold-start pool refill: fires only until the pool reaches steady-state depth, then every request recycles
-	return &seq{req: req, arrived: sv.sim.Now()}
+	*s = seq{req: req, arrived: sv.sim.Now()}
+	return s
+}
+
+// newSeq hands out the next fresh sequence of the current slab, allocating
+// a slab of seqSlabLen when it is used up.
+func (sv *Server) newSeq() *seq {
+	if len(sv.seqSlab) == 0 {
+		//smartconf:allow hotalloc -- cold-start pool refill: fires once per seqSlabLen new concurrency high-water marks, then every request recycles
+		sv.seqSlab = make([]seq, seqSlabLen)
+	}
+	s := &sv.seqSlab[0]
+	sv.seqSlab = sv.seqSlab[1:]
+	return s
 }
 
 // putSeq recycles a retired sequence. Callers must hold no other reference.
@@ -315,7 +334,7 @@ func (sv *Server) putSeq(s *seq) { sv.seqPool = append(sv.seqPool, s) }
 // zero-allocation gate forbids.
 func (sv *Server) Preallocate(seqs int) {
 	for len(sv.seqPool) < seqs {
-		sv.seqPool = append(sv.seqPool, &seq{})
+		sv.seqPool = append(sv.seqPool, sv.newSeq())
 	}
 	sv.waiting.buf = withCap(sv.waiting.buf, seqs)
 	sv.running = withCap(sv.running, seqs)

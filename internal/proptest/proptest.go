@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"time"
 
 	"smartconf/internal/chaos"
@@ -94,18 +95,33 @@ func (r *Report) violated(v, g float64) bool {
 
 // ComputeFingerprint hashes the full observable trajectory. Two runs of the
 // same (plan, seed) must produce equal fingerprints; the %.17g format makes
-// the comparison exact to the last bit of every float64.
+// the comparison exact to the last bit of every float64. Each sample is
+// encoded into one reused buffer, so the cost does not grow with the run's
+// length in allocations.
 func (r *Report) ComputeFingerprint() {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%d|%v|%v|%d|%v|%v|", r.Substrate, r.Plan, r.Seed,
 		r.Horizon, r.Drained, r.Progress, r.Crashed, r.CrashedAt)
+	buf := make([]byte, 0, 64)
 	for _, s := range r.Metric {
-		fmt.Fprintf(h, "m%v=%.17g;", s.T, s.V)
+		buf = appendSample(buf[:0], 'm', s)
+		h.Write(buf)
 	}
 	for _, s := range r.Knob {
-		fmt.Fprintf(h, "k%v=%.17g;", s.T, s.V)
+		buf = appendSample(buf[:0], 'k', s)
+		h.Write(buf)
 	}
 	r.Fingerprint = fmt.Sprintf("%016x", h.Sum64())
+}
+
+// appendSample appends one fingerprinted sample, the bytes of
+// fmt's "<tag>%v=%.17g;" with s.T and s.V, without boxing either operand.
+func appendSample(buf []byte, tag byte, s Sample) []byte {
+	buf = append(buf, tag)
+	buf = append(buf, s.T.String()...)
+	buf = append(buf, '=')
+	buf = strconv.AppendFloat(buf, s.V, 'g', 17, 64)
+	return append(buf, ';')
 }
 
 // Drains fails when the simulation did not reach its horizon: a wedged
