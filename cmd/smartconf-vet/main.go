@@ -3,16 +3,12 @@
 // confbounds and seedflow — the machine-checked invariants behind the
 // harness's byte-identical-output and zero-allocation guarantees.
 //
-// Standalone (from the module root):
+// From the module root (packages load through `go list` and type-check
+// from source):
 //
 //	smartconf-vet ./...
 //	smartconf-vet -run determinism,floatcmp ./internal/...
 //	smartconf-vet -allows ./...
-//
-// As a go vet tool (the binary speaks the vet unitchecker protocol):
-//
-//	go build -o /tmp/smartconf-vet ./cmd/smartconf-vet
-//	go vet -vettool=/tmp/smartconf-vet ./...
 //
 // Exit status: 0 when clean, 1 on usage/load errors, 2 when diagnostics
 // were reported. Individual findings are suppressed in source with
@@ -30,13 +26,9 @@
 package main
 
 import (
-	"encoding/gob"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/importer"
 	"go/token"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,28 +36,9 @@ import (
 	"smartconf/internal/lint"
 )
 
-const version = "smartconf-vet version v1.0.0"
-
 func main() {
-	// `go vet -vettool` probes the tool before handing it package configs:
-	// -V=full asks for an identity line (cached into build IDs) and -flags
-	// for a JSON description of tool flags it may forward. Answer both
-	// without touching the flag set.
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			fmt.Println(version)
-			return
-		case "-flags", "--flags":
-			// No forwardable flags: the suite always runs in full.
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	listFlag := flag.Bool("list", false, "list the analyzers and exit")
 	runFlag := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	jsonFlag := flag.Bool("json", false, "emit diagnostics as JSON (unitchecker mode)")
 	allowsFlag := flag.Bool("allows", false, "audit //smartconf:allow suppressions instead of running analyzers")
 	flag.Parse()
 
@@ -83,12 +56,7 @@ func main() {
 	if *allowsFlag {
 		os.Exit(runAllows(flag.Args()))
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnitchecker(args[0], analyzers, *jsonFlag))
-	}
-	os.Exit(runStandalone(args, analyzers))
+	os.Exit(runAnalyzers(flag.Args(), analyzers))
 }
 
 func selectAnalyzers(names string) ([]*lint.Analyzer, error) {
@@ -111,8 +79,8 @@ func selectAnalyzers(names string) ([]*lint.Analyzer, error) {
 	return out, nil
 }
 
-// runStandalone loads packages with the go tool and checks them all.
-func runStandalone(patterns []string, analyzers []*lint.Analyzer) int {
+// runAnalyzers loads packages with the go tool and checks them all.
+func runAnalyzers(patterns []string, analyzers []*lint.Analyzer) int {
 	pkgs, err := lint.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -190,100 +158,4 @@ func emitGitHubAnnotation(pos token.Position, msg string) {
 		}
 	}
 	fmt.Printf("::error file=%s,line=%d,col=%d::%s\n", file, pos.Line, pos.Column, msg)
-}
-
-// vetConfig is the package description `go vet` writes for each unit of
-// work, mirroring x/tools' unitchecker.Config.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnitchecker analyzes one package on behalf of `go vet -vettool`. The
-// go command supplies export data for every dependency, so imports resolve
-// through the compiler importer rather than from source.
-func runUnitchecker(cfgPath string, analyzers []*lint.Analyzer, asJSON bool) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "smartconf-vet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// go vet requires the facts output file regardless of findings; the
-	// suite exchanges no facts, so an empty gob stream suffices.
-	if cfg.VetxOutput != "" {
-		var empty struct{}
-		f, err := os.Create(cfg.VetxOutput)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		gob.NewEncoder(f).Encode(empty)
-		f.Close()
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	imp := importer.ForCompiler(fset, cfg.Compiler, lookup)
-	pkg, err := lint.CheckFiles(fset, imp, cfg.ImportPath, cfg.Dir, cfg.GoFiles)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	diags, err := lint.Check(pkg, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if asJSON {
-		// {"package": {"analyzer": [{posn, message}]}}, the unitchecker shape.
-		byAnalyzer := map[string][]map[string]string{}
-		for _, d := range diags {
-			byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], map[string]string{
-				"posn":    fmt.Sprintf("%s:%d:%d", d.Pos.Filename, d.Pos.Line, d.Pos.Column),
-				"message": d.Message,
-			})
-		}
-		out, _ := json.MarshalIndent(map[string]any{cfg.ImportPath: byAnalyzer}, "", "\t")
-		os.Stdout.Write(out)
-		fmt.Println()
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-		emitGitHubAnnotation(d.Pos, d.Analyzer+": "+d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

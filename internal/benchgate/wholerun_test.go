@@ -12,10 +12,11 @@ import (
 // simulator, substrate, sensors, and a shadow decision-logging controller —
 // and enforces the raw-speed engine's contract end to end. Allocations are
 // strict on every substrate: after a warm-up prefix, a window of tens of
-// thousands of requests must allocate NOTHING — with decision logging
-// enabled — the property that lets a 10M-request campaign finish in seconds
-// and the decision log stay on in production. Requests/sec is advisory
-// against the recorded baseline, like ns/op in the micro gate.
+// thousands of requests and then one of a million must allocate NOTHING —
+// with decision logging enabled — the property that lets a 10M-request
+// campaign finish in seconds and the decision log stay on in production.
+// Requests/sec is advisory against the recorded baseline, like ns/op in the
+// micro gate.
 
 const (
 	// wholeRunWarm is the prefix that grows every queue, free list, and
@@ -26,6 +27,11 @@ const (
 	wholeRunWarm = 300_000
 	// wholeRunWindow is the measured steady-state window.
 	wholeRunWindow = 50_000
+	// wholeRunLongWindow is the long window that follows it. State that
+	// grows with simulated time (a backlog kept in a slice) allocates only
+	// when its slice doubles, so 50k-request windows can miss it for
+	// millions of requests.
+	wholeRunLongWindow = 1_000_000
 )
 
 func TestWholeRunVsBaseline(t *testing.T) {
@@ -69,6 +75,16 @@ func TestWholeRunVsBaseline(t *testing.T) {
 		if entry.NsPerOp > 0 && nsPerReq > entry.NsPerOp*timeWarnFactor {
 			t.Logf("warn: %s at %.1f ns/request vs %.1f recorded (×%.1f) — advisory only, host timing varies",
 				key, nsPerReq, entry.NsPerOp, nsPerReq/entry.NsPerOp)
+		}
+
+		start := total + wholeRunLongWindow // past AllocsPerRun's warm-up call
+		allocs = testing.AllocsPerRun(1, func() {
+			total += wholeRunLongWindow
+			r.RunTo(total)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocs in the %d-request window %d–%d (decision logging on), want 0 — state that grows with simulated time is allocating",
+				key, allocs, wholeRunLongWindow, start, total)
 		}
 	}
 }

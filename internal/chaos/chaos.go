@@ -12,9 +12,9 @@
 //     clamping, controller stall, and controller crash/restart with state
 //     re-synthesis from the profile;
 //   - plant faults, applied to substrate resources directly: heap capacity
-//     shrink, transient heap pressure (a co-tenant spike), transient disk
-//     pressure, and arbitrary plant shifts (worker-pool loss, service-rate
-//     degradation) via a substrate-provided mutator;
+//     shrink, transient heap pressure (a co-tenant spike), and arbitrary
+//     plant shifts (worker-pool loss, service-rate degradation) via a
+//     substrate-provided mutator;
 //   - workload faults: a surge multiplier the driver queries per burst.
 //
 // A Plan is a named list of faults plus a seed; Arm schedules every fault on

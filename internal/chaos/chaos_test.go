@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"smartconf/internal/disksim"
 	"smartconf/internal/memsim"
 	"smartconf/internal/sim"
 )
@@ -258,26 +257,6 @@ func TestHeapPressureThatDoesNotFitIsAnOOM(t *testing.T) {
 	s.RunUntil(5 * time.Second)
 	if !heap.OOM() {
 		t.Fatal("a spike beyond capacity must register as OOM")
-	}
-}
-
-func TestDiskPressureTransient(t *testing.T) {
-	s := sim.New()
-	disk := disksim.NewDisk(1000)
-	plan := &Plan{Name: "disk", Seed: 0, Faults: []Fault{
-		DiskPressure{Start: time.Second, Duration: 2 * time.Second, Disk: disk, Bytes: 400},
-	}}
-	plan.Arm(s, nil)
-	s.RunUntil(2 * time.Second)
-	if got := disk.Used(); got != 400 {
-		t.Fatalf("used = %d inside the window, want 400", got)
-	}
-	s.RunUntil(5 * time.Second)
-	if got := disk.Used(); got != 0 {
-		t.Fatalf("used = %d after the window, want 0", got)
-	}
-	if disk.OOD() {
-		t.Error("unexpected OOD")
 	}
 }
 

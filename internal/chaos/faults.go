@@ -3,7 +3,6 @@ package chaos
 import (
 	"time"
 
-	"smartconf/internal/disksim"
 	"smartconf/internal/memsim"
 )
 
@@ -58,31 +57,6 @@ func (f HeapPressure) Arm(env *Env) {
 		env.Sim.At(f.Start+f.Duration, func() {
 			if held {
 				f.Heap.Free(f.Bytes)
-			}
-		})
-	}
-}
-
-// DiskPressure writes Bytes to a disk at Start and deletes them at
-// Start+Duration: a transient co-tenant spike on shared local storage. A
-// spike that does not fit is a genuine out-of-disk.
-type DiskPressure struct {
-	Start, Duration time.Duration
-	Disk            *disksim.Disk
-	Bytes           int64
-}
-
-func (f DiskPressure) Name() string                      { return "disk-pressure" }
-func (f DiskPressure) Span(horizon time.Duration) Window { return span(f.Start, f.Duration, horizon) }
-func (f DiskPressure) Arm(env *Env) {
-	held := false
-	env.Sim.At(f.Start, func() {
-		held = f.Disk.Write(f.Bytes) == nil
-	})
-	if f.Duration > 0 {
-		env.Sim.At(f.Start+f.Duration, func() {
-			if held {
-				f.Disk.Delete(f.Bytes)
 			}
 		})
 	}

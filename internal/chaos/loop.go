@@ -38,10 +38,6 @@ type Loop struct {
 	cfg LoopConfig
 	rng *rand.Rand
 
-	// OnActuate observes every applied knob value (after clamping); oracles
-	// and tests use it to record the actuation trace.
-	OnActuate func(v float64)
-
 	// fault state, mutated only by scheduled fault events
 	noiseSigma       float64
 	dropProb         float64
@@ -128,9 +124,6 @@ func (l *Loop) actuateBits(v uint64) { l.actuate(math.Float64frombits(v)) }
 func (l *Loop) actuate(v float64) {
 	if l.crashed {
 		return
-	}
-	if l.OnActuate != nil {
-		l.OnActuate(v)
 	}
 	l.cfg.Actuate(v)
 }

@@ -30,15 +30,6 @@ type Config struct {
 	InitialFiles int
 }
 
-// DefaultConfig returns the calibration used by the HD4995 experiments.
-func DefaultConfig() Config {
-	return Config{
-		PerFileCost:       200 * time.Microsecond,
-		ReacquireOverhead: 50 * time.Millisecond,
-		InitialFiles:      1_000_000,
-	}
-}
-
 type duRequest struct {
 	submitted time.Duration
 	done      func(latency time.Duration)

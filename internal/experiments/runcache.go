@@ -87,7 +87,7 @@ func profileSweep(settings []float64, runSetting func(setting float64, record fu
 // scenarios, substrates, controller, workloads or seeds alters any run's
 // result — stale-stamped entries become invisible and everything recomputes.
 // (Deleting the cache directory has the same effect.)
-const ScenarioVersion = "smartconf-scenarios/1"
+const ScenarioVersion = "smartconf-scenarios/2"
 
 // EnablePersistentRunCache layers a cross-process disk cache (rooted at dir)
 // beneath the in-memory run cache, keyed by ScenarioVersion: a warm rebuild

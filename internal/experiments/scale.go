@@ -352,9 +352,12 @@ func scaleKV(s *sim.Simulation) scaleLoad {
 	}
 }
 
-// scaleDFS drives the HD4995 namenode: a steady writer stream with a full
-// content summary after every 200,000th write, so the lock-hold path stays
-// exercised without dominating.
+// scaleDFS drives the HD4995 namenode: a steady writer stream, and at every
+// 200,000th write a full content summary unless the last one is still
+// running. A summary of 300k files holds the lock in chunks for about 60 s
+// (600k writes) and takes longer as files accumulate, so the row exercises
+// chunked lock holds and blocked writers back to back, one summary at a
+// time, with no backlog of waiting summaries.
 func scaleDFS(s *sim.Simulation) scaleLoad {
 	nn := dfs.New(s, dfs.Config{
 		PerFileCost:       200 * time.Microsecond,
@@ -367,15 +370,16 @@ func scaleDFS(s *sim.Simulation) scaleLoad {
 		Name: "scale", WriteRatio: 1, RequestBytes: 1, OpsPerSec: 10_000,
 	})
 	var now time.Duration
-	var writes int64
+	var writes, dus int64
 	return scaleLoad{
 		offer: func() {
 			now += gen.NextInterarrival()
 			s.RunUntil(now)
 			nn.Write()
 			writes++
-			if writes%200_000 == 0 {
+			if writes%200_000 == 0 && nn.DusDone() == dus {
 				nn.Du(nil)
+				dus++
 			}
 		},
 		unit:      1,

@@ -23,8 +23,10 @@ type MemstoreConfig struct {
 	BaseHeapBytes int64
 }
 
-// DefaultMemstoreConfig returns the calibration used by the HB2149
-// experiments.
+// DefaultMemstoreConfig returns a generic memstore calibration (32 MB/s
+// flushes, 500 ms fixed overhead). The kvstore tests and the KV member of the
+// fleet-property harness use it; the HB2149 scenarios use their own
+// (experiments' hb2149Config: 64 MB/s, 4 s overhead).
 func DefaultMemstoreConfig() MemstoreConfig {
 	return MemstoreConfig{
 		UpperLimitBytes:    256 << 20,

@@ -38,8 +38,10 @@ type MemtableConfig struct {
 	BaseHeapBytes int64
 }
 
-// DefaultMemtableConfig returns the calibration used by the CA6059
-// experiments.
+// DefaultMemtableConfig returns a generic memtable calibration (64 MB/s
+// flushes, 2 s fixed overhead) for the kvstore tests. The CA6059 scenarios
+// use their own (experiments' ca6059Config: 256 MB/s flushes), and the -scale
+// kv row states its config inline.
 func DefaultMemtableConfig() MemtableConfig {
 	return MemtableConfig{
 		FlushBytesPerSec:   64 << 20,

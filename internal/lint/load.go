@@ -91,9 +91,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 }
 
 // CheckFiles parses and type-checks one package from an explicit file list
-// with the given importer — the entry point for the `go vet -vettool`
-// unitchecker mode, where the go command supplies export data, and for the
-// analyzer tests, which load testdata packages directly.
+// with the given importer — the entry point for the analyzer tests, which
+// load testdata packages directly.
 func CheckFiles(fset *token.FileSet, imp types.Importer, path, dir string, files []string) (*Package, error) {
 	return typecheck(fset, imp, path, dir, files)
 }

@@ -245,13 +245,6 @@ type Server struct {
 	ttft         *metrics.Latency
 	e2e          *metrics.Latency
 
-	// BeforeStep, when set, runs at the top of every scheduler step — the
-	// integration point for the max.num.batched.tokens controller (sense
-	// heap, move the knob, before this step's admissions).
-	BeforeStep func()
-	// BeforeAdmit, when set, runs at the top of every Offer — the
-	// integration point for the admission.queue.limit controller.
-	BeforeAdmit func()
 	// OnEvacuate, when set, receives every waiting or running request
 	// displaced by Kill — the fleet's client-retry path. Without it displaced
 	// requests count as dropped.
@@ -442,9 +435,6 @@ func (sv *Server) Offer(req workload.LLMRequest) bool {
 		sv.dropped.Inc()
 		return false
 	}
-	if sv.BeforeAdmit != nil {
-		sv.BeforeAdmit()
-	}
 	if sv.WaitingLen() >= sv.waitingLimit {
 		sv.rejected.Inc()
 		return false
@@ -538,13 +528,6 @@ func (sv *Server) step() {
 	if sv.crashed {
 		sv.stepping = false
 		return
-	}
-	if sv.BeforeStep != nil {
-		sv.BeforeStep()
-		if sv.crashed { // a controller-driven probe may have observed a dead heap
-			sv.stepping = false
-			return
-		}
 	}
 	sv.admit()
 

@@ -95,7 +95,12 @@ func TestAdmissionRespectsTokenBound(t *testing.T) {
 
 	// The bound counts admitted prompt tokens, so three 100-token prompts
 	// must serialize: a second admission would put 200 > 150 in the batch.
-	sv.BeforeStep = func() {
+	for i := 0; i < 3; i++ {
+		if !sv.Offer(workload.LLMRequest{Prompt: 100, Output: 10}) {
+			t.Fatalf("offer %d refused", i)
+		}
+	}
+	for s.Step() {
 		if sv.RunningLen() > 1 {
 			t.Fatalf("batch holds %d sequences under a 150-token bound", sv.RunningLen())
 		}
@@ -103,12 +108,6 @@ func TestAdmissionRespectsTokenBound(t *testing.T) {
 			t.Fatalf("batch holds %d prompt tokens under a 150-token bound", c)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		if !sv.Offer(workload.LLMRequest{Prompt: 100, Output: 10}) {
-			t.Fatalf("offer %d refused", i)
-		}
-	}
-	s.Run()
 	if got := sv.Completed(); got != 3 {
 		t.Fatalf("completed = %d, want 3", got)
 	}

@@ -35,7 +35,9 @@ type Config struct {
 	ScheduleInterval time.Duration
 }
 
-// DefaultConfig returns the calibration used by the MR2820 experiments.
+// DefaultConfig returns a generic cluster calibration (8 MB/s task I/O) for
+// the mapred tests and the -scale mapred row. The MR2820 scenarios use their
+// own (experiments' mr2820Config: 16 MB/s).
 func DefaultConfig() Config {
 	return Config{
 		Workers:           2,

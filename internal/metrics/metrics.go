@@ -129,9 +129,10 @@ func (m *Meter) expire(now time.Duration) {
 	m.buckets = append(m.buckets[:0], m.buckets[i:]...)
 }
 
-// Latency tracks request latencies: a sliding sample window for averages and
-// percentiles, plus the all-time worst case (the sensor behind worst-case
-// block-time constraints like HB2149 and HD4995).
+// Latency tracks request latencies: the last sample, a sliding sample window
+// for averages and percentiles, and the all-time worst case. The HB2149 and
+// HD4995 block-time sensors read Last (the most recent flush block or lock
+// hold), not the worst case.
 //
 // Sensor cost model: controllers read percentiles once per control period
 // while the substrate observes a sample per request, so both paths must be
@@ -143,8 +144,8 @@ func (m *Meter) expire(now time.Duration) {
 // nearest-rank order statistic — instead of O(n log n) copy-and-sorts. At or
 // below the threshold the window is small enough that the exact
 // interpolated path is already cheap, and its results stay bit-identical to
-// the pre-sketch implementation (small-window goldens and worst-case
-// block-time sensors are exact by construction).
+// the pre-sketch implementation (small-window goldens are exact by
+// construction).
 type Latency struct {
 	window *stat.Window
 	sketch *stat.Sketch // nil when cap ≤ ExactWindowThreshold: exact path

@@ -27,8 +27,7 @@ import "math"
 // Removal is exact, not approximate: Remove(x) decrements the bucket Observe
 // incremented (the mapping is deterministic), which is what lets a sliding
 // window maintain true live-sample counts by pairing every eviction with a
-// Remove. Merge adds bucket counts, making the sketch a CRDT-style
-// commutative monoid: (a⊕b)⊕c ≡ a⊕(b⊕c).
+// Remove.
 //
 // The zero Sketch is unusable; construct with NewSketch.
 type Sketch struct {
@@ -205,25 +204,6 @@ func (s *Sketch) Max() float64 {
 		}
 	}
 	return 0
-}
-
-// Merge folds o into s (o is unchanged). Bucket-count addition is
-// commutative and associative, so merging partial sketches in any grouping
-// yields the identical histogram — the property that lets per-shard sensors
-// aggregate without coordination.
-func (s *Sketch) Merge(o *Sketch) {
-	for i := o.lo; i <= o.hi && i < len(o.counts); i++ {
-		if c := o.counts[i]; c != 0 {
-			s.counts[i] += c
-			s.n += int(c)
-			if i < s.lo {
-				s.lo = i
-			}
-			if i > s.hi {
-				s.hi = i
-			}
-		}
-	}
 }
 
 // Reset discards all samples, keeping the bucket memory.

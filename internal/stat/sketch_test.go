@@ -166,47 +166,6 @@ func TestSketchRemoveUnobservedPanics(t *testing.T) {
 	s.Remove(2.0) // different bucket, never observed
 }
 
-// Merge is associative and commutative: any grouping of partial sketches
-// yields the identical histogram (bucket-count addition is a monoid).
-func TestSketchMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	parts := make([]*Sketch, 3)
-	for i := range parts {
-		parts[i] = NewSketch()
-		for j := 0; j < 100*(i+1); j++ {
-			parts[i].Observe(rng.ExpFloat64() * float64(i+1))
-		}
-	}
-	clone := func(s *Sketch) *Sketch {
-		c := NewSketch()
-		c.Merge(s)
-		return c
-	}
-	// (a⊕b)⊕c
-	left := clone(parts[0])
-	left.Merge(parts[1])
-	left.Merge(parts[2])
-	// a⊕(b⊕c)
-	bc := clone(parts[1])
-	bc.Merge(parts[2])
-	right := clone(parts[0])
-	right.Merge(bc)
-	// c⊕b⊕a (commutativity)
-	rev := clone(parts[2])
-	rev.Merge(parts[1])
-	rev.Merge(parts[0])
-
-	if left.Len() != right.Len() || left.Len() != rev.Len() {
-		t.Fatalf("Len: %d vs %d vs %d", left.Len(), right.Len(), rev.Len())
-	}
-	for q := 0.0; q <= 100; q += 2.5 {
-		a, b, c := left.Quantile(q), right.Quantile(q), rev.Quantile(q)
-		if a != b || a != c {
-			t.Errorf("q%v: (a⊕b)⊕c=%v a⊕(b⊕c)=%v c⊕b⊕a=%v", q, a, b, c)
-		}
-	}
-}
-
 // Values outside [MinValue, MaxValue) clamp deterministically instead of
 // corrupting the histogram.
 func TestSketchOutOfRangeClamps(t *testing.T) {

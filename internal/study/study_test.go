@@ -101,8 +101,8 @@ func TestTable5MatchesPaper(t *testing.T) {
 
 func TestPostStatsMatchSection221(t *testing.T) {
 	s := BuildPostStats()
-	if s.Total != 54 {
-		t.Errorf("total posts = %d, want 54", s.Total)
+	if s != (PostStats{Total: 54, AsksHowToSet: 22, MentionsOOM: 16}) {
+		t.Errorf("post stats = %+v, want 54 posts, 22 asking how to set a PerfConf, 16 about OOM", s)
 	}
 	// ~40% ask how to set; ~30% mention OOM.
 	howTo := float64(s.AsksHowToSet) / float64(s.Total)
@@ -115,7 +115,11 @@ func TestPostStatsMatchSection221(t *testing.T) {
 	}
 }
 
+// Every issue of the categorized dataset carries the fields a listing of it
+// shows: an ID and title, a known system, a known patch category, and at
+// least one metric.
 func TestEveryIssueHasAtLeastOneMetric(t *testing.T) {
+	ids := map[string]bool{}
 	for _, i := range Issues() {
 		if len(i.Metrics) == 0 {
 			t.Errorf("issue %s has no metric", i.ID)
@@ -123,6 +127,16 @@ func TestEveryIssueHasAtLeastOneMetric(t *testing.T) {
 		if i.ID == "" || i.Title == "" {
 			t.Errorf("issue missing identity: %+v", i)
 		}
+		if ids[i.ID] {
+			t.Errorf("issue %s listed twice", i.ID)
+		}
+		ids[i.ID] = true
+		if i.System.Abbrev() == "??" || strings.Contains(i.Category.String(), "(") {
+			t.Errorf("issue %s: system %q, category %q", i.ID, i.System.Abbrev(), i.Category)
+		}
+	}
+	if len(ids) != 80 || !ids["HBASE-3813"] {
+		t.Errorf("dataset lists %d issues (HBASE-3813 present: %v), want the study's 80 with it", len(ids), ids["HBASE-3813"])
 	}
 }
 

@@ -1,111 +1,24 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"time"
 )
-
-// ArrivalDist selects the interarrival-time distribution of a workload
-// phase. The zero value is Poisson (exponential gaps), the classic open-loop
-// model and the default of every preset — and it draws exactly one
-// exponential variate per arrival, so phases that never set the field keep
-// their historical rng sequence and every recorded artifact stays
-// byte-identical.
-//
-// The alternatives reshape burstiness at a fixed mean rate, which is what
-// stresses a queue-bound controller: a Gamma or Weibull shape below 1 makes
-// arrivals clumpier than Poisson (heavier bursts for the same ops/sec),
-// while a shape above 1 smooths them toward a metronome.
-type ArrivalDist int
-
-const (
-	// ArrivalPoisson draws exponential gaps (a Poisson process).
-	ArrivalPoisson ArrivalDist = iota
-	// ArrivalGamma draws Gamma-distributed gaps with shape ArrivalShape,
-	// scaled so the mean rate still matches the phase's ops/sec.
-	ArrivalGamma
-	// ArrivalWeibull draws Weibull-distributed gaps with shape ArrivalShape,
-	// scaled so the mean rate still matches the phase's ops/sec.
-	ArrivalWeibull
-)
-
-func (d ArrivalDist) String() string {
-	switch d {
-	case ArrivalGamma:
-		return "gamma"
-	case ArrivalWeibull:
-		return "weibull"
-	default:
-		return "poisson"
-	}
-}
 
 // maxGapSeconds clamps any single interarrival gap to one virtual hour so a
 // pathological draw cannot stall a run.
 const maxGapSeconds = 3600.0
 
-// drawInterarrival draws one interarrival gap, in seconds, for the given
-// distribution at mean event rate (events per second). A shape ≤ 0 defaults
-// to 1, where Gamma and Weibull both coincide with the exponential.
-func drawInterarrival(rng *rand.Rand, dist ArrivalDist, shape, rate float64) float64 {
-	if shape <= 0 {
-		shape = 1
-	}
-	var gap float64
-	switch dist {
-	case ArrivalGamma:
-		// Gamma(k, θ) has mean kθ; θ = 1/(k·rate) preserves the rate.
-		gap = gammaDraw(rng, shape) / (shape * rate)
-	case ArrivalWeibull:
-		// Weibull(k, λ) has mean λΓ(1+1/k); λ = 1/(rate·Γ(1+1/k)) preserves
-		// the rate. Inversion: X = λ(−ln U)^{1/k}.
-		u := 1 - rng.Float64() // (0,1]: −ln never overflows
-		lambda := 1 / (rate * math.Gamma(1+1/shape))
-		gap = lambda * math.Pow(-math.Log(u), 1/shape)
-	default:
-		gap = rng.ExpFloat64() / rate
-	}
-	if gap > maxGapSeconds {
-		gap = maxGapSeconds
-	}
-	return gap
-}
-
-// gammaDraw samples Gamma(k, 1) with the Marsaglia–Tsang squeeze method,
-// boosted through Gamma(k+1) for k < 1.
-func gammaDraw(rng *rand.Rand, k float64) float64 {
-	if k < 1 {
-		// G(k) = G(k+1) · U^{1/k}.
-		return gammaDraw(rng, k+1) * math.Pow(1-rng.Float64(), 1/k)
-	}
-	d := k - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		var x, v float64
-		for {
-			x = rng.NormFloat64()
-			v = 1 + c*x
-			if v > 0 {
-				break
-			}
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
-// interarrival converts a drawn gap to a duration, idling for an hour when
+// interarrival draws one exponential gap (a Poisson process, one variate per
+// arrival) at mean event rate (events per second), idling for an hour when
 // the phase offers no load.
-func interarrival(rng *rand.Rand, dist ArrivalDist, shape, rate float64) time.Duration {
+func interarrival(rng *rand.Rand, rate float64) time.Duration {
 	if rate <= 0 {
 		return time.Hour // effectively idle
 	}
-	return time.Duration(drawInterarrival(rng, dist, shape, rate) * float64(time.Second))
+	gap := rng.ExpFloat64() / rate
+	if gap > maxGapSeconds {
+		gap = maxGapSeconds
+	}
+	return time.Duration(gap * float64(time.Second))
 }

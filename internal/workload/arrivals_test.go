@@ -1,99 +1,53 @@
 package workload
 
 import (
-	"math"
 	"testing"
 	"time"
 )
 
-// The non-Poisson arrival options must behave like the Poisson one in the
-// two ways the experiments rely on: a seed fully determines the gap stream,
-// and the empirical rate converges to the configured ops/sec regardless of
-// shape (the distributions are mean-corrected).
+// The arrival stream must behave in the two ways the experiments rely on: a
+// seed fully determines the gap stream, and a phase that offers no load (or
+// so little that a gap would exceed an hour) waits an hour, not forever.
 
 func TestArrivalDistSeedDeterminism(t *testing.T) {
-	for _, dist := range []ArrivalDist{ArrivalPoisson, ArrivalGamma, ArrivalWeibull} {
-		for _, shape := range []float64{0, 0.5, 1, 3} {
-			phase := YCSBPhase{OpsPerSec: 100, Arrival: dist, ArrivalShape: shape}
-			a := NewYCSB(42, 10, phase)
-			b := NewYCSB(42, 10, phase)
-			for i := 0; i < 500; i++ {
-				if a.NextInterarrival() != b.NextInterarrival() {
-					t.Fatalf("%v shape=%v: same seed diverged at draw %d", dist, shape, i)
-				}
+	for _, rate := range []float64{0.5, 100, 1e5} {
+		y1 := NewYCSB(42, 10, YCSBPhase{OpsPerSec: rate})
+		y2 := NewYCSB(42, 10, YCSBPhase{OpsPerSec: rate})
+		g1 := NewLLMGen(42, LLMPhase{RequestsPerSec: rate})
+		g2 := NewLLMGen(42, LLMPhase{RequestsPerSec: rate})
+		other := NewYCSB(43, 10, YCSBPhase{OpsPerSec: rate})
+		differs := false
+		for i := 0; i < 500; i++ {
+			a := y1.NextInterarrival()
+			if a != y2.NextInterarrival() {
+				t.Fatalf("rate=%v: same seed diverged at YCSB draw %d", rate, i)
 			}
+			if g1.NextInterarrival() != g2.NextInterarrival() {
+				t.Fatalf("rate=%v: same seed diverged at LLM draw %d", rate, i)
+			}
+			differs = differs || a != other.NextInterarrival()
 		}
-	}
-}
-
-func TestArrivalDistRateConvergence(t *testing.T) {
-	for _, tc := range []struct {
-		dist  ArrivalDist
-		shape float64
-	}{
-		{ArrivalGamma, 0.5},
-		{ArrivalGamma, 1},
-		{ArrivalGamma, 4},
-		{ArrivalWeibull, 0.7},
-		{ArrivalWeibull, 1},
-		{ArrivalWeibull, 2.5},
-	} {
-		phase := LLMPhase{RequestsPerSec: 50, Arrival: tc.dist, ArrivalShape: tc.shape}
-		g := NewLLMGen(7, phase)
-		var total time.Duration
-		const n = 20000
-		for i := 0; i < n; i++ {
-			total += g.NextInterarrival()
-		}
-		rate := float64(n) / total.Seconds()
-		if rate < 45 || rate > 55 {
-			t.Errorf("%v shape=%v: arrival rate = %v, want ≈50", tc.dist, tc.shape, rate)
-		}
-	}
-}
-
-// Shape 1 makes both alternatives exponential in distribution; shapes away
-// from 1 must actually change the gap variance (clumpier below 1, smoother
-// above), otherwise the knob is cosmetic.
-func TestArrivalShapeChangesBurstiness(t *testing.T) {
-	cv := func(dist ArrivalDist, shape float64) float64 {
-		y := NewYCSB(11, 10, YCSBPhase{OpsPerSec: 100, Arrival: dist, ArrivalShape: shape})
-		const n = 20000
-		var sum, sumSq float64
-		for i := 0; i < n; i++ {
-			g := y.NextInterarrival().Seconds()
-			sum += g
-			sumSq += g * g
-		}
-		mean := sum / n
-		return math.Sqrt(sumSq/n-mean*mean) / mean
-	}
-	for _, dist := range []ArrivalDist{ArrivalGamma, ArrivalWeibull} {
-		bursty := cv(dist, 0.5)
-		smooth := cv(dist, 4)
-		if !(bursty > 1.1 && smooth < 0.9) {
-			t.Errorf("%v: cv(shape=0.5) = %.2f, cv(shape=4) = %.2f; want > 1.1 and < 0.9", dist, bursty, smooth)
+		if !differs {
+			t.Errorf("rate=%v: seeds 42 and 43 drew identical gap streams", rate)
 		}
 	}
 }
 
 func TestArrivalIdlePhaseAllDists(t *testing.T) {
-	for _, dist := range []ArrivalDist{ArrivalPoisson, ArrivalGamma, ArrivalWeibull} {
-		y := NewYCSB(4, 10, YCSBPhase{OpsPerSec: 0, Arrival: dist, ArrivalShape: 2})
-		if got := y.NextInterarrival(); got < time.Minute {
-			t.Errorf("%v: idle interarrival = %v, want huge", dist, got)
+	for _, rate := range []float64{0, -1} {
+		if got := NewYCSB(4, 10, YCSBPhase{OpsPerSec: rate}).NextInterarrival(); got != time.Hour {
+			t.Errorf("YCSB at %v ops/s: interarrival = %v, want 1h", rate, got)
+		}
+		if got := NewLLMGen(4, LLMPhase{RequestsPerSec: rate}).NextInterarrival(); got != time.Hour {
+			t.Errorf("LLM at %v req/s: interarrival = %v, want 1h", rate, got)
 		}
 	}
-}
-
-func TestArrivalDistStrings(t *testing.T) {
-	for dist, want := range map[ArrivalDist]string{
-		ArrivalPoisson: "poisson",
-		ArrivalGamma:   "gamma",
-		ArrivalWeibull: "weibull",
-	} {
-		if got := dist.String(); got != want {
-			t.Errorf("String(%d) = %q, want %q", dist, got, want)
+	// At one arrival per 10⁹ s every exponential draw above 3.6·10⁻⁶ (all
+	// but a few in a million) exceeds an hour and is clamped to it.
+	y := NewYCSB(4, 10, YCSBPhase{OpsPerSec: 1e-9})
+	for i := 0; i < 100; i++ {
+		if got := y.NextInterarrival(); got != time.Hour {
+			t.Fatalf("draw %d at 1e-9 ops/s: interarrival = %v, want the 1h clamp", i, got)
 		}
 	}
 }

@@ -1,33 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"time"
-)
-
-// DFSIOPhase parametrizes one phase of a TestDFSIO-like load on the
-// distributed-file-system substrate (HD4995): a set of writer clients
-// streaming file creates into the namenode while du (content-summary)
-// requests arrive and walk the namespace under the global lock.
-type DFSIOPhase struct {
-	Name string
-	// Duration of the phase; 0 means terminal.
-	Duration time.Duration
-	// WriterClients is the number of concurrent writer clients.
-	WriterClients int
-	// WritesPerSec is the aggregate file-create rate across clients.
-	WritesPerSec float64
-	// DuEverySec is the gap between successive du requests.
-	DuEverySec float64
-	// BlockGoal is the user's worst-case writer-block constraint for the
-	// phase (the paper's "20s"/"10s" annotations in Table 6).
-	BlockGoal time.Duration
-}
-
-func (p DFSIOPhase) String() string {
-	return fmt.Sprintf("%s: %d writers @ %.0f/s, du every %.0fs, block ≤ %v",
-		p.Name, p.WriterClients, p.WritesPerSec, p.DuEverySec, p.BlockGoal)
-}
+import "fmt"
 
 // WordCountJob describes one WordCount run for the MapReduce substrate,
 // following the paper's "WordCount(x,y,z)" notation: input file size, split

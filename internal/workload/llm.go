@@ -29,28 +29,17 @@ type LLMPhase struct {
 	Name string
 	// Duration of the phase; the last phase may be 0 (runs to experiment end).
 	Duration time.Duration
-	// RequestsPerSec is the offered load; Arrival selects the interarrival
-	// distribution (zero value: Poisson) and ArrivalShape its shape
-	// parameter (Gamma/Weibull k; ≤ 0 means 1, the exponential).
+	// RequestsPerSec is the offered load (Poisson arrivals).
 	RequestsPerSec float64
-	Arrival        ArrivalDist
-	ArrivalShape   float64
 	// PromptMean / OutputMean are the mean token counts; individual draws are
-	// lognormal around the mean with the given sigma (0 = a default of 0.5,
-	// roughly the spread of production chat traces).
-	PromptMean  int
-	OutputMean  int
-	PromptSigma float64
-	OutputSigma float64
-	// MaxPrompt / MaxOutput clamp the draws (context-window limits);
-	// 0 means 8× the mean.
-	MaxPrompt int
-	MaxOutput int
-	// BurstEvery/BurstSize, when set, superimpose arrival bursts: every
-	// BurstEvery, BurstSize extra requests arrive back-to-back (spaced by
-	// BurstSpacing). Bursts are what spike the KV cache of an unbounded
-	// continuous batch, like the paper's YCSB bursts spike the RPC queue.
-	BurstEvery   time.Duration
+	// lognormal around the mean (σ = tokenSigma) and clamped at 8× it.
+	PromptMean int
+	OutputMean int
+	// BurstSize, when set, superimposes arrival bursts: the scenario driving
+	// the phase sends BurstSize extra requests back-to-back (spaced by
+	// BurstSpacing) at its own burst period. Bursts are what spike the KV
+	// cache of an unbounded continuous batch, like the paper's YCSB bursts
+	// spike the RPC queue.
 	BurstSize    int
 	BurstSpacing time.Duration
 }
@@ -81,14 +70,13 @@ func (g *LLMGen) Phase() LLMPhase { return g.phase }
 // SetPhase switches the generator to a new phase (workload shift).
 func (g *LLMGen) SetPhase(p LLMPhase) {
 	g.phase = p
-	g.prompt = newTokenDist(p.PromptMean, p.PromptSigma, p.MaxPrompt)
-	g.output = newTokenDist(p.OutputMean, p.OutputSigma, p.MaxOutput)
+	g.prompt = newTokenDist(p.PromptMean)
+	g.output = newTokenDist(p.OutputMean)
 }
 
-// NextInterarrival draws the gap to the next request from the phase's
-// arrival distribution (Poisson by default).
+// NextInterarrival draws the exponential gap to the next request.
 func (g *LLMGen) NextInterarrival() time.Duration {
-	return interarrival(g.rng, g.phase.Arrival, g.phase.ArrivalShape, g.phase.RequestsPerSec)
+	return interarrival(g.rng, g.phase.RequestsPerSec)
 }
 
 // NextRequest draws the next request's token counts.
@@ -99,29 +87,26 @@ func (g *LLMGen) NextRequest() LLMRequest {
 	}
 }
 
+// tokenSigma is the lognormal spread of every token count, roughly that of
+// production chat traces.
+const tokenSigma = 0.5
+
 // tokenDist is a lognormal token-count distribution with a given mean. Its
 // location parameter is mean-corrected (µ = ln m − σ²/2) so the arithmetic
-// mean of the draws matches the configured mean regardless of sigma; µ is
-// computed once per phase, not per draw.
+// mean of the draws matches the configured mean; µ is computed once per
+// phase, not per draw.
 type tokenDist struct {
-	fixed     bool // a non-positive mean: every draw is 1 and uses no randomness
-	mu, sigma float64
-	max       int
+	fixed bool // a non-positive mean: every draw is 1 and uses no randomness
+	mu    float64
+	max   int // the clamp (a context-window limit): 8× the mean
 }
 
-// newTokenDist returns the distribution for a phase's mean, sigma (0 means
-// 0.5) and clamp (≤ 0 means 8× the mean).
-func newTokenDist(mean int, sigma float64, max int) tokenDist {
+// newTokenDist returns the distribution for a phase's mean.
+func newTokenDist(mean int) tokenDist {
 	if mean <= 0 {
 		return tokenDist{fixed: true}
 	}
-	if sigma == 0 {
-		sigma = 0.5
-	}
-	if max <= 0 {
-		max = 8 * mean
-	}
-	return tokenDist{mu: math.Log(float64(mean)) - sigma*sigma/2, sigma: sigma, max: max}
+	return tokenDist{mu: math.Log(float64(mean)) - tokenSigma*tokenSigma/2, max: 8 * mean}
 }
 
 // draw samples one token count, clamped to [1, max].
@@ -129,7 +114,7 @@ func (d *tokenDist) draw(rng *rand.Rand) int {
 	if d.fixed {
 		return 1
 	}
-	n := int(math.Round(math.Exp(d.mu + d.sigma*rng.NormFloat64())))
+	n := int(math.Round(math.Exp(d.mu + tokenSigma*rng.NormFloat64())))
 	if n < 1 {
 		n = 1
 	}

@@ -290,9 +290,9 @@ func TestStringers(t *testing.T) {
 	if p.String() == "" {
 		t.Error("YCSBPhase.String empty")
 	}
-	d := DFSIOPhase{Name: "d", WriterClients: 3, WritesPerSec: 10, DuEverySec: 30, BlockGoal: 20 * time.Second}
-	if d.String() == "" {
-		t.Error("DFSIOPhase.String empty")
+	l := LLMPhase{Name: "l", RequestsPerSec: 4, PromptMean: 200, OutputMean: 150}
+	if l.String() == "" {
+		t.Error("LLMPhase.String empty")
 	}
 	j := WordCountJob{Name: "j", InputBytes: 640 << 20, SplitBytes: 64 << 20, Parallelism: 2}
 	if j.String() == "" {

@@ -4,10 +4,12 @@
 //   - a YCSB-like key-value workload (read/write mix, request size, zipfian
 //     key popularity, an index-cache knob, phase shifts) for the key-value
 //     store and RPC-server substrates;
-//   - a TestDFSIO-like load (multiple writer clients plus du/content-summary
-//     requests) for the distributed-file-system substrate;
+//   - an LLM inference workload (lognormal prompt and output token counts,
+//     phase shifts, bursts) for the LLM-serving substrate;
 //   - WordCount job descriptions (input size, split size, per-worker
 //     parallelism) for the MapReduce substrate.
+//
+// Every arrival stream is Poisson: one exponential variate per gap.
 //
 // Generators are deterministic given a seed: two runs of an experiment with
 // the same seed produce identical event streams. YCSB keys are exactly
@@ -46,12 +48,8 @@ type YCSBPhase struct {
 	// CacheRatio is the target read-cache heap fraction (CA6059's "Cz"
 	// disturbance: cache growth squeezes the memtable's headroom).
 	CacheRatio float64
-	// OpsPerSec is the offered load; Arrival selects the interarrival
-	// distribution (zero value: Poisson) and ArrivalShape its shape
-	// parameter (Gamma/Weibull k; ≤ 0 means 1, the exponential).
-	OpsPerSec    float64
-	Arrival      ArrivalDist
-	ArrivalShape float64
+	// OpsPerSec is the offered load (Poisson arrivals).
+	OpsPerSec float64
 }
 
 func (p YCSBPhase) String() string {
@@ -86,10 +84,9 @@ func (y *YCSB) Phase() YCSBPhase { return y.phase }
 // SetPhase switches the generator to a new phase (workload shift).
 func (y *YCSB) SetPhase(p YCSBPhase) { y.phase = p }
 
-// NextInterarrival draws the gap to the next operation from the phase's
-// arrival distribution (Poisson by default).
+// NextInterarrival draws the exponential gap to the next operation.
 func (y *YCSB) NextInterarrival() time.Duration {
-	return interarrival(y.rng, y.phase.Arrival, y.phase.ArrivalShape, y.phase.OpsPerSec)
+	return interarrival(y.rng, y.phase.OpsPerSec)
 }
 
 // NextOp draws the next operation.
