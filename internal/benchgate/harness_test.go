@@ -17,7 +17,9 @@ import (
 // under its non-optimal static, the run Figure 5 plots as a bar (MR2820's
 // is its five-seed race, so the run cache is dropped first and the engine
 // runs it on one lane); the chaos cells are each substrate's seed-generated
-// plan at the matrix seed, run past the cache.
+// plan at the matrix seed, run past the cache; the fleet run is one
+// uncached RunFleetScenario under Static(90), a point of the fleet's static
+// grid.
 func TestHarnessAllocationsVsBaseline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts and timing")
@@ -43,10 +45,14 @@ func TestHarnessAllocationsVsBaseline(t *testing.T) {
 			experiments.RunChaosProperty(sub, experiments.ChaosSeed)
 		}})
 	}
+	fleetStatic := experiments.Static(90)
+	runs = append(runs, harnessRun{"smartconf/internal/experiments.FleetRun/" + fleetStatic.String(), func() {
+		experiments.RunFleetScenario(fleetStatic)
+	}})
 
 	// The collector stays off while the harnesses run: a collection
 	// allocates runtime-internal objects (sudogs, mark workers) and empties
-	// fmt's printer pool, so counts would vary with GC timing. The twelve
+	// fmt's printer pool, so counts would vary with GC timing. The thirteen
 	// harnesses allocate a few tens of megabytes in all.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 

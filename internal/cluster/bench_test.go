@@ -85,25 +85,42 @@ func (m *boundedMember) drain() {
 // rendezvous order and the retry loop are all on the measured path.
 // Benchgate-gated at 0 allocs/op via BENCH_engine.json.
 func BenchmarkFleetDispatchWide(b *testing.B) {
-	f := NewFleet[int](KeyAffinity)
-	ms := make([]*boundedMember, 256)
-	for i := range ms {
-		ms[i] = &boundedMember{id: i, bound: 8}
-		f.Add(ms[i], 1, ms[i].offer)
-	}
-	f.SetMaxInFlight(400)
-	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.01, 1, 1<<16-1)
-	keys := make([]uint64, 1<<16)
-	for i := range keys {
-		keys[i] = zipf.Uint64()
-	}
+	w := newWideDispatch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ms[(2*i)&255].drain()
-		ms[(2*i+1)&255].drain()
-		f.Dispatch(Request{Key: keys[i&(1<<16-1)], Cost: 1}, i)
+		w.step(i)
 	}
+}
+
+// wideDispatch is BenchmarkFleetDispatchWide's workload, shared with the
+// test that pins its path mix.
+type wideDispatch struct {
+	f    *Fleet[int]
+	ms   []*boundedMember
+	keys []uint64
+}
+
+func newWideDispatch() *wideDispatch {
+	w := &wideDispatch{f: NewFleet[int](KeyAffinity), ms: make([]*boundedMember, 256), keys: make([]uint64, 1<<16)}
+	for i := range w.ms {
+		m := &boundedMember{id: i, bound: 8}
+		w.ms[i] = m
+		w.f.Add(m, 1, m.offer)
+	}
+	w.f.SetMaxInFlight(400)
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.01, 1, 1<<16-1)
+	for i := range w.keys {
+		w.keys[i] = zipf.Uint64()
+	}
+	return w
+}
+
+// step is op i: drain two members round-robin, then dispatch the op's key.
+func (w *wideDispatch) step(i int) {
+	w.ms[(2*i)&255].drain()
+	w.ms[(2*i+1)&255].drain()
+	w.f.Dispatch(Request{Key: w.keys[i&(1<<16-1)], Cost: 1}, i)
 }
 
 // BenchmarkFleetDispatchRefusedByAll measures a placement that every member

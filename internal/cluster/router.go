@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // PolicyKind selects the routing policy a Router applies.
 type PolicyKind int
@@ -77,12 +74,14 @@ func memoIndex(key uint64) uint64 { return key * goldenGamma >> (64 - memoBits) 
 // the membership it was built for, and is 0 while the order is empty (a
 // router with members is past generation 0). cursor is where the last walk
 // stopped and prefix holds every member ranked above it, so a walk whose
-// candidates include none of them resumes at the cursor.
+// candidates include none of them resumes at the cursor. builds counts the
+// orders built, for the tests that pin the router's path mix.
 type deepOrder struct {
 	key    uint64
 	gen    uint32
 	cursor int
 	prefix TriedSet
+	builds int
 	place  [maxMembers]deepPlace
 }
 
@@ -116,8 +115,8 @@ func byRank(a, b deepPlace) int {
 // The affinity policies memoize each recent key's rendezvous order over all
 // members (pickRendezvous), so a repeated key routes without rehashing the
 // fleet, and keep the full order of the last key that spilled past its memo
-// (pickDeep), so a placement refused by every member costs one order build
-// rather than a scan per attempt.
+// (pickDeep), so a placement refused by every member costs one linear order
+// build and one walk rather than a scan per attempt.
 type Router struct {
 	policy  PolicyKind
 	members []Instance
@@ -232,10 +231,15 @@ func (r *Router) reviveDead() {
 // decides. A miss therefore costs at most two scans, and a repeated key whose
 // owner is live and untried costs none. Once the slot holds all memoRanks
 // places and none is a candidate, the key's full order decides (pickDeep).
+// A full slot whose key the deep order already holds goes there directly:
+// the memoized places are the order's first memoRanks, and pickDeep's
+// prefix check covers them.
 func (r *Router) pickRendezvous(key uint64, cand *TriedSet) int {
 	s := &r.memo[memoIndex(key)]
 	if s.key != key || s.gen != r.gen {
 		s.key, s.gen, s.n = key, r.gen, 0
+	} else if s.n == memoRanks && r.deep.key == key && r.deep.gen == r.gen {
+		return r.pickDeep(key, cand)
 	}
 	for _, i := range s.rank[:s.n] {
 		if cand.Has(int(i)) {
@@ -257,22 +261,17 @@ func (r *Router) pickRendezvous(key uint64, cand *TriedSet) int {
 }
 
 // pickDeep returns the first candidate in key's full rendezvous order,
-// building the order (one hash per member and a sort) when the deep order
-// holds another key or membership. A placement's tried set only grows, so
-// its next attempt finds no candidate above the cursor and resumes there:
-// a placement refused by all N members walks the order once, O(N) in all.
+// building the order (in linear time, see build) when the deep order holds
+// another key or membership. A placement's tried set only grows, so its
+// next attempt finds no candidate above the cursor and resumes there: a
+// placement refused by all N members walks the order once, O(N) in all.
 // Any candidate above the cursor (a new placement, a revived member)
 // restarts the walk at the top.
 func (r *Router) pickDeep(key uint64, cand *TriedSet) int {
 	d := r.deep
 	n := len(r.members)
 	if d.key != key || d.gen != r.gen {
-		d.key, d.gen = key, r.gen
-		for i, salt := range r.salts {
-			d.place[i] = deepPlace{hash: mix64(key ^ salt), idx: i}
-		}
-		slices.SortFunc(d.place[:n], byRank)
-		d.cursor, d.prefix = 0, TriedSet{}
+		d.build(key, r.gen, r.salts)
 	}
 	j := d.cursor
 	for w := 0; w < triedWords; w++ {
@@ -290,6 +289,39 @@ func (r *Router) pickDeep(key uint64, cand *TriedSet) int {
 		d.prefix.Set(i)
 	}
 	return -1 // unreachable: every candidate is a member
+}
+
+// build ranks every member by key's salted hash. A counting pass on the
+// hash's top byte lays the places out bucket by bucket, highest byte first
+// and in index order within a bucket; an insertion pass then orders each
+// bucket by byRank. No place moves past a bucket boundary, and a bucket
+// holds N/256 members on average, so the build is linear in N.
+func (d *deepOrder) build(key uint64, gen uint32, salts []uint64) {
+	var hash [maxMembers]uint64
+	var next [256]uint16 // per bucket, its count, then its next free place
+	for i, salt := range salts {
+		hash[i] = mix64(key ^ salt)
+		next[^hash[i]>>56]++
+	}
+	var at uint16
+	for b, c := range next {
+		next[b] = at
+		at += c
+	}
+	for i, h := range hash[:len(salts)] {
+		b := ^h >> 56
+		d.place[next[b]] = deepPlace{hash: h, idx: i}
+		next[b]++
+	}
+	for j := 1; j < len(salts); j++ {
+		p, k := d.place[j], j
+		for ; k > 0 && byRank(p, d.place[k-1]) < 0; k-- {
+			d.place[k] = d.place[k-1]
+		}
+		d.place[k] = p
+	}
+	d.key, d.gen, d.cursor, d.prefix = key, gen, 0, TriedSet{}
+	d.builds++
 }
 
 // nextRank returns the member that follows s's last memoized place in key's

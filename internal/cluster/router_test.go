@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // fake is a minimal Instance for router and fleet tests. A fake in a fleet
 // changes its load through setLoad, which reports the change into the
@@ -133,6 +136,61 @@ func TestAffinityRefusedByAllThenPlacedAgain(t *testing.T) {
 	ref.add(fakes[maxMembers-1])
 	order = ref.order(req.Key)
 	place(4, len(order))
+}
+
+// TestDeepOrderBuildMatchesReference compares deep orders built directly
+// with the reference's full rendezvous order: random keys at widths from 1
+// to 256, with unique ids and with repeating ids (equal salts, so hashes
+// tie and the lower index must rank first), and keys searched for so that
+// at least three members share one top-byte bucket, where the insertion
+// pass alone decides the order.
+func TestDeepOrderBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 7, 64, 255, 256} {
+		for _, idMod := range []int{0, 3} {
+			r, ref := NewRouter(KeyAffinity), newRefRouter(KeyAffinity)
+			for i := 0; i < n; i++ {
+				m := &fake{id: i, alive: true}
+				if idMod > 0 {
+					m.id = i % idMod
+				}
+				r.Add(m)
+				ref.add(m)
+			}
+			for k := 0; k < 64; k++ {
+				checkDeepBuild(t, r, ref, rng.Uint64())
+			}
+			if idMod > 0 || n < 7 {
+				continue // tied ids share buckets under every key
+			}
+			for key, found := uint64(0), 0; found < 16; key++ {
+				var bucket [256]int
+				most := 0
+				for _, salt := range r.salts {
+					b := mix64(key^salt) >> 56
+					bucket[b]++
+					most = max(most, bucket[b])
+				}
+				if most >= 3 {
+					checkDeepBuild(t, r, ref, key)
+					found++
+				}
+			}
+		}
+	}
+}
+
+// checkDeepBuild builds key's deep order on r and requires it to equal the
+// reference's full rendezvous order.
+func checkDeepBuild(t *testing.T, r *Router, ref *refRouter, key uint64) {
+	t.Helper()
+	r.deep.build(key, r.gen, r.salts)
+	for k, i := range ref.order(key) {
+		if got := r.deep.place[k].idx; got != i {
+			t.Fatalf("%d members, key %#x: deep order has member %d at place %d, reference %d",
+				len(ref.members), key, got, k, i)
+		}
+	}
 }
 
 func TestKeyAffinitySpreadsKeys(t *testing.T) {
@@ -387,5 +445,34 @@ func TestRouteZeroAllocs(t *testing.T) {
 				t.Errorf("width %d, %s: %.1f allocs per route, want 0", width, p, got)
 			}
 		}
+	}
+}
+
+// TestFleetDispatchWidePathMix pins the router's path mix on
+// BenchmarkFleetDispatchWide's workload: how often it builds a deep
+// rendezvous order, and how deep its memo slots have grown at the end. The
+// router fills a key's slot one place per extension and goes deep only once
+// all memoRanks places are refused, so a change to that mix (a slot filled
+// more eagerly sends spilling hot keys deep sooner) fails here even where
+// the benchmark's noise would hide it.
+func TestFleetDispatchWidePathMix(t *testing.T) {
+	const ops, wantBuilds = 1 << 18, 153
+	wantDepths := [memoRanks + 1]int{0, 10171, 991, 112, 16, 1, 1, 0, 2}
+	w := newWideDispatch()
+	for i := 0; i < ops; i++ {
+		w.step(i)
+	}
+	r := w.f.router
+	if got := r.deep.builds; got != wantBuilds {
+		t.Errorf("%d dispatches built %d deep orders, want %d", ops, got, wantBuilds)
+	}
+	var depths [memoRanks + 1]int // memo slots holding n places, by n
+	for _, s := range r.memo {
+		if s.gen == r.gen {
+			depths[s.n]++
+		}
+	}
+	if depths != wantDepths {
+		t.Errorf("%d dispatches left memo slots of depths 0..%d: %v, want %v", ops, memoRanks, depths, wantDepths)
 	}
 }

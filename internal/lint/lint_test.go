@@ -308,6 +308,31 @@ func recvTypeName(fd *ast.FuncDecl) string {
 	return ""
 }
 
+// TestLoadChecksEachPackageOnce pins the loader's contract: it returns the
+// packages the patterns match, by import path, and none of the module
+// dependencies it checked to import them, and each module package is
+// checked once, so a returned package's import of another returned package
+// is that package itself.
+func TestLoadChecksEachPackageOnce(t *testing.T) {
+	pkgs, err := lint.Load("", "smartconf/internal/core", "smartconf/internal/stat")
+	if err != nil {
+		t.Fatalf("loading: %v", err)
+	}
+	var paths []string
+	for _, pkg := range pkgs {
+		paths = append(paths, pkg.Path)
+	}
+	if want := "smartconf/internal/core smartconf/internal/stat"; strings.Join(paths, " ") != want {
+		t.Fatalf("loaded %v, want %s (core's import of internal/declog is a dependency only)", paths, want)
+	}
+	core, stat := pkgs[0].Types, pkgs[1].Types
+	for _, imp := range core.Imports() {
+		if imp.Path() == stat.Path() && imp != stat {
+			t.Fatalf("internal/core imports a second type-checked copy of %s", stat.Path())
+		}
+	}
+}
+
 // TestAnalyzersOutsideScopedPackagesAreSilent pins the package scoping: the
 // path-scoped analyzers must not fire on packages outside their configured
 // lists, however many violations those packages contain.

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"sort"
 )
 
 // Package is one parsed, type-checked package ready for analysis.
@@ -29,19 +30,26 @@ type listedPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
-// Load enumerates patterns with the go tool, then parses and type-checks
-// each matched package. Imports (standard library and intra-module alike)
-// resolve through the source importer, so the loader works offline with no
-// dependency on golang.org/x/tools; dir is the working directory for the go
-// tool ("" means the current one, which must be inside the module).
+// Load enumerates patterns and their dependencies with the go tool, then
+// parses and type-checks each module package once, in dependency order, and
+// returns the packages the patterns match, by import path. A module package
+// imports its module dependencies from the packages this call already
+// checked and the standard library through the source importer, so the
+// loader works offline with no dependency on golang.org/x/tools;
+// dependencies the patterns do not match are checked only so that they can
+// be imported. dir is the working directory for the go tool ("" means the
+// current one, which must be inside the module).
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles,Error"}, patterns...)
+	// -deps lists every package after the packages it imports.
+	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -63,18 +71,18 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		listed = append(listed, lp)
 	}
 
-	// One shared FileSet and one shared source importer: the importer caches
-	// every dependency package it type-checks, so the standard library is
-	// processed once for the whole run.
+	// One shared FileSet and one importer: the source importer caches every
+	// standard-library package it type-checks, so each is processed once for
+	// the whole run.
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := moduleImporter{std: importer.ForCompiler(fset, "source", nil), checked: map[string]*types.Package{}}
 
 	var pkgs []*Package
 	for _, lp := range listed {
 		if lp.Error != nil {
 			return nil, fmt.Errorf("go list %s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		if len(lp.GoFiles) == 0 {
+		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
 		files := make([]string, len(lp.GoFiles))
@@ -85,9 +93,27 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		imp.checked[lp.ImportPath] = pkg.Types
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
+}
+
+// moduleImporter resolves the module packages Load has checked from its own
+// results and everything else, the standard library, from source.
+type moduleImporter struct {
+	std     types.Importer
+	checked map[string]*types.Package
+}
+
+func (m moduleImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := m.checked[path]; ok {
+		return pkg, nil
+	}
+	return m.std.Import(path)
 }
 
 // CheckFiles parses and type-checks one package from an explicit file list
